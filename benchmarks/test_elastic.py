@@ -5,8 +5,7 @@ layer makes the shard count a *runtime* knob.  These tests pin the two
 claims the elasticity is for — a live split+merge under client traffic
 loses and duplicates nothing while moving only ~the consistent-hashing
 minimum of keys, and the SLO-driven autoscaler cuts the violation-seconds
-integral of a diurnal day by ≥3× versus a fixed deployment — and record
-both as BENCH trajectory points.
+integral of a diurnal day by ≥3× versus a fixed deployment.
 
 Both scenarios are pure simulation, so every asserted number is
 deterministic.  Set ``REPRO_SCALE_QUICK=1`` for the reduced rebalance size
@@ -19,7 +18,7 @@ from repro.bench.elastic import run_fabric_autoscale, run_fabric_rebalance
 from repro.bench.reporting import format_table, shape_check
 
 from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale, record_bench_point
+from benchmarks.test_scale_grid import quick_scale
 
 
 class TestFabricRebalance:
@@ -76,21 +75,6 @@ class TestFabricRebalance:
                 t["keys_moved"] <= t["minimum_moves"] * 1.25)
         checks.verify()
 
-        point_id = ("fabric-rebalance-quick" if quick_scale()
-                    else "fabric-rebalance")
-        record_bench_point(point_id, {
-            **{k: metrics[k] for k in (
-                "scenario", "n_hosts", "n_data", "shards_before",
-                "shards_after", "ring_vnodes", "publishes",
-                "completed_publishes", "client_syncs", "lost_pairs",
-                "duplicated_pairs", "misplaced_pairs", "lost_requests",
-                "scheduler_multi_homed")},
-            "split_keys_moved": transitions[0]["keys_moved"],
-            "split_move_ratio": transitions[0]["move_ratio"],
-            "merge_keys_moved": transitions[1]["keys_moved"],
-            "merge_move_ratio": transitions[1]["move_ratio"],
-        })
-
 
 class TestFabricAutoscale:
     def test_autoscaler_cuts_violation_seconds_3x(self):
@@ -143,16 +127,3 @@ class TestFabricAutoscale:
         checks.ratio_at_least("violation-seconds improvement vs fixed",
                               metrics["violation_improvement_x"], 3.0)
         checks.verify()
-
-        record_bench_point("fabric-autoscale", {
-            **{k: metrics[k] for k in (
-                "scenario", "base_rps", "peak_rps", "period_s", "horizon_s",
-                "target_p99_ms", "max_shards", "shard_capacity_rps",
-                "violation_improvement_x")},
-            "fixed_violation_seconds": fixed["violation_seconds"],
-            "autoscaled_violation_seconds": autoscaled["violation_seconds"],
-            "fixed_worst_p99_ms": fixed["worst_p99_ms"],
-            "autoscaled_worst_p99_ms": autoscaled["worst_p99_ms"],
-            "splits": autoscaled["splits"],
-            "merges": autoscaled["merges"],
-        })

@@ -4,8 +4,7 @@ Beyond the paper: the fabric (`repro.services.fabric`) shards the Data
 Catalog and Data Scheduler over N service hosts.  These tests pin the two
 properties the deployment is for — aggregate service throughput scaling
 with the shard count, and client-visible recovery from a service-host
-crash within one heartbeat timeout — and record both as BENCH trajectory
-points.
+crash within one heartbeat timeout.
 
 Both scenarios are pure simulation, so every asserted number is
 deterministic (no CPU-count arming needed); the ≥2× throughput gate arms
@@ -21,7 +20,7 @@ from repro.bench.fabric import run_fabric_failover, run_fabric_scale
 from repro.bench.reporting import format_table, shape_check
 
 from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale, record_bench_point
+from benchmarks.test_scale_grid import quick_scale
 
 
 class TestFabricScale:
@@ -73,21 +72,6 @@ class TestFabricScale:
                 metrics["throughput_x"], 2.0)
         checks.verify()
 
-        point_id = ("fabric-scale-quick" if quick_scale() else "fabric-scale")
-        record_bench_point(point_id, {
-            "scenario": "fabric-scale",
-            "n_hosts": metrics["n_hosts"],
-            "n_data": metrics["n_data"],
-            "rounds": metrics["rounds"],
-            "pairs_per_round": metrics["pairs_per_round"],
-            "shards": metrics["shards"],
-            "centralized_makespan_s": central["makespan_s"],
-            "sharded_makespan_s": sharded["makespan_s"],
-            "centralized_throughput_rps": central["throughput_rps"],
-            "sharded_throughput_rps": sharded["throughput_rps"],
-            "throughput_x": metrics["throughput_x"],
-        })
-
 
 class TestFabricFailover:
     def test_clients_resume_within_one_heartbeat_timeout(self):
@@ -126,11 +110,3 @@ class TestFabricFailover:
         checks.is_true("no synchronisation failed",
                        metrics["failed_syncs"] == 0)
         checks.verify()
-
-        record_bench_point("fabric-failover", {
-            k: metrics[k] for k in (
-                "scenario", "n_hosts", "n_data", "shards", "service_hosts",
-                "replicas", "host_timeout_s", "detect_s", "recovery_s",
-                "total_syncs", "ok_syncs", "failed_syncs", "lost_requests",
-                "failover_attempts", "reroutes")
-        })

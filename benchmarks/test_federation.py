@@ -5,8 +5,7 @@ domains over shared-capacity WAN links.  These tests pin the three claims
 the layer makes — scheduled replication amortises the WAN so a federated
 flash crowd beats per-worker remote fetches by ≥2×; a partition in any
 replication phase heals exactly-once; trust + visibility policy places
-copies exactly where it should — and record the flash-crowd throughput
-ratio as a BENCH trajectory point.
+copies exactly where it should.
 
 Everything is pure simulation: every asserted number is deterministic.
 Set ``REPRO_SCALE_QUICK=1`` to run reduced sizes (the CI smoke job).
@@ -20,7 +19,7 @@ from repro.bench.federation import (run_federation_flash_crowd,
 from repro.bench.reporting import format_table, shape_check
 
 from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale, record_bench_point
+from benchmarks.test_scale_grid import quick_scale
 
 
 class TestFederationFlashCrowd:
@@ -31,7 +30,7 @@ class TestFederationFlashCrowd:
         differs.  Federated: scheduled replication lands ONE copy per peer
         domain and the crowd pulls from its local repository.  Baseline:
         every remote worker fetches through the home gateway, serialising
-        on the shared WAN pipes.  The makespan ratio is the BENCH point.
+        on the shared WAN pipes.
         """
         if quick_scale():
             metrics = run_federation_flash_crowd(workers_per_domain=6)
@@ -65,21 +64,6 @@ class TestFederationFlashCrowd:
             "federated crowd throughput vs per-worker WAN fetches",
             metrics["throughput_x"], 2.0)
         checks.verify()
-
-        point_id = ("federation-flash-crowd-quick" if quick_scale()
-                    else "federation-flash-crowd")
-        record_bench_point(point_id, {
-            "scenario": "federation-flash-crowd",
-            "n_domains": metrics["n_domains"],
-            "workers_per_domain": metrics["workers_per_domain"],
-            "size_mb": metrics["size_mb"],
-            "wan_bandwidth_mbps": metrics["wan_bandwidth_mbps"],
-            "federated_makespan_s": federated["makespan_s"],
-            "baseline_makespan_s": baseline["makespan_s"],
-            "federated_wan_kb": federated["wan_kb"],
-            "baseline_wan_kb": baseline["wan_kb"],
-            "throughput_x": metrics["throughput_x"],
-        })
 
 
 class TestFederationPartitionHeal:

@@ -88,8 +88,7 @@ SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
         "Container", "PriorityStore", "Request", "Resource", "Store",
     }),
     "repro.sim.rng": frozenset({"RandomStreams", "derive_seed"}),
-    # The event-queue strategy is a sim-internal implementation detail:
-    # outside code selects one by *name* via Environment(scheduler="...").
+    # The event queue is a sim-internal implementation detail.
     "repro.sim.scheduler": frozenset(),
 }
 
@@ -137,8 +136,7 @@ HOT_MODULES: Tuple[str, ...] = (
     "services/router.py",
     "federation/replication.py",
     # The cohort sync/heartbeat generators feed placement and transfer
-    # order for 100k-host blocks; dict order there is event order.  (The
-    # array calendar scheduler is already covered by ``sim/``.)
+    # order for 100k-host blocks; dict order there is event order.
     "workloads/cohort.py",
 )
 

@@ -24,22 +24,13 @@ two hot paths the O(active)-work refactor targets:
 
 * :func:`run_scale_grid_100k` — the 100k-host tier: identical hosts are
   batched into array-backed cohorts (:mod:`repro.workloads.cohort`), each
-  driven by a single generator calling the Data Scheduler's pure
-  ``compute_schedule`` and the flow network directly.  Defaults to the
-  calendar-queue event scheduler and the vectorized allocator; both are
-  scenario parameters (``--set scheduler=heap``/``allocator=incremental``
-  restores the reference path, which must produce identical results).
+  driven by a single generator calling the Data Scheduler's
+  ``compute_schedule_batch`` once per round and the flow network directly.
 
-The existing harnesses accept the perf knobs ``scheduler`` (and, for the
-grid, ``allocator``) as *extra* parameters: they default to the reference
-implementations and deliberately stay out of the runner signatures, so the
-resolved spec — and therefore the serialised ``run --out`` JSON — of a
-default-configuration run is byte-identical to what it was before the
-knobs existed.
+* :func:`run_scale_grid_300k` — the same grid at 3× the sizes.
 
 Each function returns a plain metrics dict; ``benchmarks/test_scale_grid.py``
-asserts the curve shapes and records the numbers as a BENCH trajectory
-point in ``BENCH.json``.  Every dict carries ``processed_events`` and the
+asserts the curve shapes.  Every dict carries ``processed_events`` and the
 wall-clock-derived ``events_per_sec`` (volatile, scrubbed from serialised
 output) so perf work always starts from data.
 """
@@ -49,7 +40,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.core.attributes import Attribute
 from repro.experiments.entry import registered_entry_point
@@ -68,23 +59,6 @@ from repro.workloads.cohort import (
 
 __all__ = ["run_completion_curve", "run_scale_grid", "run_scale_grid_100k",
            "run_scale_grid_300k", "run_sync_storm"]
-
-
-def _pop_perf_knobs(perf: Dict[str, object],
-                    allocator_default: Optional[str] = None) -> Dict[str, object]:
-    """Extract the optional perf knobs shared by the scale harnesses.
-
-    Returns ``{"scheduler": ..., "allocator": ...}`` (the latter only when
-    ``allocator_default`` is given).  Leftover keys are a parameter-name
-    error, reported exactly like an unknown ``--set`` name.
-    """
-    knobs: Dict[str, object] = {"scheduler": perf.pop("scheduler", "heap")}
-    if allocator_default is not None:
-        knobs["allocator"] = perf.pop("allocator", allocator_default)
-    if perf:
-        raise ValueError(f"unknown parameters {sorted(perf)}; "
-                         f"perf knobs are {sorted(knobs)}")
-    return knobs
 
 
 def _events_per_sec(processed_events: int, wall_s: float) -> float:
@@ -124,21 +98,16 @@ def _run_sync_storm(
     server_link_mbps: float = 1000.0,
     node_link_mbps: float = 10.0,
     latency_s: float = 0.001,
-    **perf,
 ) -> Dict[str, object]:
     """N simultaneous downloads from one server, ``rounds`` times over.
 
     Aggregate worker demand (``n_workers * node_link_mbps``) should exceed
     the server uplink so every flow shares one bottleneck — the regime of
     the paper's FTP distribution experiments.
-
-    Extra parameter: ``scheduler`` (``heap`` | ``calendar`` | ``oracle``)
-    selects the kernel's event scheduler.
     """
     if n_workers <= 0 or rounds <= 0:
         raise ValueError("n_workers and rounds must be positive")
-    knobs = _pop_perf_knobs(perf)
-    env = Environment(scheduler=knobs["scheduler"])
+    env = Environment()
     network = Network(env, default_latency_s=latency_s,
                       allocator=allocator, coalesce=coalesce)
     server = network.add_host(Host(
@@ -215,25 +184,19 @@ def _run_scale_grid(
     sync_rounds: int = 3,
     monitor_period_s: float = 5.0,
     seed: int = 7,
-    **perf,
 ) -> Dict[str, object]:
     """Sync+transfer storm through the full runtime at production scale.
 
     ``n_data`` data items are created on the service host and scheduled with
     a replica target; ``n_hosts`` reservoir hosts then synchronise in
     simultaneous batches until everything is placed and downloaded.
-
-    Extra parameters: ``scheduler`` (``heap`` | ``calendar`` | ``oracle``)
-    and ``allocator`` (``incremental`` | ``dense`` | ``vector``).
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
-    knobs = _pop_perf_knobs(perf, allocator_default="incremental")
     wall_start = time.perf_counter()
-    env = Environment(scheduler=knobs["scheduler"])
+    env = Environment()
     topo = cluster_topology(env, n_workers=n_hosts,
-                            server_link_mbps=1000.0, node_link_mbps=125.0,
-                            allocator=knobs["allocator"])
+                            server_link_mbps=1000.0, node_link_mbps=125.0)
     runtime = BitDewEnvironment(
         topo,
         sync_period_s=3600.0,          # pull loops are driven by kick_sync
@@ -314,44 +277,23 @@ def _run_scale_grid_100k(
     heartbeat_duration_s: float = 40.0,
     server_link_mbps: float = 8000.0,
     node_link_mbps: float = 125.0,
-    scheduler: str = "calendar",
-    allocator: str = "vector",
-    **perf,
 ) -> Dict[str, object]:
     """Cohort-batched sync+download storm at the 100k-host tier.
 
     ``n_hosts`` identical reservoir hosts are partitioned into array-backed
     cohorts of ``cohort_size``; each cohort is driven by one sync generator
-    (calling the Data Scheduler's pure ``compute_schedule`` per host and
-    starting real flows on the shared network) plus one heartbeat timer.
+    (one ``compute_schedule_batch`` call per round — oracle-pinned equal to
+    ``cohort_size`` sequential ``compute_schedule`` calls — starting real
+    flows on the shared network) plus one heartbeat timer.
     With the defaults every host downloads exactly one replica
     (``n_data * replica == n_hosts``, one assignment per sync), so the run
     is a full placement of ``n_data`` items over 100k hosts.
-
-    ``scheduler`` and ``allocator`` are explicit axes: the defaults are the
-    fast calendar-queue/vectorized pair; ``heap``/``incremental`` is the
-    reference pair and must produce identical results (the CI kernel-smoke
-    job byte-compares the two on a reduced grid).
-
-    Extra parameter (out of the spec, like the older harnesses' knobs):
-    ``placement`` (``host`` | ``batch``) — ``batch`` evaluates each
-    cohort round with one ``compute_schedule_batch`` call instead of
-    ``cohort_size`` sequential ``compute_schedule`` calls.  The results
-    are identical either way (the batch engine is oracle-pinned); only
-    the wall clock moves.
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
-    placement = perf.pop("placement", "host")
-    if perf:
-        raise ValueError(f"unknown parameters {sorted(perf)}; "
-                         f"perf knobs are ['placement']")
-    if placement not in ("host", "batch"):
-        raise ValueError(
-            f"unknown placement {placement!r}; use 'host' or 'batch'")
     wall_start = time.perf_counter()
-    env = Environment(scheduler=scheduler)
-    network = Network(env, default_latency_s=0.0002, allocator=allocator)
+    env = Environment()
+    network = Network(env, default_latency_s=0.0002)
     server = network.add_host(Host(
         "grid-service", uplink_mbps=server_link_mbps,
         downlink_mbps=server_link_mbps, stable=True))
@@ -374,11 +316,7 @@ def _run_scale_grid_100k(
 
     cohorts = build_cohorts(hosts, cohort_size)
 
-    def sync(host_name: str, cached: set):
-        ds.sync_count += 1
-        return ds.compute_schedule(host_name, cached)
-
-    def sync_batch(host_names: List[str], cached_per_host: List[set]):
+    def sync(host_names: List[str], cached_per_host: List[set]):
         ds.sync_count += len(host_names)
         return ds.compute_schedule_batch(host_names, cached_per_host)
 
@@ -388,8 +326,7 @@ def _run_scale_grid_100k(
     for cohort in cohorts:
         env.process(cohort_sync_process(
             env, cohort, sync, transfer, size_mb_of,
-            rounds=sync_rounds, stagger_s=stagger_s, sync_gap_s=sync_gap_s,
-            sync_batch=sync_batch if placement == "batch" else None))
+            rounds=sync_rounds, stagger_s=stagger_s, sync_gap_s=sync_gap_s))
         env.process(cohort_heartbeat_process(
             env, cohort, period_s=heartbeat_period_s,
             duration_s=heartbeat_duration_s))
@@ -415,8 +352,6 @@ def _run_scale_grid_100k(
         "cohorts": len(cohorts),
         "cohort_size": cohort_size,
         "sync_rounds": sync_rounds,
-        "scheduler": scheduler,
-        "allocator": allocator,
         "placed": placed,
         "downloaded": sum(c.total_downloads for c in cohorts),
         "transferred_mb": sum(c.total_bytes_mb for c in cohorts),
@@ -452,21 +387,13 @@ def _run_scale_grid_300k(
     heartbeat_duration_s: float = 40.0,
     server_link_mbps: float = 24_000.0,
     node_link_mbps: float = 125.0,
-    scheduler: str = "array",
-    allocator: str = "vector",
-    placement: str = "batch",
 ) -> Dict[str, object]:
-    """The 300k-host tier: the 100k grid scaled 3×, fast path by default.
+    """The 300k-host tier: the 100k grid scaled 3×.
 
     Same workload shape as :func:`run_scale_grid_100k` — one replica per
     host (``n_data * replica == n_hosts``), cohort-batched sync storms,
-    heartbeat background traffic — at triple the scale, with the fast
-    defaults born with this scenario: the array-backed calendar scheduler,
-    the vectorized allocator and batched cohort placement.  ``scheduler``,
-    ``allocator`` and ``placement`` are ordinary parameters here (the
-    scenario is new, nothing older pins its spec): set
-    ``scheduler=heap allocator=incremental placement=host`` to certify
-    against the reference path on a reduced grid.
+    heartbeat background traffic — at triple the hosts, data and server
+    link.
     """
     results = _run_scale_grid_100k(
         n_hosts=n_hosts, n_data=n_data, replica=replica, size_mb=size_mb,
@@ -474,10 +401,8 @@ def _run_scale_grid_300k(
         max_data_schedule=max_data_schedule, stagger_s=stagger_s,
         sync_gap_s=sync_gap_s, heartbeat_period_s=heartbeat_period_s,
         heartbeat_duration_s=heartbeat_duration_s,
-        server_link_mbps=server_link_mbps, node_link_mbps=node_link_mbps,
-        scheduler=scheduler, allocator=allocator, placement=placement)
+        server_link_mbps=server_link_mbps, node_link_mbps=node_link_mbps)
     results["scenario"] = "scale-grid-300k"
-    results["placement"] = placement
     return results
 
 

@@ -141,7 +141,7 @@ def build_registry() -> ScenarioRegistry:
         volatile_keys=_WALL_KEYS + ("run_wall_s",))
     registry.register(
         "scale-grid-300k", _run_scale_grid_300k,
-        title="Batched-placement storm at 300k hosts (array calendar)",
+        title="Batched-placement storm at 300k hosts",
         paper_ref="beyond the paper (BENCH trajectory)", group="scale",
         tags=("bench", "kernel"),
         volatile_keys=_WALL_KEYS + ("run_wall_s",))

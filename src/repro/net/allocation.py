@@ -1,36 +1,29 @@
 """Bandwidth-allocation strategies for the flow-level network model.
 
 The network delegates max-min fair sharing to an *allocator*.  Two
-implementations with identical observable results are provided:
+implementations with identical observable results are provided — one
+runtime path and the reference the tests hold it to:
 
 * :class:`DenseAllocator` — the reference implementation: every allocation
   pass rebuilds the constraint set from scratch and runs progressive filling
   with a full scan per bottleneck round.  Per pass this is O(F·R) work with
   R bottleneck rounds (worst case O(F²)), plus O(F) allocations for the
   constraint dictionaries.  Kept as the oracle for equivalence tests and as
-  the baseline the scaling benchmark measures against.
+  the baseline the scaling benchmark measures against
+  (``Network(allocator="dense", coalesce=False)``).
 
 * :class:`IncrementalAllocator` — constraint membership is maintained
   incrementally as flows arrive and depart, so an allocation pass touches
   only existing :class:`Constraint` objects; bottleneck selection uses a
   lazy min-heap keyed by the current fair share, making one pass
-  O((F + C)·log C) for F active flows crossing C constraints.
+  O((F + C)·log C) for F active flows crossing C constraints.  The
+  default, and the only allocator scenarios run.
 
-* :class:`VectorAllocator` — numpy water-filling: constraint membership
-  becomes index arrays and each saturation round runs as a handful of
-  vector operations over *every* unfixed flow at once, instead of the
-  per-flow Python loops of the other two.  The float operations replicate
-  the dense allocator's exactly (same divisions, same subtraction order
-  via ``np.subtract.at``), so the computed rates are bit-identical, not
-  just close — which keeps ``run --out`` JSON byte-identical across
-  allocators.  This is the allocator for 10⁴–10⁵ simultaneous flows.
-
-All compute the *unique* max-min fair allocation subject to the same
+Both compute the *unique* max-min fair allocation subject to the same
 constraints (per-flow rate caps, host uplink/downlink, WAN cluster
 gateways, minus reserved background rates), so simulated completion times
 are identical whichever is plugged in — a property pinned by the
-hypothesis oracle tests in ``tests/test_property_based.py`` and
-``tests/test_allocation_vector.py``.
+hypothesis oracle tests in ``tests/test_property_based.py``.
 """
 
 from __future__ import annotations
@@ -40,16 +33,10 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-try:                                    # numpy is required only by the
-    import numpy as _np                 # vectorized allocator; the default
-except ImportError:                     # pragma: no cover - numpy is baked
-    _np = None                          # into the supported environments
-
 __all__ = [
     "Constraint",
     "DenseAllocator",
     "IncrementalAllocator",
-    "VectorAllocator",
     "constraint_keys",
     "make_allocator",
 ]
@@ -293,114 +280,10 @@ class IncrementalAllocator:
         return rates
 
 
-class VectorAllocator(IncrementalAllocator):
-    """Numpy-vectorized progressive filling over incremental membership.
-
-    Membership bookkeeping is inherited from :class:`IncrementalAllocator`
-    (flow arrival/departure stays O(keys)); the allocation pass flattens it
-    into ``(flow, constraint)`` index arrays and water-fills one saturation
-    round at a time:
-
-    1. count the unfixed members of every constraint (``np.bincount``),
-    2. compute every constraint's fair share in one vector division and
-       pick the bottleneck (``np.argmin`` over the dense scan order),
-    3. fix all its unfixed flows at the bottleneck share and subtract the
-       share from every constraint they cross (``np.subtract.at``).
-
-    Each round is O(P) vector work for P live membership pairs — the same
-    asymptotics as the dense reference but with the per-flow Python
-    interpreter loop replaced by a few numpy kernels, which is 1–2 orders
-    of magnitude cheaper for the 10⁴+-flow storms of the 100k-host grid.
-
-    **Bit-exactness**: the scan order, the divisions and the sequential
-    subtraction order replicate :class:`DenseAllocator` operation for
-    operation (``np.subtract.at`` is unbuffered and applies updates in
-    index order), so the resulting rates are the same IEEE-754 doubles the
-    reference produces — asserted exactly, not within a tolerance, by the
-    oracle suite.
-    """
-
-    name = "vector"
-
-    def __init__(self) -> None:
-        if _np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise RuntimeError(
-                "the 'vector' allocator requires numpy; install it or use "
-                "'incremental'")
-        super().__init__()
-
-    def allocate(self, active: List, background: Dict[Tuple, float]) -> Dict[int, float]:
-        if not active:
-            return {}
-        np = _np
-        membership = self._membership
-        # Constraints in dense first-seen order (flow-major, canonical key
-        # order within a flow) and the flattened membership pairs.
-        con_of: Dict[Tuple, int] = {}
-        cons: List[Tuple] = []
-        pair_flow: List[int] = []
-        pair_con: List[int] = []
-        for i, flow in enumerate(active):
-            for key in membership[flow.fid]:
-                j = con_of.get(key)
-                if j is None:
-                    j = con_of[key] = len(cons)
-                    cons.append(key)
-                pair_flow.append(i)
-                pair_con.append(j)
-        n_flows = len(active)
-        n_cons = len(cons)
-        mem_flow = np.asarray(pair_flow, dtype=np.intp)
-        mem_con = np.asarray(pair_con, dtype=np.intp)
-        constraints = self._constraints
-        remaining = np.empty(n_cons, dtype=np.float64)
-        for j, key in enumerate(cons):
-            remaining[j] = max(
-                0.0,
-                self._live_capacity(constraints[key]) - background.get(key, 0.0))
-
-        unfixed = np.ones(n_flows, dtype=bool)
-        rate_of = np.zeros(n_flows, dtype=np.float64)
-        while True:
-            live = unfixed[mem_flow]
-            if not live.any():
-                break
-            live_con = mem_con[live]
-            counts = np.bincount(live_con, minlength=n_cons)
-            # The dense reference scans constraints in first-seen order over
-            # the *unfixed* flows and keeps the first strict minimum; that is
-            # exactly np.argmin over the first-occurrence ordering.
-            uniq, first_at = np.unique(live_con, return_index=True)
-            order = uniq[np.argsort(first_at, kind="stable")]
-            shares = remaining[order] / counts[order]
-            best = int(order[int(np.argmin(shares))])
-            share = max(0.0, float(remaining[best]) / float(counts[best]))
-
-            fixed_now = np.unique(mem_flow[live & (mem_con == best)])
-            rate_of[fixed_now] = share
-            newly = np.zeros(n_flows, dtype=bool)
-            newly[fixed_now] = True
-            updates = live & newly[mem_flow]
-            touched = mem_con[updates]
-            # Unbuffered scatter-subtract: one subtraction per membership
-            # pair, applied in the dense reference's flow-major order; the
-            # final clamp matches its per-step max(0, ·) (a value can only
-            # go negative on its last update or stay negative throughout).
-            np.subtract.at(remaining, touched, share)
-            touched = np.unique(touched)
-            remaining[touched] = np.maximum(remaining[touched], 0.0)
-            unfixed[fixed_now] = False
-
-        rates = rate_of.tolist()
-        return {flow.fid: rates[i] for i, flow in enumerate(active)}
-
-
 def make_allocator(name: str):
     if name == "dense":
         return DenseAllocator()
     if name == "incremental":
         return IncrementalAllocator()
-    if name == "vector":
-        return VectorAllocator()
     raise ValueError(f"unknown allocator {name!r}; "
-                     f"use 'dense', 'incremental' or 'vector'")
+                     f"use 'dense' or 'incremental'")

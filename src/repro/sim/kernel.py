@@ -14,21 +14,17 @@ Determinism: events scheduled for the same simulated time are processed in
 FIFO order of scheduling (a monotonically increasing sequence number breaks
 ties), so a simulation with a fixed RNG seed is fully reproducible.
 
-The queue itself is a pluggable strategy (:mod:`repro.sim.scheduler`):
-``Environment(scheduler="heap")`` is the reference binary heap,
-``"calendar"`` a bucketed calendar queue tuned for timer-heavy traffic and
-``"oracle"`` runs both in lockstep asserting identical event order.  All
-three realise the same total ``(time, priority, seq)`` order, so the
-choice never changes simulated results — only wall-clock.
+The queue itself is :class:`repro.sim.scheduler.HeapScheduler`, one binary
+heap over the total ``(time, priority, seq)`` order.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import (Any, Callable, Dict, Generator, Iterable, Iterator, List,
-                    Optional, Union)
+                    Optional)
 
-from repro.sim.scheduler import Scheduler, make_scheduler
+from repro.sim.scheduler import HeapScheduler
 
 __all__ = [
     "AllOf",
@@ -424,15 +420,9 @@ class Environment:
     #: normally-scheduled event at the same timestamp.
     SETTLE_PRIORITY = 2
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Union[str, Scheduler] = "heap") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: The event-queue strategy: a name resolved through
-        #: :func:`repro.sim.scheduler.make_scheduler`, or a ready scheduler
-        #: object (anything satisfying :class:`repro.sim.scheduler.Scheduler`).
-        self._scheduler: Scheduler = (make_scheduler(scheduler)
-                                      if isinstance(scheduler, str)
-                                      else scheduler)
+        self._scheduler = HeapScheduler()
         self._counter: Iterator[int] = itertools.count()
         #: Event creation counter, separate from the scheduling counter so
         #: repr identities never perturb the (time, priority, seq) order.
@@ -448,14 +438,9 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The live event-queue strategy object."""
+    def scheduler(self) -> HeapScheduler:
+        """The live event queue."""
         return self._scheduler
-
-    @property
-    def scheduler_name(self) -> str:
-        name = getattr(self._scheduler, "name", None)
-        return name if isinstance(name, str) else type(self._scheduler).__name__
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -547,8 +532,8 @@ class Environment:
             # check, so the per-event peek() is pure overhead — pop() skips
             # cancelled timers itself and signals exhaustion via IndexError.
             # The step() body is inlined: at 100k-host scale the extra
-            # method call and the doubled scheduler head-bucket work are
-            # measurable.  Keep this block in lockstep with step().
+            # method call and the doubled head-purging work are measurable.
+            # Keep this block in lockstep with step().
             scheduler_pop = self._scheduler.pop
             while True:
                 if stop_event is not None and stop_event.callbacks is None:

@@ -1,103 +1,38 @@
-"""Pluggable event schedulers for the simulation kernel.
+"""The event queue of the simulation kernel.
 
 The kernel's queue discipline is a total order over ``(time, priority,
 seq)`` — FIFO within a timestamp, priorities only for the settle hook and
-interrupts.  How that order is *realised* is a pure performance choice, so
-the queue is a pluggable strategy behind :func:`make_scheduler`:
+interrupts.  :class:`HeapScheduler` realises it with one global binary
+heap (`heapq`): O(log n) per operation with n the queue size.  Cohort
+multiplexing keeps that queue shallow — the peak depth is ~2.5k entries
+even on the 100k-host storm — so C ``heapq`` at log2(n) ≈ 11 comparisons
+beats a Python-level bucket structure (sizing in docs/ARCHITECTURE.md).
 
-* :class:`HeapScheduler` — the reference implementation: one global binary
-  heap (`heapq`).  O(log n) per operation with n the total queue size,
-  which at 100k-host scale means every push/pop pays ~17 tuple
-  comparisons against *unrelated* events scheduled far in the future.
-  Cancelled :class:`~repro.sim.kernel.Timer` entries are dropped lazily
-  when they surface, and the whole heap is compacted once more than half
-  of it is dead (see :meth:`note_cancelled`) so a timer-heavy workload
-  cannot squat the queue with corpses.
-
-* :class:`CalendarQueueScheduler` — a bucketed calendar queue (R. Brown,
-  CACM 1988) tuned for the kernel's timer-heavy heartbeat/sync traffic:
-  events hash into fixed-width time buckets (``floor(time / width)``), a
-  small index heap tracks the non-empty buckets, and each bucket is its
-  own tiny heap.  Pops only ever compare events of the *current* bucket,
-  so with the width matched to the event density the per-event cost is
-  O(1) amortised.  The width adapts deterministically: every
-  ``RESIZE_INTERVAL`` pushes the queue re-buckets itself if the average
-  bucket occupancy left the target band.  Because ``floor(t / w)`` is
-  monotone in ``t`` and every bucket orders entries by the full
-  ``(time, priority, seq)`` key, the pop sequence is **identical** to the
-  heap's — an invariant pinned by :class:`OracleScheduler` and the
-  property tests in ``tests/test_sim_scheduler.py``.
-
-* :class:`ArrayCalendarScheduler` — the calendar queue with array-backed
-  buckets: future buckets are flat append-only arrays (O(1) insertion,
-  zero comparisons), totally ordered *once* when they become the head of
-  the calendar (numpy argsort-on-drain above a crossover size, ``heapq``
-  below it).  Same pop order, cheaper push-heavy storms.
-
-* :class:`OracleScheduler` — the equivalence oracle: drives a heap and a
-  calendar queue in lockstep and asserts that every single pop agrees.
-  Plug it in (``Environment(scheduler="oracle")``) to certify a workload;
-  it is deliberately slow (it does all the work twice).
+Cancelled :class:`~repro.sim.kernel.Timer` entries are dropped lazily
+when they surface, and the whole heap is compacted once more than half
+of it is dead (see :meth:`HeapScheduler.note_cancelled`) so a
+timer-heavy workload cannot squat the queue with corpses.
 
 Entries are the kernel's scheduling tuples ``(time, priority, seq,
-event)``; ``seq`` is unique, so the order is total and any two correct
-schedulers must produce byte-identical simulations.
+event)``; ``seq`` is unique, so the order is total.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
-
-try:  # numpy is optional for the sim core: the array scheduler degrades
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # typing-only: the runtime import goes kernel -> scheduler
     from repro.sim.kernel import Event
 
-__all__ = [
-    "ArrayCalendarScheduler",
-    "CalendarQueueScheduler",
-    "Entry",
-    "HeapScheduler",
-    "OracleScheduler",
-    "Scheduler",
-    "make_scheduler",
-]
+__all__ = ["Entry", "HeapScheduler"]
 
 #: A scheduling entry: (time, priority, seq, event).
 Entry = Tuple[float, int, int, "Event"]
 
 
-class Scheduler(Protocol):
-    """The event-queue strategy interface the kernel drives.
-
-    Any object with these members can be passed to
-    ``Environment(scheduler=...)``.  Implementations must realise the total
-    ``(time, priority, seq)`` order: ``pop`` returns the minimal live entry
-    and ``peek`` previews it without removal (both skip cancelled events).
-    """
-
-    name: str
-
-    def __len__(self) -> int: ...
-
-    def push(self, entry: Entry) -> None: ...
-
-    def peek(self) -> Optional[Entry]: ...
-
-    def pop(self) -> Entry: ...
-
-    def note_cancelled(self) -> None: ...
-
-
 class HeapScheduler:
-    """Reference scheduler: a single global binary heap."""
-
-    name = "heap"
+    """The kernel's event queue: a single global binary heap."""
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
@@ -147,515 +82,3 @@ class HeapScheduler:
         heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
-
-
-class CalendarQueueScheduler:
-    """Bucketed calendar queue: near-O(1) ops for timer-heavy traffic."""
-
-    name = "calendar"
-
-    #: adapt the bucket width every this many pushes (deterministic)
-    RESIZE_INTERVAL = 4096
-    #: re-bucket when mean occupancy of non-empty buckets leaves this band
-    MAX_MEAN_OCCUPANCY = 16.0
-    MIN_MEAN_OCCUPANCY = 0.5
-
-    def __init__(self, width: Optional[float] = None) -> None:
-        if width is not None and width <= 0:
-            raise ValueError("bucket width must be positive")
-        self._width = float(width) if width is not None else 1.0
-        #: width adapts only when the caller did not pin it
-        self._auto = width is None
-        #: bucket index -> entry min-heap; only live (possibly empty) buckets
-        self._buckets: Dict[int, List[Entry]] = {}
-        #: lazy min-heap over the bucket indices present in ``_buckets``
-        self._index_heap: List[int] = []
-        self._size = 0
-        self._cancelled = 0
-        self._pushes_since_resize = 0
-        #: no resize attempt until the live count reaches this (see
-        #: _maybe_resize: backoff when re-bucketing cannot help)
-        self._resize_backoff_live = 0
-        #: metrics (tests/benchmarks)
-        self.compactions = 0
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def width(self) -> float:
-        return self._width
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
-    # -- internals ---------------------------------------------------------
-    def _insert(self, entry: Entry) -> None:
-        # int() truncation, not math.floor: ~2x faster, and monotone in the
-        # timestamp just the same (simulated time never goes backwards, and
-        # any two entries sharing a bucket are ordered by the bucket heap).
-        index = int(entry[0] / self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = []
-            heapq.heappush(self._index_heap, index)
-        heapq.heappush(bucket, entry)
-        self._size += 1
-
-    def _head_bucket(self) -> Optional[List[Entry]]:
-        """The bucket holding the globally minimal live entry.
-
-        ``floor(t / width)`` is monotone in ``t``, so the smallest
-        non-empty bucket index contains the minimal entry.  Emptied
-        buckets and dead (cancelled) heads are dropped on the way.
-        """
-        index_heap = self._index_heap
-        while index_heap:
-            index = index_heap[0]
-            bucket = self._buckets.get(index)
-            if bucket:
-                while bucket and bucket[0][3].cancelled:
-                    heapq.heappop(bucket)
-                    self._size -= 1
-                    self._cancelled -= 1
-            if not bucket:
-                heapq.heappop(index_heap)
-                self._buckets.pop(index, None)
-                continue
-            return bucket
-        return None
-
-    def _rebuild(self, width: float) -> List[Entry]:
-        entries = [entry
-                   for bucket in self._buckets.values()  # detlint: ignore[DET004] — re-bucketing order is immaterial: pops follow the total (time, priority, seq) order
-                   for entry in bucket
-                   if not entry[3].cancelled]
-        self._width = width
-        self._buckets = {}
-        self._index_heap = []
-        self._size = 0
-        self._cancelled = 0
-        for entry in entries:
-            self._insert(entry)
-        return entries
-
-    def _occupied_extent(self) -> Optional[Tuple[int, int, int]]:
-        """(bucket count, min index, max index) of the live population.
-
-        The width-adaptation pass sizes buckets from this; subclasses that
-        keep part of the population outside ``_buckets`` (the array
-        variant's drain structures) override it so adaptation sees the
-        whole queue.
-        """
-        if not self._buckets:
-            return None
-        return len(self._buckets), min(self._buckets), max(self._buckets)
-
-    def _clamp_width(self, width: float) -> float:
-        """Last word on an adaptation-chosen width (subclass hook)."""
-        return width
-
-    def _maybe_resize(self) -> None:
-        self._pushes_since_resize = 0
-        if not self._auto:
-            return
-        live = self._size - self._cancelled
-        if live <= 0:
-            return
-        extent = self._occupied_extent()
-        if extent is None:
-            return
-        buckets, lo_index, hi_index = extent
-        occupancy = live / buckets
-        if self.MIN_MEAN_OCCUPANCY <= occupancy <= self.MAX_MEAN_OCCUPANCY:
-            return
-        # Backoff: when the population has few *distinct* timestamps (e.g.
-        # a same-time storm), no width brings the occupancy into the band —
-        # without this guard the queue would pay an O(n) rebuild every
-        # RESIZE_INTERVAL pushes.  Try again once the live count doubled.
-        if live < self._resize_backoff_live:
-            return
-        # Spread the current population over ~4 entries per bucket.  The
-        # span is measured over bucket indices (O(buckets), not O(n)).
-        lo = lo_index * self._width
-        hi = (hi_index + 1) * self._width
-        span = hi - lo
-        if span <= 0 or not math.isfinite(span):
-            return
-        width = span / max(live / 4.0, 1.0)
-        if width <= 0 or not math.isfinite(width):
-            return
-        # Clamp: a same-timestamp storm must not drive the width to zero.
-        width = max(width, span * 1e-9, 1e-12)
-        width = self._clamp_width(width)
-        if width == self._width:
-            self._resize_backoff_live = live * 2
-            return
-        self.resizes += 1
-        self._rebuild(width)
-        achieved = (self._size - self._cancelled) / max(len(self._buckets), 1)
-        if not (self.MIN_MEAN_OCCUPANCY <= achieved <= self.MAX_MEAN_OCCUPANCY):
-            self._resize_backoff_live = live * 2
-
-    # -- scheduler interface -------------------------------------------------
-    def push(self, entry: Entry) -> None:
-        # Inlined _insert: push is the hottest scheduler operation.
-        index = int(entry[0] / self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = bucket = []
-            heapq.heappush(self._index_heap, index)
-        heapq.heappush(bucket, entry)
-        self._size += 1
-        self._pushes_since_resize += 1
-        if self._pushes_since_resize >= self.RESIZE_INTERVAL:
-            self._maybe_resize()
-
-    def peek(self) -> Optional[Entry]:
-        bucket = self._head_bucket()
-        return bucket[0] if bucket else None
-
-    def pop(self) -> Entry:
-        bucket = self._head_bucket()
-        if bucket is None:
-            raise IndexError("pop from an empty scheduler")
-        self._size -= 1
-        return heapq.heappop(bucket)
-
-    def note_cancelled(self) -> None:
-        """A queued Timer was cancelled; compact once corpses dominate.
-
-        Compaction is *storm-aware*: rebuilding inside a same-timestamp
-        storm must not hand the width-adaptation pass a population it will
-        futilely try to re-bucket (no width separates identical
-        timestamps).  :meth:`compact` detects that case and arms the
-        resize backoff directly, so the adaptation early-returns instead
-        of paying a second O(n) rebuild right after the compaction sweep.
-        """
-        self._cancelled += 1
-        if self._cancelled * 2 > self._size:
-            self.compact()
-
-    def compact(self) -> None:
-        survivors = self._rebuild(self._width)
-        self.compactions += 1
-        if self._auto and len(survivors) > 1:
-            # all() short-circuits on the first distinct timestamp, so a
-            # mixed population pays O(1) extra on top of the O(n) sweep.
-            first_time = survivors[0][0]
-            if all(entry[0] == first_time for entry in survivors):
-                self._resize_backoff_live = max(
-                    self._resize_backoff_live, len(survivors) * 2)
-
-
-class ArrayCalendarScheduler(CalendarQueueScheduler):
-    """Calendar queue with array-backed buckets: sort-on-drain, not heaps.
-
-    The classic calendar queue (the parent class) keeps every bucket a
-    binary heap, so a push-heavy same-time storm still pays per-event heap
-    discipline — ``heappush`` sift-up on insert, sift-down on pop.  This
-    variant stores each future bucket as a flat **append-only array** of
-    ``(time, priority, seq, event)`` rows: insertion is ``list.append``
-    (O(1), no comparisons at all) and the total order is established
-    *once*, when the bucket becomes the head of the calendar and is
-    drained:
-
-    * buckets at or above :data:`SORT_CROSSOVER` entries are argsorted in
-      one shot — ``numpy.lexsort`` over the extracted ``(time, priority,
-      seq)`` columns when numpy is importable, the C-level ``list.sort``
-      otherwise — into a descending drain array popped from the end;
-    * smaller buckets fall back to ``heapq`` (one ``heapify``), because a
-      handful of entries never amortises the array extraction.
-
-    Entries scheduled *into* the bucket currently draining (zero-delay
-    timeouts, same-time follow-ups) land in that same small heap and are
-    merged with the drain array at pop time, preserving the exact global
-    ``(time, priority, seq)`` order.  Width adaptation, the same-time
-    storm backoff and the storm-aware cancellation compaction are all
-    inherited unchanged from :class:`CalendarQueueScheduler`; pop-order
-    equivalence with the reference heap is pinned by
-    :class:`OracleScheduler` (``scheduler="oracle-array"``) and the
-    structural property tests.
-    """
-
-    name = "array"
-
-    #: buckets below this size are heapified instead of argsorted
-    SORT_CROSSOVER = 32
-
-    #: shrink factor applied when the merge heap is eating the traffic
-    LATE_SHRINK = 8.0
-
-    def __init__(self, width: Optional[float] = None) -> None:
-        super().__init__(width)
-        #: the head bucket, sorted descending; pops take from the end
-        self._drain: List[Entry] = []
-        #: late arrivals into the draining bucket + small-bucket fallback
-        #: (a real ``heapq``; merged with ``_drain`` at pop time)
-        self._late: List[Entry] = []
-        #: bucket index currently draining (``None`` between buckets)
-        self._drain_index: Optional[int] = None
-        #: pushes routed to ``_late`` since the last adaptation window
-        self._late_pushes = 0
-        #: ceiling the occupancy-driven widening must respect once a
-        #: late-domination shrink has fired (relaxed geometrically, so a
-        #: genuine regime change can still widen the calendar back)
-        self._late_width_cap = math.inf
-
-    # -- internals ---------------------------------------------------------
-    def _occupied_extent(self) -> Optional[Tuple[int, int, int]]:
-        # The drain structures hold the head of the calendar; count them
-        # as one occupied bucket at the drain index.  Without this, a
-        # too-wide calendar funnels *every* push into the drain-time merge
-        # heap, ``_buckets`` stays empty, and the inherited adaptation
-        # never fires — the queue degenerates into a plain heap plus
-        # calendar overhead (observed as a 1.5x slowdown at 300k hosts).
-        drain_live = bool(self._drain or self._late)
-        if self._buckets:
-            count = len(self._buckets)
-            lo = min(self._buckets)
-            hi = max(self._buckets)
-            if drain_live and self._drain_index is not None:
-                count += 1
-                lo = min(lo, self._drain_index)
-                hi = max(hi, self._drain_index)
-            return count, lo, hi
-        if drain_live and self._drain_index is not None:
-            return 1, self._drain_index, self._drain_index
-        return None
-
-    def _clamp_width(self, width: float) -> float:
-        # The occupancy band can look healthy while the hot traffic all
-        # lands at or before the drain index (tiny future buckets, busy
-        # merge heap) — never let occupancy-driven widening undo a
-        # late-domination shrink outright.  The cap doubles on every
-        # clamped attempt, so a genuine regime change recovers the wide
-        # calendar in a few adaptation windows.
-        if width > self._late_width_cap:
-            width = self._late_width_cap
-            self._late_width_cap *= 2.0
-        return width
-
-    def _maybe_resize(self) -> None:
-        # Late-domination check first: when most pushes of the last window
-        # were routed to the merge heap, the calendar is too wide for the
-        # active traffic (every arrival lands at or before the bucket being
-        # drained) and *no* occupancy statistic over the starved future
-        # buckets can see it.  Shrink geometrically until arrivals land in
-        # future buckets again — that is the regime the append-only arrays
-        # are built for.
-        late = self._late_pushes
-        self._late_pushes = 0
-        if self._auto and late * 2 > self.RESIZE_INTERVAL:
-            self._pushes_since_resize = 0
-            width = self._width / self.LATE_SHRINK
-            if width > 0 and math.isfinite(width):
-                self._late_width_cap = min(self._late_width_cap, self._width)
-                self.resizes += 1
-                self._rebuild(width)
-            return
-        super()._maybe_resize()
-
-    def _insert(self, entry: Entry) -> None:
-        # Rebuild-path insert: plain append, no heap discipline.
-        index = int(entry[0] / self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = bucket = []
-            heapq.heappush(self._index_heap, index)
-        bucket.append(entry)
-        self._size += 1
-
-    def _rebuild(self, width: float) -> List[Entry]:
-        entries = [entry
-                   for bucket in self._buckets.values()  # detlint: ignore[DET004] — re-bucketing order is immaterial: pops follow the total (time, priority, seq) order
-                   for entry in bucket
-                   if not entry[3].cancelled]
-        entries.extend(e for e in self._drain if not e[3].cancelled)
-        entries.extend(e for e in self._late if not e[3].cancelled)
-        self._width = width
-        self._buckets = {}
-        self._index_heap = []
-        self._drain = []
-        self._late = []
-        self._drain_index = None
-        self._size = 0
-        self._cancelled = 0
-        for entry in entries:
-            self._insert(entry)
-        return entries
-
-    @staticmethod
-    def _sorted_desc(bucket: List[Entry]) -> List[Entry]:
-        """One-shot total order for a drained bucket, descending."""
-        if _np is not None:
-            n = len(bucket)
-            times = _np.fromiter((e[0] for e in bucket),
-                                 dtype=_np.float64, count=n)
-            prios = _np.fromiter((e[1] for e in bucket),
-                                 dtype=_np.int64, count=n)
-            seqs = _np.fromiter((e[2] for e in bucket),
-                                dtype=_np.int64, count=n)
-            order = _np.lexsort((seqs, prios, times))
-            return [bucket[int(i)] for i in order[::-1]]
-        # seq is unique, so the comparison never reaches the Event column
-        # and reverse-sorting the tuples realises the same total order.
-        bucket.sort(reverse=True)
-        return bucket
-
-    def _load_next_bucket(self) -> bool:
-        """Promote the minimal future bucket to the drain position."""
-        index_heap = self._index_heap
-        while index_heap:
-            index = index_heap[0]
-            bucket = self._buckets.get(index)
-            if not bucket:
-                heapq.heappop(index_heap)
-                self._buckets.pop(index, None)
-                continue
-            heapq.heappop(index_heap)
-            del self._buckets[index]
-            self._drain_index = index
-            if len(bucket) < self.SORT_CROSSOVER:
-                heapq.heapify(bucket)
-                self._late = bucket
-            else:
-                self._drain = self._sorted_desc(bucket)
-            return True
-        self._drain_index = None
-        return False
-
-    def _front(self) -> Tuple[Optional[Entry], bool]:
-        """The minimal live entry and whether it sits in the late heap.
-
-        Purges cancelled heads from both drain structures on the way and
-        promotes the next bucket when the current one runs dry.
-        """
-        while True:
-            drain = self._drain
-            while drain and drain[-1][3].cancelled:
-                drain.pop()
-                self._size -= 1
-                self._cancelled -= 1
-            late = self._late
-            while late and late[0][3].cancelled:
-                heapq.heappop(late)
-                self._size -= 1
-                self._cancelled -= 1
-            if drain:
-                if late and late[0] < drain[-1]:
-                    return late[0], True
-                return drain[-1], False
-            if late:
-                return late[0], True
-            if not self._load_next_bucket():
-                return None, False
-
-    # -- scheduler interface -----------------------------------------------
-    def push(self, entry: Entry) -> None:
-        index = int(entry[0] / self._width)
-        drain_index = self._drain_index
-        if drain_index is not None and index <= drain_index:
-            # Into (or before) the bucket being drained: the array is
-            # already sorted, so late arrivals go to the merge heap.  Any
-            # index *below* the drain one is still ahead of every future
-            # bucket (they all hold strictly later times), so the merge
-            # heap serves it in the right global position.
-            heapq.heappush(self._late, entry)
-            self._late_pushes += 1
-        else:
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                self._buckets[index] = bucket = []
-                heapq.heappush(self._index_heap, index)
-            bucket.append(entry)
-        self._size += 1
-        self._pushes_since_resize += 1
-        if self._pushes_since_resize >= self.RESIZE_INTERVAL:
-            self._maybe_resize()
-
-    def peek(self) -> Optional[Entry]:
-        return self._front()[0]
-
-    def pop(self) -> Entry:
-        entry, from_late = self._front()
-        if entry is None:
-            raise IndexError("pop from an empty scheduler")
-        if from_late:
-            heapq.heappop(self._late)
-        else:
-            self._drain.pop()
-        self._size -= 1
-        return entry
-
-
-class OracleScheduler:
-    """Runs two schedulers in lockstep and asserts identical pop order.
-
-    The default pairing certifies the calendar queue against the reference
-    heap: every ``pop``/``peek`` must return the *same entry object* from
-    both structures, i.e. the same ``(time, priority, seq)`` event order.
-    A divergence raises ``AssertionError`` at the exact offending event.
-    """
-
-    name = "oracle"
-
-    def __init__(self, reference: Optional[Scheduler] = None,
-                 candidate: Optional[Scheduler] = None) -> None:
-        self.reference: Scheduler = (
-            reference if reference is not None else HeapScheduler())
-        self.candidate: Scheduler = (
-            candidate if candidate is not None else CalendarQueueScheduler())
-        #: number of pops certified identical
-        self.agreements = 0
-
-    def __len__(self) -> int:
-        return len(self.reference)
-
-    def push(self, entry: Entry) -> None:
-        self.reference.push(entry)
-        self.candidate.push(entry)
-
-    def peek(self) -> Optional[Entry]:
-        expected = self.reference.peek()
-        got = self.candidate.peek()
-        assert got is expected, (
-            f"scheduler divergence on peek: reference={expected!r} "
-            f"candidate={got!r} after {self.agreements} agreed pops")
-        return expected
-
-    def pop(self) -> Entry:
-        expected = self.reference.pop()
-        got = self.candidate.pop()
-        assert got is expected, (
-            f"scheduler divergence on pop: reference={expected!r} "
-            f"candidate={got!r} after {self.agreements} agreed pops")
-        self.agreements += 1
-        return expected
-
-    def note_cancelled(self) -> None:
-        self.reference.note_cancelled()
-        self.candidate.note_cancelled()
-
-
-def make_scheduler(name: str = "heap") -> Scheduler:
-    """Resolve a scheduler by name.
-
-    ``heap`` | ``calendar`` | ``array`` | ``oracle`` (heap vs calendar)
-    | ``oracle-array`` (heap vs array).
-    """
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
-        return CalendarQueueScheduler()
-    if name == "array":
-        return ArrayCalendarScheduler()
-    if name == "oracle":
-        return OracleScheduler()
-    if name == "oracle-array":
-        return OracleScheduler(candidate=ArrayCalendarScheduler())
-    raise ValueError(
-        f"unknown scheduler {name!r}; use 'heap', 'calendar', 'array', "
-        f"'oracle' or 'oracle-array'")

@@ -17,7 +17,7 @@ generator:
   cohort, not in per-host agent objects;
 * one :func:`cohort_sync_process` drives the whole block's
   sync→download→confirm cycle: it calls the Data Scheduler's pure
-  ``compute_schedule`` once per host, starts the resulting transfers on
+  ``compute_schedule_batch`` once per round, starts the resulting transfers on
   the shared flow network, and waits for the block's flows with a single
   ``AllOf`` — so a synchronisation round costs the cohort one event plus
   one per distinct completion time, instead of ≥4 events per host;
@@ -99,46 +99,34 @@ def build_cohorts(hosts: Sequence[Host], cohort_size: int) -> List[HostCohort]:
 def cohort_sync_process(
     env,
     cohort: HostCohort,
-    sync: Callable[[str, set], object],
+    sync: Callable[[List[str], List[set]], list],
     transfer: Callable[[Host, str], object],
     size_mb_of: Dict[str, float],
     rounds: int,
     stagger_s: float = 0.0,
     sync_gap_s: float = 1.0,
-    sync_batch: Optional[Callable[[List[str], List[set]], list]] = None,
 ):
     """One generator running the sync→download cycle for a whole cohort.
 
-    ``sync(host_name, cached_uids)`` is the pure scheduling decision
-    (``DataSchedulerService.compute_schedule``); ``transfer(host, uid)``
-    starts the download flow and returns it.  Hosts are visited in cohort
-    order, so the assignment sequence is deterministic.
-
-    ``sync_batch(host_names, cached_uids_per_host)``, when given, replaces
-    the per-host ``sync`` calls of a round with **one** batched placement
-    call (``DataSchedulerService.compute_schedule_batch``).  All of a
-    round's syncs already happen at the same simulated instant in cohort
-    order, so the batched call is transparent: same per-host results, same
-    simulated quantities, one Python call per round instead of N.
+    ``sync(host_names, cached_uids_per_host)`` is the pure scheduling
+    decision for one round of the whole cohort
+    (``DataSchedulerService.compute_schedule_batch``), one result per host
+    in cohort order; ``transfer(host, uid)`` starts the download flow and
+    returns it.  All of a round's syncs happen at the same simulated
+    instant in cohort order, so the one batched call decides exactly what
+    N sequential per-host calls would.
     """
     if stagger_s > 0:
         yield env.timeout(stagger_s * cohort.index)
     host_names = [host.name for host in cohort.hosts]
     for _round in range(rounds):
         flows = []
-        if sync_batch is not None:
-            results = sync_batch(host_names, cohort.cached)
-            cohort.syncs += len(cohort.hosts)
-            for i, result in enumerate(results):
-                host = cohort.hosts[i]
-                for uid in result.to_download:
-                    flows.append((i, uid, transfer(host, uid)))
-        else:
-            for i, host in enumerate(cohort.hosts):
-                result = sync(host.name, cohort.cached[i])
-                cohort.syncs += 1
-                for uid in result.to_download:
-                    flows.append((i, uid, transfer(host, uid)))
+        results = sync(host_names, cohort.cached)
+        cohort.syncs += len(cohort.hosts)
+        for i, result in enumerate(results):
+            host = cohort.hosts[i]
+            for uid in result.to_download:
+                flows.append((i, uid, transfer(host, uid)))
         if flows:
             yield env.all_of([flow.done for _i, _uid, flow in flows])
             for i, uid, flow in flows:
@@ -164,8 +152,7 @@ def cohort_heartbeat_process(
     ``period_s / N`` — so the cohort needs a single generator whose timer
     fires at the aggregate arrival rate, not N timers.  Every tick accounts
     exactly one host's heartbeat (round-robin over the cohort), preserving
-    the kernel-level event density of per-host timers: this is the
-    timer-heavy traffic the calendar-queue scheduler is built for.
+    the kernel-level event density of per-host timers.
     """
     if period_s <= 0 or duration_s <= 0:
         return

@@ -337,6 +337,20 @@ class TestCLI:
         assert cli_main(["run", "fig4", "--set", "bogus=1", "--quiet"]) == 2
         assert "no parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, knob", [
+        (scenario, knob)
+        for scenario in ("scale-grid", "scale-grid-100k", "scale-grid-300k",
+                         "sync-storm")
+        for knob in ("scheduler=calendar", "allocator=vector",
+                     "placement=batch")
+        # sync-storm keeps a real ``allocator`` (incremental | dense)
+        if (scenario, knob) != ("sync-storm", "allocator=vector")])
+    def test_removed_perf_knobs_fail_loudly(self, scenario, knob, capsys):
+        assert cli_main(["run", scenario, "--set", knob, "--quiet"]) == 2
+        name = knob.split("=")[0]
+        assert (f"scenario {scenario!r} has no parameter {name!r}"
+                in capsys.readouterr().err)
+
     def test_run_seed_override_and_determinism(self, tmp_path, capsys):
         args = ["run", "fig4", "--seed", "11", "--set", "n_initial=3",
                 "--set", "n_spare=2", "--set", "replica=3",

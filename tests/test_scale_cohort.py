@@ -1,19 +1,22 @@
 """Host cohorts and the scale-grid-100k harness.
 
-The perf claims of the cohort-batched scale path only hold if the batching
-is *transparent*: the same simulated quantities must come out whichever
-scheduler/allocator combination runs underneath.  These tests pin the
-cohort bookkeeping itself and that end-to-end equivalence on a reduced
-grid (the CI ``kernel-smoke`` job repeats it at 10k hosts).
+The cohort-batched scale path only holds if the batching is
+*transparent*: one ``compute_schedule_batch`` call per cohort round must
+simulate exactly what per-host ``compute_schedule`` calls would.  These
+tests pin the cohort bookkeeping itself and that equivalence on a reduced
+grid.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.attributes import Attribute
+from repro.core.data import Data
 from repro.experiments import run_scenario
 from repro.net.flows import Network
 from repro.net.host import Host
+from repro.services.data_scheduler import DataSchedulerService
 from repro.sim.kernel import Environment
 from repro.workloads import (
     HostCohort,
@@ -92,9 +95,10 @@ class TestCohortSync:
         cohort = build_cohorts(hosts, 3)[0]
         size_mb_of = {"u1": 5.0}
 
-        def sync(_host_name, cached):
-            return SimpleNamespace(
-                to_download=[] if "u1" in cached else ["u1"])
+        def sync(_host_names, cached_per_host):
+            return [SimpleNamespace(
+                        to_download=[] if "u1" in cached else ["u1"])
+                    for cached in cached_per_host]
 
         def transfer(host, uid):
             return network.transfer(server, host, size_mb_of[uid])
@@ -116,9 +120,9 @@ class TestCohortSync:
         late = build_cohorts(_hosts(4), 2)[1]
         seen = []
 
-        def sync(host_name, _cached):
-            seen.append((env.now, host_name))
-            return SimpleNamespace(to_download=[])
+        def sync(host_names, _cached_per_host):
+            seen.extend((env.now, name) for name in host_names)
+            return [SimpleNamespace(to_download=[]) for _ in host_names]
 
         env.process(cohort_sync_process(env, late, sync, lambda h, u: None,
                                         {}, rounds=1, stagger_s=3.0,
@@ -128,39 +132,56 @@ class TestCohortSync:
 
 
 # ---------------------------------------------------------------------------
-# scale-grid-100k (reduced): identical results whatever runs underneath
+# scale-grid-100k / -300k (reduced)
 # ---------------------------------------------------------------------------
 
 _SMALL = dict(n_hosts=1000, n_data=200, cohort_size=250, sync_rounds=1,
               heartbeat_duration_s=5.0)
 
-#: wall-clock-derived keys plus the echoed perf knobs themselves
-#: (``placement`` is only echoed by scale-grid-300k, where it is an
-#: ordinary parameter; on the 100k scenario it rides **perf unseen).
-_VOLATILE = {"wall_s", "setup_wall_s", "run_wall_s", "events_per_sec",
-             "scheduler", "allocator", "placement"}
 
+def _drive_reduced_grid(make_sync):
+    """The harness's sync storm (600 hosts, 150 data × replica 4, cohorts
+    of 200, two rounds), with the placement call injected."""
+    env = Environment()
+    network = Network(env, default_latency_s=0.0002)
+    server = network.add_host(Host("grid-service", uplink_mbps=800,
+                                   downlink_mbps=800, stable=True))
+    hosts = [network.add_host(h) for h in _hosts(600)]
+    ds = DataSchedulerService(env, max_data_schedule=1)
+    attribute = Attribute(name="grid", replica=4, protocol="http")
+    size_mb_of = {}
+    name_of = {}    # uids are minted per process, names are stable
+    for i in range(150):
+        data = Data(name=f"grid-{i:05d}", size_mb=0.5)
+        ds.schedule(data, attribute)
+        size_mb_of[data.uid] = 0.5
+        name_of[data.uid] = data.name
+    flows = []
 
-def _simulated(results):
-    return {k: v for k, v in results.items() if k not in _VOLATILE}
+    def transfer(host, uid):
+        flows.append(network.transfer(server, host, size_mb_of[uid]))
+        return flows[-1]
+
+    cohorts = build_cohorts(hosts, 200)
+    for cohort in cohorts:
+        env.process(cohort_sync_process(
+            env, cohort, make_sync(ds), transfer, size_mb_of, rounds=2,
+            stagger_s=0.25, sync_gap_s=1.0))
+    env.run()
+    return {
+        "cohorts": [([sorted(name_of[uid] for uid in cached)
+                      for cached in c.cached],
+                     c.downloads.tolist(), c.bytes_mb.tolist(),
+                     c.completion_s.tolist(), c.syncs) for c in cohorts],
+        "flow_end_times": [(f.dst.name, f.end_time) for f in flows],
+        "ds": (ds.assignments, ds.entries_examined, ds.managed_count,
+               [(name_of[uid], sorted(ds.owners_of(uid)))
+                for uid in size_mb_of]),
+        "sim_time_s": env.now,
+    }
 
 
 class TestScaleGrid100k:
-    def test_scheduler_and_allocator_do_not_change_the_simulation(self):
-        fast = run_scenario("scale-grid-100k", **_SMALL)
-        reference = run_scenario("scale-grid-100k", scheduler="heap",
-                                 allocator="incremental", **_SMALL)
-        assert fast["scheduler"] == "calendar"
-        assert fast["allocator"] == "vector"
-        assert reference["scheduler"] == "heap"
-        assert _simulated(fast) == _simulated(reference)
-
-    def test_oracle_certifies_the_reduced_grid(self):
-        certified = run_scenario("scale-grid-100k", scheduler="oracle",
-                                 **_SMALL)
-        fast = run_scenario("scale-grid-100k", **_SMALL)
-        assert _simulated(certified) == _simulated(fast)
-
     def test_reduced_grid_invariants(self):
         results = run_scenario("scale-grid-100k", **_SMALL)
         assert results["n_hosts"] == 1000
@@ -177,60 +198,18 @@ class TestScaleGrid100k:
         assert results["events_per_sec"] > 0.0
 
     def test_batched_placement_does_not_change_the_simulation(self):
-        """``placement=batch`` evaluates each cohort round with one
-        ``compute_schedule_batch`` call; every simulated quantity must
-        match the per-host default, and the knob must stay invisible in
-        the result echo (it rides **perf, not the spec)."""
-        default = run_scenario("scale-grid-100k", **_SMALL)
-        batched = run_scenario("scale-grid-100k", placement="batch", **_SMALL)
-        assert "placement" not in batched
-        assert _simulated(batched) == _simulated(default)
+        """One ``compute_schedule_batch`` call per cohort round simulates
+        exactly what N sequential ``compute_schedule`` calls do: same
+        cohort arrays, same flow end times, same scheduler counters."""
+        batched = _drive_reduced_grid(lambda ds: ds.compute_schedule_batch)
+        per_host = _drive_reduced_grid(
+            lambda ds: lambda names, caches: [
+                ds.compute_schedule(n, c) for n, c in zip(names, caches)])
+        assert batched["ds"][0] == 600     # the storm placed something
+        assert batched == per_host
 
-    def test_batch_and_array_compose_transparently(self):
-        # The full fast stack (batch placement + array calendar) against
-        # the stock defaults: still the same simulation.
-        default = run_scenario("scale-grid-100k", **_SMALL)
-        fast = run_scenario("scale-grid-100k", placement="batch",
-                            scheduler="array", **_SMALL)
-        assert _simulated(fast) == _simulated(default)
-
-    def test_unknown_placement_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            run_scenario("scale-grid-100k", placement="turbo", **_SMALL)
-
-    def test_unknown_perf_knob_is_rejected(self):
-        # scale-grid takes perf knobs through **perf (so its spec echo —
-        # and the 21 pre-existing scenarios' output bytes — stay stable);
-        # the validation still catches typos.
-        with pytest.raises(ValueError, match="unknown parameters"):
-            run_scenario("scale-grid", n_hosts=50, n_data=20, turbo=True)
-        # The 100k scenario now routes perf knobs (``placement``) through
-        # **perf too, so its spec echo keeps the pre-batching bytes; its
-        # harness validates the leftovers itself.
-        with pytest.raises(ValueError, match="unknown parameters"):
-            run_scenario("scale-grid-100k", turbo=True, **_SMALL)
-
-
-# ---------------------------------------------------------------------------
-# scale-grid-300k (reduced): the fast defaults are transparent
-# ---------------------------------------------------------------------------
 
 class TestScaleGrid300k:
-    def test_fast_defaults_match_the_reference_path(self):
-        """The 300k tier is born with the fast stack as its defaults
-        (array calendar, vectorized allocator, batched placement); a
-        reduced grid must still simulate identically to the reference
-        heap/incremental/per-host path."""
-        fast = run_scenario("scale-grid-300k", **_SMALL)
-        reference = run_scenario("scale-grid-300k", scheduler="heap",
-                                 allocator="incremental", placement="host",
-                                 **_SMALL)
-        assert fast["scheduler"] == "array"
-        assert fast["allocator"] == "vector"
-        assert fast["placement"] == "batch"
-        assert reference["placement"] == "host"
-        assert _simulated(fast) == _simulated(reference)
-
     def test_reduced_grid_reports_its_own_scenario(self):
         results = run_scenario("scale-grid-300k", **_SMALL)
         assert results["scenario"] == "scale-grid-300k"

@@ -1,11 +1,11 @@
-"""The pluggable event schedulers: heap vs calendar queue equivalence.
+"""The kernel's event queue against a first-principles model.
 
 The kernel's correctness contract is a total order over ``(time, priority,
-seq)``; any scheduler must realise it exactly.  These tests pin that
-equivalence three ways: structurally (random push/cancel/pop interleavings
-against both queues), at kernel level (random timer workloads through
-``Environment(scheduler=...)`` must produce identical firing traces), and
-through :class:`OracleScheduler`, which asserts agreement pop by pop.
+seq)``.  With one scheduler there is nothing to compare it with but the
+order itself: any interleaving of pushes, cancellations, peeks and pops on
+:class:`HeapScheduler` must hand out the live entries exactly as ``sorted``
+would.  The rest of the file pins the cancelled-timer accounting the
+kernel's reschedule-heavy components rely on.
 """
 
 import pytest
@@ -13,13 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
-from repro.sim.scheduler import (
-    ArrayCalendarScheduler,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    OracleScheduler,
-    make_scheduler,
-)
+from repro.sim.scheduler import HeapScheduler
 
 common_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -34,15 +28,11 @@ class _Stub:
         self.cancelled = False
 
 
-# ---------------------------------------------------------------------------
-# Structural equivalence: random op sequences against both queues
-# ---------------------------------------------------------------------------
-
-# Coarse timestamps make same-time collisions (the interesting case for a
-# bucketed queue) common rather than measure-zero.
+# Coarse timestamps make same-time collisions (where only priority and seq
+# order the entries) common rather than measure-zero.
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["push", "push", "push", "pop", "cancel"]),
+        st.sampled_from(["push", "push", "push", "pop", "peek", "cancel"]),
         st.integers(min_value=0, max_value=12),   # time (coarse)
         st.integers(min_value=0, max_value=2),    # priority
         st.integers(min_value=0, max_value=10_000),  # cancel victim pick
@@ -50,154 +40,45 @@ op_strategy = st.lists(
     min_size=1, max_size=200)
 
 
-def _drive(ops, make_candidate):
-    """Interleave ops on a reference heap and a candidate; compare pops."""
-    reference = HeapScheduler()
-    candidate = make_candidate()
-    seq = 0
-    pending = []
-    popped = []
-    for kind, coarse_time, priority, pick in ops:
+def _key(entry):
+    return entry[:3]
+
+
+@common_settings
+@given(ops=op_strategy)
+def test_heap_pops_the_sorted_live_entries(ops):
+    sched = HeapScheduler()
+    live = []   # the model: pushed, not cancelled, not yet popped
+    for seq, (kind, coarse_time, priority, pick) in enumerate(ops):
         if kind == "push":
             entry = (coarse_time / 4.0, priority, seq, _Stub())
-            seq += 1
-            pending.append(entry)
-            reference.push(entry)
-            candidate.push(entry)
+            live.append(entry)
+            sched.push(entry)
         elif kind == "cancel":
-            live = [e for e in pending if not e[3].cancelled]
             if live:
-                live[pick % len(live)][3].cancelled = True
-                reference.note_cancelled()
-                candidate.note_cancelled()
-        else:  # pop
-            assert candidate.peek() is reference.peek()
-            try:
-                expected = reference.pop()
-            except IndexError:
-                with pytest.raises(IndexError):
-                    candidate.pop()
-                continue
-            assert candidate.pop() is expected
-            pending.remove(expected)
-            popped.append(expected)
-    # Drain: the tails must agree too, and the drain (no intervening
-    # pushes any more) must come out in full-key order.
-    drain = []
-    while True:
-        try:
-            expected = reference.pop()
-        except IndexError:
+                live.pop(pick % len(live))[3].cancelled = True
+                sched.note_cancelled()
+        elif kind == "peek":
+            assert sched.peek() is (min(live, key=_key) if live else None)
+        elif live:
+            expected = min(live, key=_key)
+            assert sched.pop() is expected
+            live.remove(expected)
+        else:
             with pytest.raises(IndexError):
-                candidate.pop()
-            break
-        assert candidate.pop() is expected
-        drain.append(expected)
-    keys = [e[:3] for e in drain]
-    assert keys == sorted(keys)
-    assert not any(e[3].cancelled for e in popped + drain)
-
-
-@common_settings
-@given(ops=op_strategy)
-def test_calendar_pop_order_matches_heap(ops):
-    _drive(ops, CalendarQueueScheduler)
-
-
-@common_settings
-@given(ops=op_strategy)
-def test_array_calendar_pop_order_matches_heap(ops):
-    _drive(ops, ArrayCalendarScheduler)
-
-
-@common_settings
-@given(ops=op_strategy,
-       width=st.sampled_from([0.1, 0.25, 1.0, 7.0, 1000.0]))
-def test_calendar_order_is_width_independent(ops, width):
-    """Any pinned bucket width realises the same total order."""
-    _drive(ops, lambda: CalendarQueueScheduler(width=width))
-
-
-@common_settings
-@given(ops=op_strategy,
-       width=st.sampled_from([0.1, 0.25, 1.0, 7.0, 1000.0]))
-def test_array_order_is_width_independent(ops, width):
-    """Extreme widths drive all traffic through the merge heap (wide) or
-    one bucket per instant (narrow); the order must not care."""
-    _drive(ops, lambda: ArrayCalendarScheduler(width=width))
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level equivalence: timer workloads through Environment
-# ---------------------------------------------------------------------------
-
-delay_strategy = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.5, 2.0, 5.0])
-
-timer_workload = st.tuples(
-    st.lists(delay_strategy, min_size=1, max_size=30),        # timer delays
-    st.lists(st.tuples(delay_strategy,                        # cancel at
-                       st.integers(min_value=0, max_value=29)),  # victim
-             max_size=10),
-)
-
-
-def _run_timer_workload(scheduler, timers, cancels):
-    env = Environment(scheduler=scheduler)
-    trace = []
-    handles = [
-        env.call_later(delay,
-                       lambda _ev, i=i: trace.append((env.now, i)))
-        for i, delay in enumerate(timers)
-    ]
-
-    def canceller():
-        for delay, victim in cancels:
-            yield env.timeout(delay)
-            handles[victim % len(handles)].cancel()
-
-    if cancels:
-        env.process(canceller())
-    env.run()
-    return trace, env.processed_events
-
-
-@common_settings
-@given(workload=timer_workload)
-def test_kernel_trace_identical_across_schedulers(workload):
-    timers, cancels = workload
-    heap_trace = _run_timer_workload("heap", timers, cancels)
-    calendar_trace = _run_timer_workload("calendar", timers, cancels)
-    array_trace = _run_timer_workload("array", timers, cancels)
-    assert calendar_trace == heap_trace
-    assert array_trace == heap_trace
-
-
-@common_settings
-@given(workload=timer_workload,
-       scheduler=st.sampled_from(["oracle", "oracle-array"]))
-def test_oracle_certifies_timer_workloads(workload, scheduler):
-    timers, cancels = workload
-    env = Environment(scheduler=scheduler)
-    handles = [env.call_later(delay, lambda _ev: None) for delay in timers]
-
-    def canceller():
-        for delay, victim in cancels:
-            yield env.timeout(delay)
-            handles[victim % len(handles)].cancel()
-
-    if cancels:
-        env.process(canceller())
-    env.run()  # OracleScheduler raises AssertionError on any divergence
-    assert env.scheduler.agreements == env.processed_events
+                sched.pop()
+    drained = [sched.pop() for _ in range(len(live))]
+    assert [_key(e) for e in drained] == sorted(_key(e) for e in live)
+    with pytest.raises(IndexError):
+        sched.pop()
 
 
 # ---------------------------------------------------------------------------
 # Cancelled-timer residency: compaction keeps corpses from squatting
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["heap", "calendar", "array"])
-def test_cancelled_timers_are_compacted_away(name):
-    env = Environment(scheduler=name)
+def test_cancelled_timers_are_compacted_away():
+    env = Environment()
     live = env.call_later(100.0, lambda _ev: None)
     corpses = [env.call_later(float(i + 1), lambda _ev: None)
                for i in range(500)]
@@ -212,10 +93,9 @@ def test_cancelled_timers_are_compacted_away(name):
     assert env.now == 100.0
 
 
-@pytest.mark.parametrize("name", ["heap", "calendar", "array"])
-def test_cancel_rearm_storm_processes_once(name):
-    """The kernel's timer-reschedule pattern stays O(live) per scheduler."""
-    env = Environment(scheduler=name)
+def test_cancel_rearm_storm_processes_once():
+    """The kernel's timer-reschedule pattern stays O(live)."""
+    env = Environment()
     fired = []
     timer = env.call_later(1.0, lambda _ev: fired.append(env.now))
     for i in range(50):
@@ -227,191 +107,9 @@ def test_cancel_rearm_storm_processes_once(name):
 
 
 def test_double_cancel_counts_once():
-    env = Environment(scheduler="heap")
+    env = Environment()
     env.call_later(0.5, lambda _ev: None)  # keep the queue half live
     timer = env.call_later(1.0, lambda _ev: None)
     assert timer.cancel() is True
     assert timer.cancel() is True   # cancelling twice is idempotent...
     assert env.scheduler._cancelled == 1  # ...and accounted once
-
-
-# ---------------------------------------------------------------------------
-# Calendar-queue internals: adaptive width and the resize backoff
-# ---------------------------------------------------------------------------
-
-def test_calendar_resizes_when_one_bucket_overflows():
-    sched = CalendarQueueScheduler()  # width 1.0, auto
-    stub = _Stub()
-    n = CalendarQueueScheduler.RESIZE_INTERVAL + 10
-    for i in range(n):
-        # All in bucket 0 of the initial width, but with distinct
-        # timestamps, so a narrower width genuinely helps.
-        sched.push((i / (2.0 * n), 1, i, stub))
-    assert sched.resizes >= 1
-    assert sched.bucket_count > 1
-    assert sched.width < 1.0
-    keys = [sched.pop()[:3] for _ in range(len(sched))]
-    assert keys == sorted(keys)
-
-
-def test_calendar_same_timestamp_storm_backs_off():
-    """Re-bucketing cannot spread identical timestamps.  The backoff makes
-    rebuild attempts geometric in the live count (one per doubling) instead
-    of one O(n) rebuild every RESIZE_INTERVAL pushes — O(n log n) total
-    work on a same-time storm rather than O(n^2 / RESIZE_INTERVAL)."""
-    sched = CalendarQueueScheduler()
-    stub = _Stub()
-    interval = CalendarQueueScheduler.RESIZE_INTERVAL
-    n = interval * 16
-    for i in range(n):
-        sched.push((7.0, 1, i, stub))
-    # Without backoff: one rebuild per interval = n / interval = 16.
-    # With it: one per doubling of the live count = log2(16) + 1 = 5.
-    assert sched.resizes <= 6
-    assert sched._resize_backoff_live > 0
-    assert len(sched) == n
-    assert sched.pop()[:3] == (7.0, 1, 0)
-
-
-def test_calendar_pinned_width_never_resizes():
-    sched = CalendarQueueScheduler(width=0.5)
-    stub = _Stub()
-    for i in range(CalendarQueueScheduler.RESIZE_INTERVAL * 2):
-        sched.push((float(i % 3), 1, i, stub))
-    assert sched.resizes == 0
-    assert sched.width == 0.5
-
-
-def test_calendar_rejects_bad_width():
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(width=0.0)
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(width=-1.0)
-
-
-@pytest.mark.parametrize("cls", [CalendarQueueScheduler,
-                                 ArrayCalendarScheduler])
-def test_storm_compaction_arms_the_resize_backoff(cls):
-    """Regression: cancelling into a same-timestamp storm must not chain
-    an O(n) compaction sweep into futile O(n) width rebuilds.  The
-    compaction detects the single-timestamp population and arms the
-    adaptation backoff directly."""
-    sched = cls()
-    interval = cls.RESIZE_INTERVAL
-    stubs = [_Stub() for _ in range(interval - 1)]
-    for i, stub in enumerate(stubs):
-        sched.push((7.0, 1, i, stub))
-    resizes_before = sched.resizes
-    # Cancel just over half the queue: note_cancelled triggers compact().
-    for stub in stubs[: interval // 2 + 1]:
-        stub.cancelled = True
-        sched.note_cancelled()
-    assert sched.compactions >= 1
-    live = sched._size - sched._cancelled
-    assert live == interval - 1 - (interval // 2 + 1)
-    assert sched._resize_backoff_live >= live * 2
-    # The adaptation window right after the compaction early-returns on
-    # the armed backoff instead of re-bucketing the un-spreadable storm
-    # (retries only resume once the live count doubles — geometric, as
-    # pinned by test_calendar_same_timestamp_storm_backs_off).
-    next_seq = interval
-    for i in range(interval):
-        sched.push((7.0, 1, next_seq + i, _Stub()))
-    assert sched.resizes == resizes_before
-    assert sched.pop()[:3] == (7.0, 1, interval // 2 + 1)
-
-
-# ---------------------------------------------------------------------------
-# Array-calendar internals: sort-on-drain and late-domination width shrink
-# ---------------------------------------------------------------------------
-
-class TestArrayCalendarInternals:
-    def test_large_bucket_drains_argsorted(self):
-        sched = ArrayCalendarScheduler(width=1.0)
-        n = ArrayCalendarScheduler.SORT_CROSSOVER * 2
-        # One bucket, deliberately shuffled (time, priority, seq) keys.
-        entries = [((i * 7919 % n) / (2.0 * n), (i * 31) % 3, i, _Stub())
-                   for i in range(n)]
-        for entry in entries:
-            sched.push(entry)
-        keys = [sched.pop()[:3] for _ in range(n)]
-        assert keys == sorted(keys)
-
-    def test_small_bucket_falls_back_to_heap(self):
-        sched = ArrayCalendarScheduler(width=1.0)
-        for i in range(ArrayCalendarScheduler.SORT_CROSSOVER - 1):
-            sched.push((0.5 - i * 1e-3, 1, i, _Stub()))
-        assert sched.pop()[0] == pytest.approx(
-            0.5 - (ArrayCalendarScheduler.SORT_CROSSOVER - 2) * 1e-3)
-        # The drained bucket went through the heap path, not the array.
-        assert sched._late and not sched._drain
-
-    def test_same_time_followups_merge_into_the_drain(self):
-        """Entries pushed into the bucket currently draining (zero-delay
-        timeouts) must come out in global order, not after the array."""
-        sched = ArrayCalendarScheduler(width=1.0)
-        n = ArrayCalendarScheduler.SORT_CROSSOVER * 2
-        for i in range(n):
-            sched.push((i / (2.0 * n), 1, i, _Stub()))
-        first = sched.pop()
-        assert first[:3] == (0.0, 1, 0)
-        # A follow-up earlier than the array's current head.
-        sched.push((first[0], 0, n, _Stub()))
-        assert sched.pop()[:3] == (0.0, 0, n)
-        keys = [sched.pop()[:3] for _ in range(len(sched))]
-        assert keys == sorted(keys)
-
-    def test_late_domination_shrinks_the_width(self):
-        """A calendar far wider than the push lookahead routes everything
-        through the merge heap; the adaptation must notice (no occupancy
-        statistic over the starved future buckets can) and shrink."""
-        sched = ArrayCalendarScheduler()          # auto, width 1.0
-        interval = ArrayCalendarScheduler.RESIZE_INTERVAL
-        sched.push((0.9, 1, 0, _Stub()))
-        sched.pop()                               # drain bucket 0 is active
-        assert sched._drain_index == 0
-        tick = 0.8 / (interval + 10)
-        for i in range(interval + 10):
-            sched.push((i * tick, 1, i + 1, _Stub()))
-        assert sched.resizes >= 1
-        assert sched.width <= 1.0 / ArrayCalendarScheduler.LATE_SHRINK
-        # The shrink caps future occupancy-driven widening at the old width.
-        assert sched._late_width_cap <= 1.0
-        keys = [sched.pop()[:3] for _ in range(len(sched))]
-        assert keys == sorted(keys)
-
-    def test_width_cap_relaxes_geometrically(self):
-        sched = ArrayCalendarScheduler()
-        sched._late_width_cap = 0.5
-        assert sched._clamp_width(2.0) == 0.5     # clamped...
-        assert sched._late_width_cap == 1.0       # ...and the cap doubled
-        assert sched._clamp_width(0.25) == 0.25   # under the cap: untouched
-        assert sched._late_width_cap == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Wiring: make_scheduler and Environment(scheduler=...)
-# ---------------------------------------------------------------------------
-
-def test_make_scheduler_resolves_names():
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarQueueScheduler)
-    assert isinstance(make_scheduler("array"), ArrayCalendarScheduler)
-    assert isinstance(make_scheduler("oracle"), OracleScheduler)
-    oracle_array = make_scheduler("oracle-array")
-    assert isinstance(oracle_array, OracleScheduler)
-    assert isinstance(oracle_array.candidate, ArrayCalendarScheduler)
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("btree")
-
-
-def test_environment_accepts_name_and_instance():
-    assert Environment(scheduler="calendar").scheduler_name == "calendar"
-    assert Environment().scheduler_name == "heap"
-    custom = CalendarQueueScheduler(width=0.125)
-    env = Environment(scheduler=custom)
-    assert env.scheduler is custom
-    fired = []
-    env.call_later(2.0, lambda _ev: fired.append(env.now))
-    env.run()
-    assert fired == [2.0]
