@@ -56,12 +56,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-try:  # numpy only accelerates the batched placement path; it is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import Attribute, DEFAULT_ATTRIBUTE
 from repro.core.data import Data
@@ -117,7 +112,6 @@ class DataSchedulerService:
         database: Optional[Database] = None,
         failure_detector: Optional[FailureDetector] = None,
         max_data_schedule: int = 16,
-        sync_cost_statements: int = 1,
     ):
         self.env = env
         self.database = database
@@ -125,12 +119,9 @@ class DataSchedulerService:
         if self.failure_detector is not None:
             self.failure_detector.on_failure(self._on_host_failure)
         self.max_data_schedule = int(max_data_schedule)
-        self.sync_cost_statements = int(sync_cost_statements)
         #: Θ: uid -> entry (insertion-ordered)
         self._entries: Dict[str, ScheduledEntry] = {}
         self._seq = itertools.count()
-        #: per-host cache view from the last synchronisation
-        self._host_caches: Dict[str, Set[str]] = {}
         # -- reverse indexes over Θ ----------------------------------------
         #: data name -> uids
         self._by_name: Dict[str, Set[str]] = {}
@@ -310,20 +301,25 @@ class DataSchedulerService:
             self._mutation_hook(entry.uid)
 
     # ------------------------------------------------------------------ Θ management
+    def _insert_entry(self, data: Data, attribute: Attribute,
+                      scheduled_at: float) -> ScheduledEntry:
+        """Put a datum not yet in Θ under management, at the next Θ position."""
+        entry = ScheduledEntry(data=data, attribute=attribute,
+                               scheduled_at=scheduled_at, seq=next(self._seq))
+        self._entries[data.uid] = entry
+        self._by_name.setdefault(data.name, set()).add(data.uid)
+        # A new provider may satisfy dangling relative lifetimes.
+        self._resolve_dependents(data.uid)
+        self._resolve_dependents(data.name)
+        self._attach_attribute(entry)
+        return entry
+
     def schedule(self, data: Data, attribute: Optional[Attribute] = None) -> ScheduledEntry:
         """Associate *data* with *attribute* and put it under management."""
         attr = attribute if attribute is not None else DEFAULT_ATTRIBUTE
         entry = self._entries.get(data.uid)
         if entry is None:
-            entry = ScheduledEntry(data=data, attribute=attr,
-                                   scheduled_at=self.env.now,
-                                   seq=next(self._seq))
-            self._entries[data.uid] = entry
-            self._by_name.setdefault(data.name, set()).add(data.uid)
-            # A new provider may satisfy dangling relative lifetimes.
-            self._resolve_dependents(data.uid)
-            self._resolve_dependents(data.name)
-            self._attach_attribute(entry)
+            entry = self._insert_entry(data, attr, self.env.now)
         else:
             self._detach_attribute(entry)
             entry.attribute = attr
@@ -569,10 +565,19 @@ class DataSchedulerService:
 
         to_delete = sorted(uid for uid in cached_uids if uid not in psi)
         assigned_pairs = [(e.data, e.attribute) for e in psi.values()]  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then heap-pop order, both deterministic
-        self._host_caches[host_name] = set(psi.keys())
         return SyncResult(host_name=host_name, assigned=assigned_pairs,
                           to_delete=to_delete, to_download=sorted(new_uids),
                           time=self.env.now)
+
+    def _execute(self, operation: Callable[[], object], admin: bool = False):
+        """Generator: *operation* as one database statement (``admin``: on
+        the maintenance connection), or one zero-delay yield without one."""
+        if self.database is None:
+            yield self.env.timeout(0.0)
+            return operation()
+        run = self.database.admin_execute if admin else self.database.execute
+        result = yield from run(operation)
+        return result
 
     def synchronize(self, host_name: str, cached_uids: Set[str],
                     reservoir: bool = True, max_new: Optional[int] = None):
@@ -584,306 +589,122 @@ class DataSchedulerService:
         self.sync_count += 1
         if self.failure_detector is not None:
             self.failure_detector.heartbeat(host_name)
-        if self.database is not None:
-            result = yield from self.database.execute(
-                lambda: self.compute_schedule(host_name, set(cached_uids),
-                                              reservoir=reservoir,
-                                              max_new=max_new),
-                statements=self.sync_cost_statements,
-            )
-        else:
-            yield self.env.timeout(0.0)
-            result = self.compute_schedule(host_name, set(cached_uids),
-                                           reservoir=reservoir, max_new=max_new)
+        result = yield from self._execute(
+            lambda: self.compute_schedule(host_name, set(cached_uids),
+                                          reservoir=reservoir,
+                                          max_new=max_new))
         return result
 
     # ------------------------------------------------------------------ batched Algorithm 1
-    def _batch_result(self, host_name: str, cached_uids: Set[str],
-                      psi: Dict[str, ScheduledEntry], new_uids: List[str],
-                      now: float) -> SyncResult:
-        """Assemble one host's :class:`SyncResult` (batch path)."""
-        to_delete = sorted(uid for uid in cached_uids if uid not in psi)
-        assigned_pairs = [(e.data, e.attribute) for e in psi.values()]  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then seq-walk order, both deterministic
-        self._host_caches[host_name] = set(psi.keys())
-        return SyncResult(host_name=host_name, assigned=assigned_pairs,
-                          to_delete=to_delete, to_download=sorted(new_uids),
-                          time=now)
-
     def compute_schedule_batch(
         self,
         host_names: Sequence[str],
         cached_uids_per_host: Sequence[Set[str]],
         reservoir: bool = True,
-        max_new: Optional[Union[int, Sequence[Optional[int]]]] = None,
+        max_new: Optional[int] = None,
     ) -> List[SyncResult]:
-        """Evaluate Algorithm 1 for a whole cohort of hosts in one pass.
+        """Evaluate Algorithm 1 for a whole cohort of hosts in one call.
 
         Returns exactly what ``[compute_schedule(h, c, ...) for h, c in
         zip(host_names, cached_uids_per_host)]`` would — the same per-host
         schedules *and* the same observable scheduler state afterwards
         (owners, replica deficit, ``assignments``/``entries_examined``
         deltas, mutation-hook calls in the same order; pinned by the
-        hypothesis oracle in ``tests/test_data_scheduler_batch.py``) — but
-        amortises candidate materialisation over the cohort: the
-        replica-deficit heap is drained **once**, stale rows are filtered
-        **once**, and each host walks a shared seq-ordered candidate array
-        instead of re-popping and re-queuing O(log n) heap rows.
+        hypothesis oracle in ``tests/test_data_scheduler_batch.py``).
 
-        The one-pass walk requires the regime where replica placement is
-        the whole story: no affinity dependents, no quiesced uids, no
-        lifetime-bearing attributes, reservoir hosts, a positive assignment
-        limit.  Outside it the method transparently falls back to the
-        sequential loop (still correct, just not batched).  Within it, when
-        additionally every host cache is disjoint from the candidate set,
-        no host already owns a candidate and the limit is one new datum per
-        sync — the scale-grid regime — the per-host walk itself collapses
-        into a numpy prefix-sum fill over the candidate capacities
-        (:func:`numpy.searchsorted` over the capacity cumsum assigns every
-        host its candidate in O(cohort · log candidates) C-level work).
-
-        ``max_new`` may be a per-host sequence (``None`` entries take the
-        scheduler default) — the fabric router's batched scatter needs this
-        because its rotating-remainder budget split gives cohort neighbours
-        different per-shard limits.  A uniform sequence collapses to the
-        scalar fast paths; a mixed one walks the shared candidate array
-        with each host's own limit.
+        One fast regime sits in front of that loop, entered when the inputs
+        show every host takes one fresh datum by the replica rule alone:
+        reservoir hosts, a limit of one, no affinity dependents, quiesced
+        uids or lifetimes, distinct hosts, no duplicate live deficit rows,
+        candidates disjoint from every host's cache and holdings.  There
+        the deficit heap is drained once, as far as the cohort's demand,
+        and host *k* takes the first candidate with replica capacity left —
+        the one the *k*-th sequential call would have popped.
         """
-        per_host: Optional[List[int]] = None
-        if max_new is None or isinstance(max_new, int):
-            limit = self.max_data_schedule if max_new is None else int(max_new)
-            limits: Optional[List[int]] = None
-        else:
-            per_host = [self.max_data_schedule if m is None else int(m)
-                        for m in max_new]
-            if per_host and min(per_host) == max(per_host):
-                # Uniform budgets collapse to the scalar fast paths.
-                limit, limits = per_host[0], None
-            else:
-                limit, limits = max(per_host, default=0), per_host
-        if (self._affinity_dependents or self._quiesced
-                or self._lifetime_count or not reservoir or limit <= 0):
-            return [
-                self.compute_schedule(
-                    host, set(cached), reservoir=reservoir,
-                    max_new=max_new if per_host is None else per_host[k])
-                for k, (host, cached)
-                in enumerate(zip(host_names, cached_uids_per_host))
-            ]
-
-        theta = self._entries
-        deficit_set = self._replica_deficit
-        heap = self._deficit_heap
-
-        # Candidate rows are drained from the deficit heap *lazily*: only
-        # the prefix the cohort actually touches is materialised (heap pops
-        # are ascending in (seq, uid), so ``drained`` stays sorted), and
-        # the whole batch shares it — draining the entire deficit per call
-        # would cost O(|deficit|) even when the cohort assigns a handful.
-        # ``pop_live`` applies the exact stale filter the sequential walk
-        # applies: rows whose uid left the deficit and rows from a
-        # previous incarnation of a re-registered uid are dropped;
-        # duplicate live rows (a uid that left and re-entered the deficit)
-        # are kept — the sequential walk examines each of them.
-        drained: List[Tuple[int, str]] = []
-
-        def pop_live() -> Optional[Tuple[int, str]]:
-            while heap:
-                row = heap[0]
-                if row[1] not in deficit_set or theta[row[1]].seq != row[0]:
-                    heapq.heappop(heap)
-                    continue
-                return heapq.heappop(heap)
-            return None
-
-        now = self.env.now
+        limit = self.max_data_schedule if max_new is None else int(max_new)
+        theta, owner_index = self._entries, self._owner_index
+        deficit_set, heap = self._replica_deficit, self._deficit_heap
         n_hosts = len(host_names)
-        results: List[SyncResult] = []
-
-        # -- numpy prefix-sum fill: the limit==1 disjoint regime -----------
-        # Materialise candidates until their combined capacity can serve
-        # the whole cohort (each host takes at most one), then check the
-        # prefix is disjoint from every host's cache and current holdings.
-        vectorized = False
-        caps_list: List[int] = []
-        if (_np is not None and limit == 1 and limits is None
-                and len(set(host_names)) == n_hosts):
-            total_capacity = 0
-            while total_capacity < n_hosts:
-                row = pop_live()
-                if row is None:
-                    break
-                drained.append(row)
-                entry = theta[row[1]]
+        # Candidates as (seq, uid, entry, capacity), ascending in Θ order.
+        rows: List[Tuple[int, str, ScheduledEntry, int]] = []
+        fast = (reservoir and limit == 1 and not self._affinity_dependents
+                and not self._quiesced and not self._lifetime_count
+                and len(set(host_names)) == n_hosts)
+        if fast:
+            # Materialise candidates until their capacity serves the cohort,
+            # dropping what the sequential walk's stale filter drops: rows
+            # whose uid left the deficit or was re-registered since.
+            capacity = 0
+            while capacity < n_hosts and heap:
+                seq, uid = heapq.heappop(heap)
+                if uid not in deficit_set or theta[uid].seq != seq:
+                    continue
+                entry = theta[uid]
                 attr = entry.attribute
                 cap = (n_hosts if attr.replicate_to_all
                        else attr.replica - len(entry.owners))
-                caps_list.append(cap)
-                total_capacity += cap
-            cand_uids = {uid for _seq, uid in drained}
-            if len(cand_uids) == len(drained):   # no duplicate live rows
-                vectorized = True
-                for host, cached in zip(host_names, cached_uids_per_host):
-                    owned = self._owner_index.get(host)
-                    if not cand_uids.isdisjoint(cached) or (
-                            owned and not cand_uids.isdisjoint(owned)):
-                        vectorized = False
-                        break
+                rows.append((seq, uid, entry, cap))
+                capacity += cap
+            # The sequential walk examines a duplicate live row (a uid that
+            # left and re-entered the deficit) twice and skips a candidate
+            # the host caches or owns: neither is one candidate per host.
+            candidates = {row[1] for row in rows}
+            fast = len(candidates) == len(rows) and all(
+                candidates.isdisjoint(cached)
+                and candidates.isdisjoint(owner_index.get(host, ()))
+                for host, cached in zip(host_names, cached_uids_per_host))
+        if not fast:
+            for seq, uid, _entry, _cap in rows:
+                heapq.heappush(heap, (seq, uid))
+            return [self.compute_schedule(host, set(cached),
+                                          reservoir=reservoir, max_new=max_new)
+                    for host, cached in zip(host_names, cached_uids_per_host)]
 
-        if vectorized:
-            n_rows = len(drained)
-            if n_rows:
-                ends = _np.cumsum(_np.asarray(caps_list, dtype=_np.int64))
-                # Host k takes the first candidate whose cumulative capacity
-                # exceeds k — exactly the sequential first-fit order, because
-                # each host always assigns the first still-alive candidate.
-                pos = _np.searchsorted(ends, _np.arange(n_hosts),
-                                       side="right").tolist()
-            else:
-                pos = [0] * n_hosts
-            # Per-candidate constants hoisted out of the per-host loop
-            # (``ScheduledEntry.uid`` and ``replicate_to_all`` are derived
-            # attributes — at one assignment per host they would be the
-            # loop's hottest lookups).
-            rows = []
-            for _seq, uid in drained:
-                entry = theta[uid]
-                attr = entry.attribute
-                rows.append((uid, entry, entry.owners,
-                             attr.replicate_to_all, attr.replica))
-            owner_index = self._owner_index
-            host_caches = self._host_caches
-            hook = self._mutation_hook
-            for k, host in enumerate(host_names):
-                cached = cached_uids_per_host[k]
-                psi: Dict[str, ScheduledEntry] = {}
-                if cached:
-                    ordered = sorted(cached)
-                    for uid in ordered:
-                        cached_entry = theta.get(uid)
-                        if cached_entry is None:
-                            continue
-                        psi[uid] = cached_entry
-                        self._add_owner(cached_entry, host)
-                    to_delete = [uid for uid in ordered if uid not in psi]
+        now, hook = self.env.now, self._mutation_hook
+        results: List[SyncResult] = []
+        j = 0                               # first row with capacity left
+        left = rows[0][3] if rows else 0    # ... and how much of it
+        for host, cached in zip(host_names, cached_uids_per_host):
+            psi: Dict[str, ScheduledEntry] = {}
+            to_delete: List[str] = []
+            for uid in sorted(cached):
+                entry = theta.get(uid)
+                if entry is None:
+                    to_delete.append(uid)
                 else:
-                    to_delete = []
-                j = pos[k]
-                if j < n_rows:
-                    uid, entry, owners, rta, replica = rows[j]
-                    # One candidate examined per served host: every earlier
-                    # candidate was exhausted by the hosts before this one,
-                    # and the sequential stale filter skips dead rows
-                    # without examining them.
-                    self.entries_examined += 1
                     psi[uid] = entry
-                    # ``_add_owner``, inlined: the vectorized guard proved
-                    # *host* owns no candidate yet, and deficit rows carry
-                    # no affinity — so add the owner links, retire the
-                    # candidate from the deficit once its replica count
-                    # fills, and fire the mutation hook, exactly as the
-                    # sequential walk would.
-                    owners.add(host)
-                    owned = owner_index.get(host)
-                    if owned is None:
-                        owner_index[host] = {uid}
-                    else:
-                        owned.add(uid)
-                    if not rta and len(owners) >= replica:
+                    self._add_owner(entry, host)
+            new_uids: List[str] = []
+            if j < len(rows):
+                _seq, uid, entry, _cap = rows[j]
+                # The only candidate this host examines: earlier rows were
+                # exhausted by earlier hosts and dropped unexamined.
+                self.entries_examined += 1
+                psi[uid] = entry
+                # ``_add_owner``, inlined: the guard proved *host* does not
+                # own the candidate, and deficit rows carry no affinity.
+                entry.owners.add(host)
+                owner_index.setdefault(host, set()).add(uid)
+                left -= 1
+                if left == 0:
+                    if not entry.attribute.replicate_to_all:
                         deficit_set.discard(uid)
-                    if hook is not None:
-                        hook(uid)
-                    self.assignments += 1
-                    new_uids = [uid]
-                else:
-                    new_uids = []
-                host_caches[host] = set(psi)
-                results.append(SyncResult(
-                    host_name=host,
-                    assigned=[(e.data, e.attribute) for e in psi.values()],  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then seq-walk order, both deterministic
-                    to_delete=to_delete, to_download=new_uids, time=now))
-        else:
-            first_alive = 0
-            # ``cached`` is only read (membership + iteration), never
-            # mutated — no defensive copy needed on this hot path.
-            for k, (host, cached) in enumerate(
-                    zip(host_names, cached_uids_per_host)):
-                limit_k = limit if limits is None else limits[k]
-                psi = {}
-                for uid in sorted(cached):
-                    entry = theta.get(uid)
-                    if entry is None:
-                        continue
-                    psi[uid] = entry
-                    self._add_owner(entry, host)
-                new_uids = []
-                # Candidates only die during a batch (nothing re-enters the
-                # deficit in this regime), so the leading-dead prefix is
-                # shared by every later host.
-                while first_alive < len(drained) \
-                        and drained[first_alive][1] not in deficit_set:
-                    first_alive += 1
-                j = first_alive
-                while len(new_uids) < limit_k:
-                    if j >= len(drained):
-                        row = pop_live()
-                        if row is None:
-                            break
-                        drained.append(row)
-                    uid = drained[j][1]
                     j += 1
-                    if uid not in deficit_set:
-                        continue
-                    entry = theta[uid]
-                    self.entries_examined += 1
-                    if uid in psi or uid in cached:
-                        continue
-                    # Deficit membership == assignable by the replica rule.
-                    psi[uid] = entry
-                    self._add_owner(entry, host)
-                    new_uids.append(uid)
-                    self.assignments += 1
-                results.append(
-                    self._batch_result(host, cached, psi, new_uids, now))
-
-        # Re-queue one row per drained candidate still in deficit —
-        # identical live-row heap content to the sequential per-host
-        # requeue (exhausted candidates are dropped there too).
-        for row in drained:
-            if row[1] in deficit_set:
-                heapq.heappush(heap, row)
-        return results
-
-    def synchronize_batch(self, host_names: Iterable[str],
-                          cached_uids_per_host: Iterable[Set[str]],
-                          reservoir: bool = True,
-                          max_new: Optional[Union[int, Sequence[Optional[int]]]] = None):
-        """Generator: one batched synchronisation RPC for a host cohort.
-
-        ``max_new`` may be a per-host sequence (see
-        :meth:`compute_schedule_batch`) — the fabric router's batched
-        scatter sends each shard the cohort's rotated budget split.
-
-        Counts one heartbeat and one sync per host, and pays the same
-        *total* statement cost as the per-host calls
-        (``sync_cost_statements`` × cohort size) on a single connection —
-        batching saves the per-call connection setup and the N executor
-        round-trips, which is the point of the cohort scatter path.
-        """
-        hosts = list(host_names)
-        caches = [set(cached) for cached in cached_uids_per_host]
-        self.sync_count += len(hosts)
-        if self.failure_detector is not None:
-            for host in hosts:
-                self.failure_detector.heartbeat(host)
-        if self.database is not None:
-            results = yield from self.database.execute(
-                lambda: self.compute_schedule_batch(
-                    hosts, caches, reservoir=reservoir, max_new=max_new),
-                statements=self.sync_cost_statements * max(1, len(hosts)))
-        else:
-            yield self.env.timeout(0.0)
-            results = self.compute_schedule_batch(
-                hosts, caches, reservoir=reservoir, max_new=max_new)
+                    if j < len(rows):
+                        left = rows[j][3]
+                if hook is not None:
+                    hook(uid)
+                self.assignments += 1
+                new_uids.append(uid)
+            results.append(SyncResult(
+                host_name=host,
+                assigned=[(e.data, e.attribute) for e in psi.values()],  # detlint: ignore[DET004] — Ψ insertion order is sorted Δk then the candidate, both deterministic
+                to_delete=to_delete, to_download=new_uids, time=now))
+        # Re-queue each candidate still in deficit once — the live rows the
+        # sequential per-host requeue leaves behind.
+        for seq, uid, _entry, _cap in rows:
+            if uid in deficit_set:
+                heapq.heappush(heap, (seq, uid))
         return results
 
     def heartbeat(self, host_name: str) -> bool:
@@ -917,7 +738,6 @@ class DataSchedulerService:
         The owner index makes this O(data owned by the failed host) instead
         of a scan over Θ.
         """
-        self._host_caches.pop(host_name, None)
         owned = self._owner_index.get(host_name)
         if not owned:
             return
@@ -958,27 +778,16 @@ class DataSchedulerService:
 
     def export_entry(self, data_uid: str):
         """Generator: read one Θ entry out (one admin-connection statement)."""
-        if self.database is not None:
-            snapshot = yield from self.database.admin_execute(
-                lambda: self.export_entry_now(data_uid))
-        else:
-            yield self.env.timeout(0.0)
-            snapshot = self.export_entry_now(data_uid)
-        return snapshot
+        return self._execute(lambda: self.export_entry_now(data_uid),
+                             admin=True)
 
     def import_entry_now(self, snapshot: dict) -> ScheduledEntry:
         data = snapshot["data"]
         if data.uid in self._entries:
             # Delta re-copy replaces the previous import wholesale.
             self._remove_entry(data.uid)
-        entry = ScheduledEntry(data=data, attribute=snapshot["attribute"],
-                               scheduled_at=snapshot["scheduled_at"],
-                               seq=next(self._seq))
-        self._entries[data.uid] = entry
-        self._by_name.setdefault(data.name, set()).add(data.uid)
-        self._resolve_dependents(data.uid)
-        self._resolve_dependents(data.name)
-        self._attach_attribute(entry)
+        entry = self._insert_entry(data, snapshot["attribute"],
+                                   snapshot["scheduled_at"])
         for host in sorted(snapshot["owners"]):
             self._add_owner(entry, host)
         entry.pinned_on.update(snapshot["pinned_on"])
@@ -990,13 +799,8 @@ class DataSchedulerService:
 
     def import_entry(self, snapshot: dict):
         """Generator: install one Θ entry (one admin-connection statement)."""
-        if self.database is not None:
-            entry = yield from self.database.admin_execute(
-                lambda: self.import_entry_now(snapshot))
-        else:
-            yield self.env.timeout(0.0)
-            entry = self.import_entry_now(snapshot)
-        return entry
+        return self._execute(lambda: self.import_entry_now(snapshot),
+                             admin=True)
 
     def drop_entry_now(self, data_uid: str) -> bool:
         """Remove a migrated-away entry from this shard's Θ.
@@ -1014,13 +818,8 @@ class DataSchedulerService:
 
     def drop_entry(self, data_uid: str):
         """Generator: drop one migrated entry (one admin-connection statement)."""
-        if self.database is not None:
-            removed = yield from self.database.admin_execute(
-                lambda: self.drop_entry_now(data_uid))
-        else:
-            yield self.env.timeout(0.0)
-            removed = self.drop_entry_now(data_uid)
-        return removed
+        return self._execute(lambda: self.drop_entry_now(data_uid),
+                             admin=True)
 
     def quiesce(self, uids) -> None:
         """Freeze new placements of *uids* while they migrate away."""

@@ -24,10 +24,7 @@ Routing keys are extracted per (service, method): Data Catalog calls route
 by data uid (or publish key), Data Scheduler calls by data uid — except
 ``synchronize``, which scatters the host's cache view over every scheduler
 shard and gathers the per-shard :class:`SyncResult` into one, preserving
-Algorithm 1's host-visible semantics — and ``synchronize_batch``, which
-scatters a whole host cohort's synchronisation with **one** RPC per shard
-(same per-host results and budget rotation, ``shards`` round trips per
-cohort instead of ``cohort × shards``).  Methods with no key (e.g.
+Algorithm 1's host-visible semantics.  Methods with no key (e.g.
 ``find_by_name``) scatter to all shards and merge.
 """
 
@@ -92,12 +89,6 @@ class HandoffPlan:
             return 0.0
         return (self.total_keys
                 * abs(self.new_shards - self.old_shards) / larger)
-
-    def moves_into(self, shard: int) -> List[KeyMove]:
-        return [m for m in self.moves if m.dst == shard]
-
-    def moves_out_of(self, shard: int) -> List[KeyMove]:
-        return [m for m in self.moves if m.src == shard]
 
 
 class ShardRing:
@@ -187,25 +178,6 @@ class ShardRing:
                 moves.append(KeyMove(key, src, dst))
         return HandoffPlan(old_shards=self.shards, new_shards=new_ring.shards,
                            total_keys=total, moves=moves)
-
-    def arc_share(self, shard: int) -> float:
-        """Fraction of the identifier space owned by *shard*'s vnodes.
-
-        The expected fraction of keys a shard serves — the hotspot
-        monitor normalises per-shard load by this to separate "hot keys"
-        from "big arc".
-        """
-        nodes = self._ring.nodes
-        if not nodes:
-            return 0.0
-        modulus = self._ring.modulus
-        share = 0
-        previous = nodes[-1].node_id - modulus
-        for node in nodes:
-            if self._index[node.name] == shard:
-                share += node.node_id - previous
-            previous = node.node_id
-        return share / modulus
 
 
 class ServiceRouter:
@@ -353,8 +325,6 @@ class FabricRouter(ServiceRouter):
                *args: Any, **kwargs: Any) -> Generator[Event, Any, Any]:
         if service == "ds" and method == "synchronize":
             return self._invoke_synchronize(channel, *args, **kwargs)
-        if service == "ds" and method == "synchronize_batch":
-            return self._invoke_synchronize_batch(channel, *args, **kwargs)
         shards = self.fabric.shard_count(service)
         if shards <= 0:
             # Unsharded service (DR/DT): single replica group, shard 0.
@@ -432,7 +402,7 @@ class FabricRouter(ServiceRouter):
 
         processes = [env.process(one(*call)) for call in calls]
         yield env.all_of(processes)
-        outcomes = [process._value for process in processes]
+        outcomes = [process.value for process in processes]
         for ok, value in outcomes:
             if not ok:
                 raise value
@@ -463,131 +433,44 @@ class FabricRouter(ServiceRouter):
         The host's cache view Δk is partitioned by the scheduler ring; each
         shard runs Algorithm 1 on its slice *concurrently* (the gather
         waits for every shard, then merges into one :class:`SyncResult`).
+        """
+        cached = set(cached_uids)
+        if self.migration is not None:
+            result = yield from self._sync_migrating(
+                channel, host_name, cached, reservoir, max_new, payload_kb)
+            return result
+        result = yield from self._scatter_sync(
+            channel, host_name, self.fabric.ring_for("ds").partition(cached),
+            self.fabric.shard_count("ds"), reservoir, max_new, payload_kb)
+        return result
+
+    def _scatter_sync(self, channel: RpcChannel, host_name: str,
+                      parts: Dict[int, Set[str]], groups: int,
+                      reservoir: bool, max_new: Optional[int],
+                      payload_kb: float):
+        """Generator: one ``synchronize`` per shard group, merged.
+
         ``max_new`` (or the fabric's MaxDataSchedule default) is divided
-        exactly across the shards — floor(limit/S) each plus one extra on
-        (limit mod S) shards — so a sharded synchronisation assigns at
+        exactly across the *groups* — floor(limit/S) each plus one extra on
+        (limit mod S) of them — so a sharded synchronisation assigns at
         most the same batch size as the centralized scheduler.  The
         remainder shards *rotate* with every synchronisation: with more
         shards than budget, every shard still gets its turn instead of a
         fixed prefix starving the rest forever.
         """
-        if self.migration is not None:
-            result = yield from self._sync_migrating(
-                channel, host_name, set(cached_uids), reservoir, max_new,
-                payload_kb)
-            return result
-        ring = self.fabric.ring_for("ds")
-        parts = ring.partition(set(cached_uids))
         limit = int(max_new if max_new is not None
                     else self.fabric.max_data_schedule)
-        shards = self.fabric.shard_count("ds")
-        base, extra = divmod(limit, shards)
-        offset = self._sync_rounds % shards
+        base, extra = divmod(limit, groups)
+        offset = self._sync_rounds % groups
         self._sync_rounds += 1
         calls = []
-        for shard in range(shards):
-            per_shard = base + (1 if (shard - offset) % shards < extra else 0)
+        for shard in range(groups):
+            per_shard = base + (1 if (shard - offset) % groups < extra else 0)
             calls.append(("ds", shard, "synchronize",
                           (host_name, parts.get(shard, set())),
                           {"reservoir": reservoir, "max_new": per_shard,
                            "payload_kb": payload_kb}))
         results = yield from self._fan_out(channel, calls)
-        return self._merge_sync(channel, host_name, results)
-
-    def _invoke_synchronize_batch(self, channel: RpcChannel,
-                                  host_names: Iterable[str],
-                                  cached_uids_per_host: Iterable[Set[str]],
-                                  reservoir: bool = True,
-                                  max_new: Optional[int] = None,
-                                  payload_kb: float = 1.0):
-        """Generator: scatter a whole cohort's synchronisation at once.
-
-        The per-host scatter path pays ``cohort × shards`` RPCs per sync
-        round; at 100k hosts that round-trip count dominates the scale
-        harness long before Algorithm 1 does.  This path sends **one**
-        ``synchronize_batch`` RPC per shard carrying every host's cache
-        slice (the request's payload scales with the cohort, so the
-        channel still charges the marshalled kilobytes honestly), and the
-        shard evaluates its slice of the whole cohort in one
-        :meth:`~repro.services.data_scheduler.DataSchedulerService.compute_schedule_batch`
-        pass.
-
-        Per-shard budgets keep the per-host rotation semantics: host *i*
-        of the cohort gets exactly the ``base``/``base+1`` split the *i*-th
-        sequential :meth:`_invoke_synchronize` call would have computed
-        (``_sync_rounds`` advances by the cohort size), so the remainder
-        shards keep rotating across batched and per-host callers alike.
-        Shard state also evolves identically: each shard sees the cohort's
-        hosts in cohort order, which is the order N sequential scatters
-        would have delivered.  ``payload_kb`` is the *per-host* request
-        payload, as in the per-host path.
-
-        Under a live migration overlay the batch falls back to concurrent
-        per-host synchronisations — the overlay's seal/forwarding protocol
-        is per-key, and correctness there beats batching.
-        """
-        hosts = list(host_names)
-        caches = [set(cached) for cached in cached_uids_per_host]
-        if not hosts:
-            return []
-        if self.migration is not None:
-            results = yield from self._sync_batch_fallback(
-                channel, hosts, caches, reservoir, max_new, payload_kb)
-            return results
-        ring = self.fabric.ring_for("ds")
-        shards = self.fabric.shard_count("ds")
-        limit = int(max_new if max_new is not None
-                    else self.fabric.max_data_schedule)
-        base, extra = divmod(limit, shards)
-        start = self._sync_rounds
-        self._sync_rounds += len(hosts)
-        parts_per_host = [ring.partition(cached) for cached in caches]
-        calls = []
-        for shard in range(shards):
-            budgets = [
-                base + (1 if (shard - (start + i)) % shards < extra else 0)
-                for i in range(len(hosts))]
-            calls.append(("ds", shard, "synchronize_batch",
-                          (hosts, [parts.get(shard, set())
-                                   for parts in parts_per_host]),
-                          {"reservoir": reservoir, "max_new": budgets,
-                           "payload_kb": payload_kb * len(hosts)}))
-        per_shard = yield from self._fan_out(channel, calls)
-        return [self._merge_sync(channel, host,
-                                 [shard_results[i]
-                                  for shard_results in per_shard])
-                for i, host in enumerate(hosts)]
-
-    def _sync_batch_fallback(self, channel: RpcChannel, hosts: List[str],
-                             caches: List[Set[str]], reservoir: bool,
-                             max_new: Optional[int], payload_kb: float):
-        """Generator: per-host syncs run concurrently, gathered in order.
-
-        Mirrors :meth:`_fan_out`'s outcome collection (never fail-fast,
-        first error re-raised deterministically in host order) so a
-        migration-window failure cannot strand sibling processes.
-        """
-        env = channel.env
-
-        def one(host, cached):
-            try:
-                result = yield from self._invoke_synchronize(
-                    channel, host, cached, reservoir=reservoir,
-                    max_new=max_new, payload_kb=payload_kb)
-            except RpcError as exc:
-                return (False, exc)
-            return (True, result)
-
-        processes = [env.process(one(host, cached))
-                     for host, cached in zip(hosts, caches)]
-        yield env.all_of(processes)
-        outcomes = [process._value for process in processes]
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-        return [value for _ok, value in outcomes]
-
-    def _merge_sync(self, channel: RpcChannel, host_name: str, results):
         assigned: List = []
         to_delete: List[str] = []
         to_download: List[str] = []
@@ -622,28 +505,18 @@ class FabricRouter(ServiceRouter):
                 channel, host_name, cached_uids, reservoir=reservoir,
                 max_new=max_new, payload_kb=payload_kb)
             return result
-        shards = self.fabric.endpoint_group_count("ds")
         parts: Dict[int, Set[str]] = {}
         # Sorted so the per-shard partition (a dict keyed by shard) is
         # built in a reproducible order regardless of set hash order.
         for uid in sorted(cached_uids):
             parts.setdefault(migration.effective_shard("ds", uid),
                              set()).add(uid)
-        limit = int(max_new if max_new is not None
-                    else self.fabric.max_data_schedule)
-        base, extra = divmod(limit, shards)
-        offset = self._sync_rounds % shards
-        self._sync_rounds += 1
-        calls = []
-        for shard in range(shards):
-            per_shard = base + (1 if (shard - offset) % shards < extra else 0)
-            calls.append(("ds", shard, "synchronize",
-                          (host_name, parts.get(shard, set())),
-                          {"reservoir": reservoir, "max_new": per_shard,
-                           "payload_kb": payload_kb}))
+        groups = self.fabric.endpoint_group_count("ds")
         token = migration.note_enter("ds", cached_uids)
         try:
-            results = yield from self._fan_out(channel, calls)
+            result = yield from self._scatter_sync(
+                channel, host_name, parts, groups, reservoir, max_new,
+                payload_kb)
         finally:
             migration.note_exit(token)
-        return self._merge_sync(channel, host_name, results)
+        return result

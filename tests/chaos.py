@@ -130,6 +130,10 @@ class ChaosHarness:
         * a completed ``publish`` record's (key, value) exists on exactly
           one catalog shard, exactly once;
         * a completed ``pin`` record's host owns the uid on the scheduler;
+        * a completed ``sync`` record (value ``(overlay_up, to_delete)``)
+          was told to delete nothing — every uid the harness presents is
+          managed throughout, so a deletion means the cache view reached a
+          shard that does not own it;
         * every scheduler uid is managed by exactly one shard;
         * no ledger record is still pending (the test must resolve every
           request it began — lost-in-flight requests are the bug chaos
@@ -170,6 +174,10 @@ class ChaosHarness:
                     violations.append(
                         f"lost: completed pin of {key!r} on {value!r} "
                         f"but owners are {sorted(owners)}")
+            elif kind == "sync" and value[1]:
+                violations.append(
+                    f"misrouted: sync of {key!r} was told to delete "
+                    f"managed uids {value[1]}")
 
         managed: Dict[str, List[int]] = {}
         for index, shard in enumerate(fabric.scheduler_shards):

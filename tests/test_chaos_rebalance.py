@@ -73,6 +73,7 @@ def _chaos_migration(kind: str, crash_phase: str, n_data: int = 36,
                                         recover_after_s=8.0))
 
     t_start = env.now
+    all_uids = {d.uid for d in datas}
 
     def client_loop(agent, index):
         count = 0
@@ -91,6 +92,17 @@ def _chaos_migration(kind: str, crash_phase: str, n_data: int = 36,
             try:
                 yield from agent.invoke("ds", "pin", data,
                                         agent.host.name, attribute)
+                ledger.complete(record)
+            except RpcError:
+                ledger.fail(record)
+            # A synchronisation presenting every datum: its cache view is
+            # partitioned by effective owner while the overlay is up.
+            overlay = runtime.router.migration is not None
+            record = ledger.begin("sync", agent.host.name)
+            try:
+                result = yield from agent.invoke(
+                    "ds", "synchronize", agent.host.name, all_uids)
+                record["value"] = (overlay, result.to_delete)
                 ledger.complete(record)
             except RpcError:
                 ledger.fail(record)
@@ -144,6 +156,8 @@ class TestCrashEveryPhase:
         assert outcome.get("stats") is not None
         assert harness.crashes == []
         assert harness.ledger.failed == []
+        assert any(r["value"][0] for r in harness.ledger.completed
+                   if r["kind"] == "sync"), "no sync met the live overlay"
         harness.assert_ok()
 
 

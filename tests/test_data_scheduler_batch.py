@@ -2,21 +2,22 @@
 
 ``DataSchedulerService.compute_schedule_batch`` promises *exactly* the
 results and post-state of the sequential per-host loop — that promise is
-what lets the cohort workloads and the fabric router batch without
-changing any simulated quantity.  These tests pin it with a hypothesis
-oracle: build two schedulers from the same randomly drawn world, run the
-cohort sequentially on one and batched on the other, and require every
-observable to match — per-host schedules, counters, owner state, the
-replica-deficit heap's live content, and the mutation-hook call sequence.
+what lets the cohort workloads batch without changing any simulated
+quantity.  These tests pin it with a hypothesis oracle: build two
+schedulers from the same randomly drawn world, run the cohort sequentially
+on one and batched on the other, and require every observable to match —
+per-host schedules, counters, owner state, the replica-deficit heap's live
+content, and the mutation-hook call sequence.
 
-The drawn worlds deliberately cross the batch's regime boundary (affinity
-attributes, lifetimes, ``reservoir=False``, non-positive limits force the
-documented sequential fallback; disjoint unit-limit cohorts hit the numpy
-prefix-sum fill; everything else the shared-candidate walk) so all three
-code paths face the oracle.
+Two strategies draw the worlds, one per side of the batch's guard:
+``worlds`` mixes everything that forces the general walk (affinity,
+lifetimes, ``reservoir=False``, any limit, duplicate hosts, overlapping
+caches); ``fill_worlds`` aims at the unit-budget fill the scale harness
+runs in, and its test fails unless a third of its examples really took it.
 """
 
-import pytest
+from collections import Counter
+from typing import List, NamedTuple, Optional, Tuple
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,6 @@ from repro.core.data import Data
 from repro.services.data_scheduler import DataSchedulerService
 from repro.sim.kernel import Environment
 
-pytest.importorskip("numpy")
-
 common_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
@@ -36,60 +35,95 @@ common_settings = settings(max_examples=60, deadline=None,
 # World construction
 # ---------------------------------------------------------------------------
 
-def _attribute(index, replica, affinity, lifetime):
-    return Attribute(name=f"attr{index}", replica=replica,
-                     affinity=affinity,
-                     absolute_lifetime=lifetime)
+class World(NamedTuple):
+    """One drawn scheduler world plus the cohort to synchronise.
+
+    Caches are lists of picks: index *p* names datum *p*, or a ghost uid
+    the scheduler never managed once *p* runs past the data.
+    """
+
+    specs: List[Tuple[int, Optional[str], Optional[float]]]  # replica, affinity, lifetime
+    max_data_schedule: int
+    warm: List[Tuple[str, List[int]]]       # (host, cache picks) synced first
+    fail_host: Optional[str]
+    cohort: List[str]
+    cache_picks: List[List[int]]
+    reservoir: bool
+    max_new: Optional[int]
 
 
 @st.composite
 def worlds(draw):
-    """One drawn scheduler world plus the cohort to synchronise."""
+    """Worlds across the guard's far side (and, rarely, into the fill)."""
     n_data = draw(st.integers(min_value=0, max_value=10))
     specs = []
     for i in range(n_data):
         replica = draw(st.sampled_from([-1, 1, 1, 2, 3]))
         # Affinity references an earlier datum's name (or dangles); any
-        # affinity in Θ forces the batch onto its sequential fallback.
+        # affinity in Θ forces the batch onto the general walk.
         affinity = None
         if draw(st.booleans()) and draw(st.integers(0, 4)) == 0:
             affinity = f"d{draw(st.integers(0, max(0, n_data - 1)))}"
         lifetime = (1e6 if draw(st.integers(0, 9)) == 0 else None)
         specs.append((replica, affinity, lifetime))
-    n_warm = draw(st.integers(min_value=0, max_value=3))
-    warm_hosts = [f"w{i}" for i in range(n_warm)]
+    warm = [(f"w{i}", []) for i in range(draw(st.integers(0, 3)))]
     n_cohort = draw(st.integers(min_value=0, max_value=6))
     # Duplicate host names (a host syncing twice in one batch) must fall
-    # off the vectorized path and still match the sequential loop.
+    # off the fill and still match the sequential loop.
     cohort = [f"h{draw(st.integers(0, n_cohort))}" for _ in range(n_cohort)]
     cache_picks = draw(st.lists(
         st.lists(st.integers(min_value=0, max_value=max(0, n_data)),
                  max_size=4),
         min_size=n_cohort, max_size=n_cohort))
     reservoir = draw(st.integers(0, 9)) > 0
-    max_new = draw(st.one_of(
-        st.none(),
-        st.integers(min_value=0, max_value=3),
-        st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-                 min_size=n_cohort, max_size=n_cohort)))
-    fail_host = draw(st.one_of(st.none(), st.sampled_from(warm_hosts))
-                     if warm_hosts else st.none())
-    return specs, warm_hosts, cohort, cache_picks, reservoir, max_new, fail_host
+    max_new = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+    fail_host = draw(st.sampled_from([None] + [host for host, _c in warm]))
+    return World(specs, 2, warm, fail_host, cohort, cache_picks, reservoir,
+                 max_new)
 
 
-def _build(env, specs, warm_hosts, fail_host, datas, hook_log):
+@st.composite
+def fill_worlds(draw):
+    """Worlds aimed at the unit-budget fill: replica placement only, one
+    new datum per sync, distinct fresh hosts.  Warm-up syncs that present
+    caches, then a host failure, leave part-filled candidates and duplicate
+    live deficit rows; cohort caches hold ghosts and managed uids (which
+    the fresh host never owns) — now and then a candidate, which is the
+    guard's business to notice."""
+    n_data = draw(st.integers(min_value=1, max_value=10))
+    specs = [(draw(st.sampled_from([-1, 1, 2, 3])), None, None)
+             for _ in range(n_data)]
+    picks = st.lists(st.integers(min_value=0, max_value=n_data - 1),
+                     max_size=2)
+    warm = [(f"w{i}", draw(picks)) for i in range(draw(st.integers(0, 3)))]
+    fail_host = draw(st.sampled_from([None] + [host for host, _c in warm]))
+    n_cohort = draw(st.integers(min_value=1, max_value=6))
+    # Mostly ghosts; the managed picks are the last two data, the
+    # candidates a short cohort's demand is least likely to reach.
+    cache_picks = draw(st.lists(
+        st.lists(st.integers(max(0, n_data - 2), n_data + 4), max_size=3),
+        min_size=n_cohort, max_size=n_cohort))
+    return World(specs, 1, warm, fail_host,
+                 [f"h{k}" for k in range(n_cohort)], cache_picks, True,
+                 draw(st.sampled_from([None, 1])))
+
+
+def _build(env, world, datas, hook_log):
     """One scheduler holding the drawn Θ, warmed by sequential syncs."""
-    scheduler = DataSchedulerService(env, max_data_schedule=2)
+    scheduler = DataSchedulerService(
+        env, max_data_schedule=world.max_data_schedule)
     scheduler._mutation_hook = hook_log.append
-    for i, (replica, affinity, lifetime) in enumerate(specs):
-        scheduler.schedule(datas[i], _attribute(i, replica, affinity,
-                                                lifetime))
-    for host in warm_hosts:
-        scheduler.compute_schedule(host, set())
-    if fail_host is not None:
+    for i, (replica, affinity, lifetime) in enumerate(world.specs):
+        scheduler.schedule(datas[i], Attribute(
+            name=f"attr{i}", replica=replica, affinity=affinity,
+            absolute_lifetime=lifetime, fault_tolerance=True))
+    for host, picks in world.warm:
+        scheduler.compute_schedule(host, {datas[p].uid for p in picks})
+    if world.fail_host is not None:
         # A failure-detector repair between the warm-up and the cohort:
-        # owner lists shrink, uids re-enter the deficit.
-        scheduler._on_host_failure(fail_host)
+        # owner lists shrink, uids re-enter the deficit (a second live row
+        # when the first was never popped).
+        scheduler._on_host_failure(world.fail_host)
     return scheduler
 
 
@@ -109,38 +143,39 @@ def _result_tuple(result):
 # The oracle
 # ---------------------------------------------------------------------------
 
-@common_settings
-@given(worlds())
-def test_batch_equals_sequential_everywhere(world):
-    specs, warm_hosts, cohort, cache_picks, reservoir, max_new, fail = world
+def _check_batch_equals_sequential(world) -> bool:
+    """Assert the equivalence on *world*; True when the batch took the fill
+    (never called ``compute_schedule``) and assigned something."""
     env = Environment()
-    datas = [Data(name=f"d{i}") for i in range(len(specs))]
+    datas = [Data(name=f"d{i}") for i in range(len(world.specs))]
     known = [d.uid for d in datas]
-    caches = [{known[p] if p < len(known) else f"ghost-{p}"
-               for p in picks}
-              for picks in cache_picks]
+    caches = [{known[p] if p < len(known) else f"ghost-{p}" for p in picks}
+              for picks in world.cache_picks]
     hooks_seq, hooks_batch = [], []
-    seq = _build(env, specs, warm_hosts, fail, datas, hooks_seq)
-    batch = _build(env, specs, warm_hosts, fail, datas, hooks_batch)
+    seq = _build(env, world, datas, hooks_seq)
+    batch = _build(env, world, datas, hooks_batch)
     assert hooks_seq == hooks_batch
     hooks_seq.clear(), hooks_batch.clear()
+    walked = []
+    general_walk = batch.compute_schedule
 
-    limits = (max_new if not isinstance(max_new, list)
-              else None)  # scalar (or None) per-host argument
-    expected = [
-        seq.compute_schedule(
-            host, set(cache), reservoir=reservoir,
-            max_new=limits if not isinstance(max_new, list) else max_new[k])
-        for k, (host, cache) in enumerate(zip(cohort, caches))]
-    actual = batch.compute_schedule_batch(cohort, caches,
-                                          reservoir=reservoir,
-                                          max_new=max_new)
+    def counting_walk(*args, **kwargs):
+        walked.append(args[0])
+        return general_walk(*args, **kwargs)
+    batch.compute_schedule = counting_walk
+
+    expected = [seq.compute_schedule(host, set(cache),
+                                     reservoir=world.reservoir,
+                                     max_new=world.max_new)
+                for host, cache in zip(world.cohort, caches)]
+    actual = batch.compute_schedule_batch(world.cohort, caches,
+                                          reservoir=world.reservoir,
+                                          max_new=world.max_new)
 
     assert [_result_tuple(r) for r in actual] \
         == [_result_tuple(r) for r in expected]
-    # Counter deltas, owner state, deficit, caches and the hook sequence
-    # must all agree — the batch mutates the scheduler exactly like the
-    # loop does.
+    # Counter deltas, owner state, deficit and the hook sequence must all
+    # agree — the batch mutates the scheduler exactly like the loop does.
     assert batch.assignments == seq.assignments
     assert batch.entries_examined == seq.entries_examined
     assert batch.sync_count == seq.sync_count
@@ -150,12 +185,33 @@ def test_batch_equals_sequential_everywhere(world):
     assert batch._owner_index == seq._owner_index
     assert batch._replica_deficit == seq._replica_deficit
     assert _live_heap(batch) == _live_heap(seq)
-    assert batch._host_caches == seq._host_caches
     assert hooks_batch == hooks_seq
+    return not walked and any(r.to_download for r in actual)
+
+
+@common_settings
+@given(worlds())
+def test_batch_equals_sequential_everywhere(world):
+    _check_batch_equals_sequential(world)
+
+
+def test_fill_equals_sequential_and_is_entered():
+    """The regime production runs in faces the oracle, provably: the test
+    fails when fewer than a third of its examples took the fill."""
+    seen = Counter()
+
+    @common_settings
+    @given(fill_worlds())
+    def oracle(world):
+        seen["examples"] += 1
+        seen["filled"] += _check_batch_equals_sequential(world)
+
+    oracle()
+    assert 3 * seen["filled"] >= seen["examples"], dict(seen)
 
 
 # ---------------------------------------------------------------------------
-# Per-host limits (the router's rotating budgets)
+# The per-host limit at the guard's edges
 # ---------------------------------------------------------------------------
 
 class TestPerHostLimits:
@@ -167,34 +223,14 @@ class TestPerHostLimits:
             scheduler.schedule(data, Attribute(name=f"a{i}", replica=replica))
         return scheduler, datas
 
-    def test_mixed_limits_walk_per_host(self):
-        scheduler, _datas = self._scheduler(n=6)
-        hosts = ["h0", "h1", "h2", "h3"]
-        results = scheduler.compute_schedule_batch(
-            hosts, [set() for _ in hosts], max_new=[2, 0, None, 1])
-        got = [len(r.to_download) for r in results]
-        # None takes the scheduler default (4): h0 consumes 2 of the 6
-        # replica-1 candidates, h2 drains the remaining 4, h3 finds none.
-        assert got == [2, 0, 4, 0]
-        assert scheduler.assignments == 6
-
-    def test_uniform_sequence_collapses_to_scalar(self):
-        one, _ = self._scheduler(n=4)
-        other, _ = self._scheduler(n=4)
-        hosts = ["h0", "h1"]
-        a = one.compute_schedule_batch(hosts, [set(), set()], max_new=[1, 1])
-        b = other.compute_schedule_batch(hosts, [set(), set()], max_new=1)
-        assert [len(r.to_download) for r in a] \
-            == [len(r.to_download) for r in b] == [1, 1]
-
     def test_all_nonpositive_limits_assign_nothing(self):
         scheduler, _ = self._scheduler(n=3)
         results = scheduler.compute_schedule_batch(
-            ["h0", "h1"], [set(), set()], max_new=[0, 0])
+            ["h0", "h1"], [set(), set()], max_new=0)
         assert all(r.to_download == [] for r in results)
         assert scheduler.assignments == 0
 
     def test_empty_cohort(self):
         scheduler, _ = self._scheduler(n=2)
-        assert scheduler.compute_schedule_batch([], [], max_new=[]) == []
+        assert scheduler.compute_schedule_batch([], [], max_new=1) == []
         assert scheduler.compute_schedule_batch([], []) == []

@@ -109,13 +109,6 @@ def test_plan_handoff_rejects_foreign_ring_families():
         ring.plan_handoff(ShardRing(3, label="dc", vnodes=16, seed=1), ["k"])
 
 
-def test_arc_shares_cover_the_ring():
-    ring = ShardRing(3, label="dc", vnodes=64)
-    shares = [ring.arc_share(s) for s in range(3)]
-    assert sum(shares) == pytest.approx(1.0)
-    assert all(share > 0 for share in shares)
-
-
 # ---------------------------------------------------------------------------
 # The migration overlay's state machine
 # ---------------------------------------------------------------------------

@@ -208,6 +208,17 @@ class TestScaleGrid100k:
         assert batched["ds"][0] == 600     # the storm placed something
         assert batched == per_host
 
+    def test_harness_stays_on_the_fast_path(self, monkeypatch):
+        """The harness never reaches the general walk: a silent slide onto
+        the sequential loop would otherwise show only as a ``storm-100k``
+        slowdown.  Two rounds, so hosts also present a cache."""
+        def slid(*_args, **_kwargs):
+            raise AssertionError("scale harness left the batch fast path")
+        monkeypatch.setattr(DataSchedulerService, "compute_schedule", slid)
+        results = run_scenario("scale-grid-100k",
+                               **{**_SMALL, "sync_rounds": 2})
+        assert results["placed"] == 200
+
 
 class TestScaleGrid300k:
     def test_reduced_grid_reports_its_own_scenario(self):

@@ -494,95 +494,3 @@ class TestHeartbeatDrivenFailover:
         assert min(after) - 8.3 <= fabric.host_detector.timeout_s
         lost = sum(a.channel.lost_requests for a in agents)
         assert lost == 0
-
-
-class TestBatchedSynchronizeScatter:
-    """``synchronize_batch`` through the router == N sequential scatters.
-
-    The batched scatter sends one RPC per shard for the whole cohort; the
-    per-host path sends ``cohort x shards``.  Everything Algorithm 1 can
-    observe — per-host schedules, owner state, the budget rotation — must
-    come out identical either way (only wall/latency accounting differs).
-    """
-
-    def _runtime_with_data(self, datas, attr, n_workers=6, shards=2):
-        env, topo, runtime = _fabric_env(n_workers=n_workers, shards=shards)
-        scheduler = runtime.data_scheduler
-        for data in datas:
-            scheduler.schedule(data, attr)
-        agent = runtime.attach(topo.worker_hosts[0], auto_sync=False)
-        return env, runtime, agent
-
-    def test_batch_matches_sequential_scatters(self):
-        # replica=3 and max_new=3 over 2 shards: base=1 extra=1, so the
-        # remainder shard rotates host to host — the batch must reproduce
-        # that per-host split exactly.
-        attr = Attribute(name="grid", replica=3)
-        datas = [_make_data(i)[0] for i in range(8)]
-        hosts = [f"w{i}" for i in range(5)]
-        caches = [set() for _ in hosts]
-        # Second round syncs present the first round's downloads back.
-        env_a, runtime_a, agent_a = self._runtime_with_data(datas, attr)
-        env_b, runtime_b, agent_b = self._runtime_with_data(datas, attr)
-
-        def sequential(agent, store):
-            views = [set(c) for c in caches]
-            for _round in range(2):
-                results = []
-                for host, view in zip(hosts, views):
-                    result = yield from agent.invoke(
-                        "ds", "synchronize", host, view, max_new=3)
-                    view.update(result.to_download)
-                    results.append(result)
-                store.append(results)
-
-        def batched(agent, store):
-            views = [set(c) for c in caches]
-            for _round in range(2):
-                results = yield from agent.invoke(
-                    "ds", "synchronize_batch", hosts, views, max_new=3)
-                for view, result in zip(views, results):
-                    view.update(result.to_download)
-                store.append(results)
-
-        seq_rounds, batch_rounds = [], []
-        env_a.run(until=env_a.process(sequential(agent_a, seq_rounds)))
-        env_b.run(until=env_b.process(batched(agent_b, batch_rounds)))
-
-        def comparable(result):
-            return (result.host_name,
-                    sorted(d.uid for d, _a in result.assigned),
-                    result.to_delete, result.to_download)
-        for seq_results, batch_results in zip(seq_rounds, batch_rounds):
-            assert [comparable(r) for r in batch_results] \
-                == [comparable(r) for r in seq_results]
-        # The rotation pointer and every shard's scheduler state advanced
-        # exactly as the per-host path would have advanced them.
-        assert runtime_b.router._sync_rounds == runtime_a.router._sync_rounds \
-            == 2 * len(hosts)
-        for shard_a, shard_b in zip(runtime_a.data_scheduler.shards,
-                                    runtime_b.data_scheduler.shards):
-            assert shard_b.assignments == shard_a.assignments
-            assert shard_b.sync_count == shard_a.sync_count
-            assert shard_b._owner_index == shard_a._owner_index
-            assert shard_b._replica_deficit == shard_a._replica_deficit
-        # Same marshalled kilobytes (the batch carries the cohort's whole
-        # payload), an order of magnitude fewer round trips.
-        assert agent_b.channel.marshalled_kb \
-            == pytest.approx(agent_a.channel.marshalled_kb)
-        assert agent_b.channel.calls == agent_a.channel.calls / len(hosts)
-
-    def test_empty_cohort_is_a_no_op(self):
-        attr = Attribute(name="grid", replica=1)
-        env, runtime, agent = self._runtime_with_data(
-            [_make_data(0)[0]], attr)
-
-        def script(store):
-            result = yield from agent.invoke("ds", "synchronize_batch",
-                                             [], [])
-            store.append(result)
-
-        out = []
-        env.run(until=env.process(script(out)))
-        assert out == [[]]
-        assert runtime.router._sync_rounds == 0
