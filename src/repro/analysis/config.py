@@ -130,6 +130,9 @@ HOT_MODULES: Tuple[str, ...] = (
     "sim/",
     "net/allocation.py",
     "net/flows.py",
+    # The ring index order is routing: replica sets, hop paths and every
+    # fabric key→shard decision are read off it.
+    "dht/chord.py",
     "services/data_scheduler.py",
     "services/fabric.py",
     "services/rebalance.py",

@@ -11,7 +11,7 @@ Java calls in the paper's listings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Union
 
 from repro.core.attributes import Attribute, parse_attribute
 from repro.core.data import Data, DataFlag, DataStatus
@@ -134,7 +134,7 @@ class BitDew:
             f"kv:{key}", value, origin=self.agent.host.name)
         return result
 
-    def search(self, key: str) -> Generator[Event, Any, List[Any]]:
+    def search(self, key: str) -> Generator[Event, Any, Set[Any]]:
         """Generator: look up the values published under *key* in the DHT."""
         values = yield from self.agent.ddc.search_pair(
             f"kv:{key}", origin=self.agent.host.name)

@@ -18,11 +18,11 @@ single call to the centralized catalog.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Optional, Set
 
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource
-from repro.dht.chord import ChordNode, ChordRing, LookupResult
+from repro.dht.chord import ChordNode, ChordRing, LookupResult, chord_hash
 
 __all__ = ["DistributedDataCatalog"]
 
@@ -43,7 +43,7 @@ class DistributedDataCatalog:
         per_hop_latency_s: float = 0.002,
         node_service_s: float = 0.010,
         registration_rounds: int = 2,
-    ):
+    ) -> None:
         self.env = env
         self.ring = ring if ring is not None else ChordRing()
         self.per_hop_latency_s = float(per_hop_latency_s)
@@ -75,7 +75,7 @@ class DistributedDataCatalog:
         return self.ring.get_node(host_name)
 
     # -- cost helpers ---------------------------------------------------------------
-    def _visit(self, node: ChordNode):
+    def _visit(self, node: ChordNode) -> Generator[Event, Any, None]:
         """Generator: one request served by *node* (queueing + service time)."""
         queue = self._queues.get(node.name)
         if queue is None:
@@ -85,7 +85,7 @@ class DistributedDataCatalog:
             yield req
             yield self.env.timeout(self.node_service_s)
 
-    def _route(self, result: LookupResult):
+    def _route(self, result: LookupResult) -> Generator[Event, Any, None]:
         """Generator: charge the latency and service time of a lookup route."""
         for hop in result.hops:
             yield self.env.timeout(self.per_hop_latency_s)
@@ -94,11 +94,13 @@ class DistributedDataCatalog:
 
     # -- the DDC operations ------------------------------------------------------------
     def publish(self, data_id: str, host_id: str,
-                origin: Optional[str] = None):
+                origin: Optional[str] = None
+                ) -> Generator[Event, Any, LookupResult]:
         """Generator: insert the (data_id, host_id) pair into the DHT."""
         return self.publish_pair(f"data:{data_id}", host_id, origin=origin)
 
-    def publish_pair(self, key: str, value, origin: Optional[str] = None):
+    def publish_pair(self, key: str, value: Any, origin: Optional[str] = None
+                     ) -> Generator[Event, Any, LookupResult]:
         """Generator: generic key/value publish (paper §3.3, last paragraph)."""
         start = self._start_node(origin)
         result = self.ring.lookup(key, start)
@@ -114,12 +116,14 @@ class DistributedDataCatalog:
         self.publish_count += 1
         return result
 
-    def search(self, data_id: str, origin: Optional[str] = None):
+    def search(self, data_id: str, origin: Optional[str] = None
+               ) -> Generator[Event, Any, Set[Any]]:
         """Generator: return the set of host identifiers owning *data_id*."""
         values = yield from self.search_pair(f"data:{data_id}", origin=origin)
         return values
 
-    def search_pair(self, key: str, origin: Optional[str] = None):
+    def search_pair(self, key: str, origin: Optional[str] = None
+                    ) -> Generator[Event, Any, Set[Any]]:
         """Generator: generic key/value search."""
         start = self._start_node(origin)
         values, result = self.ring.get(key, start)
@@ -129,19 +133,27 @@ class DistributedDataCatalog:
         return values
 
     def unpublish(self, data_id: str, host_id: str,
-                  origin: Optional[str] = None):
+                  origin: Optional[str] = None
+                  ) -> Generator[Event, Any, LookupResult]:
         """Generator: remove a replica location (host left or data deleted)."""
         key = f"data:{data_id}"
-        start = self._start_node(origin)
-        result = self.ring.lookup(key, start)
+        result = self.ring.lookup(key, self._start_node(origin))
         yield from self._route(result)
-        self.ring.delete(key, host_id, start)
+        # Delete on the route just charged; ring.delete would route again and
+        # count every hop a second time.
+        for replica in self.ring.replicas_for(result.key_id):
+            replica.remove(key, host_id)
         return result
 
     # -- synchronous views (no simulated cost; used by tests and reports) -----------------
     def owners(self, data_id: str) -> Set[str]:
-        values, _ = self.ring.get(f"data:{data_id}")
-        return set(values)
+        """Who holds *data_id*, read off the replica set; serves no request."""
+        key = f"data:{data_id}"
+        for replica in self.ring.replicas_for(chord_hash(key, self.ring.bits)):
+            values = replica.retrieve(key)
+            if values:
+                return values
+        return set()
 
     def _start_node(self, origin: Optional[str]) -> Optional[ChordNode]:
         if origin is None:

@@ -161,6 +161,36 @@ class TestDistributedDataCatalog:
         drive(env, ddc.unpublish("d", "h1"))
         assert ddc.owners("d") == {"h2"}
 
+    def test_unpublish_counts_each_hop_once(self, env, drive):
+        ddc = DistributedDataCatalog(env)
+        for i in range(16):
+            ddc.join(f"host{i}")
+        drive(env, ddc.publish("d", "h1", origin="host3"))
+
+        def served():
+            return sum(n.requests_served for n in ddc.ring.nodes)
+
+        before = served()
+        result = drive(env, ddc.unpublish("d", "h1", origin="host3"))
+        # One route: the start node, plus one count per hop — and the
+        # final-interval hop is counted on arrival too, as in any lookup.
+        probe = served()
+        ddc.ring.lookup("data:d", ddc.node_of("host3"))
+        assert probe - before == served() - probe >= 1 + result.hop_count
+        assert ddc.owners("d") == set()
+
+    def test_owners_serves_no_request(self, env, drive):
+        ddc = DistributedDataCatalog(env)
+        for i in range(16):
+            ddc.join(f"host{i}")
+        for i in range(20):
+            drive(env, ddc.publish(f"d{i}", f"h{i}", origin=f"host{i % 16}"))
+        before = [n.requests_served for n in ddc.ring.nodes]
+        for i in range(20):
+            assert ddc.owners(f"d{i}") == {f"h{i}"}
+        assert ddc.owners("never-published") == set()
+        assert [n.requests_served for n in ddc.ring.nodes] == before
+
     def test_generic_key_value_pairs(self, env, drive):
         ddc = DistributedDataCatalog(env)
         for i in range(5):
