@@ -7,9 +7,8 @@ with the shard count, and client-visible recovery from a service-host
 crash within one heartbeat timeout.
 
 Both scenarios are pure simulation, so every asserted number is
-deterministic (no CPU-count arming needed); the ≥2× throughput gate arms
-on the sharded configuration itself (≥4 shards), mirroring how
-``sweep-parallel`` arms its wall-clock gate on the hardware.
+deterministic; the ≥2× throughput gate arms on the sharded configuration
+itself (≥4 shards).
 
 Set ``REPRO_SCALE_QUICK=1`` to run reduced sizes (used by the CI smoke job).
 """

@@ -8,13 +8,8 @@ Subcommands:
   scenario; the JSON written by ``--out`` is deterministic (same seed →
   byte-identical bytes).  Every run prints a ``# stats:`` perf line
   (wall clock, and when the scenario reports them, ``processed_events``
-  and ``events_per_sec``) to stderr; ``--profile`` additionally runs the
-  scenario under cProfile and prints the top ``--profile-limit``
-  functions to stderr, ordered by ``--profile-sort`` (cumulative or
-  tottime); ``--profile-out FILE`` (implies ``--profile``) writes a JSON
-  report splitting the profiled time by phase — placement (Algorithm 1),
-  allocation (flow max-min fair shares), kernel dispatch (event loop +
-  scheduler) and other — plus the top functions.
+  and ``events_per_sec``) to stderr.  For where the time goes, layer by
+  layer, use ``python3 -m perfbench run --trace-out DIR``.
 * ``sweep NAME --grid k=v1,v2 [--grid ...] [--set k=v ...] [--out f.json]``
   — the cartesian product of one or more parameter axes, executed by the
   parallel sweep engine: ``--jobs N`` runs points on a process pool
@@ -244,98 +239,16 @@ def _print_run_stats(results: object, wall_s: float) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-# Per-phase attribution of profile samples: a function belongs to the
-# phase of the *module* it lives in.  ``tottime`` sums are disjoint across
-# functions, so the per-phase split always adds up to the profiled total —
-# no double counting, unlike cumulative times.
-_PROFILE_PHASES = (
-    ("placement", ("/services/data_scheduler",)),
-    ("allocation", ("/net/allocation", "/net/flows")),
-    ("kernel_dispatch", ("/sim/kernel", "/sim/scheduler")),
-)
-
-
-def _profile_phase(filename: str) -> str:
-    normalised = filename.replace("\\", "/")
-    for phase, markers in _PROFILE_PHASES:
-        if any(marker in normalised for marker in markers):
-            return phase
-    return "other"
-
-
-def _profile_report(profiler, sort: str, limit: int,
-                    wall_s: float) -> Dict[str, object]:
-    """The ``--profile-out`` JSON: per-phase split plus the top functions."""
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    phases: Dict[str, Dict[str, float]] = {
-        phase: {"tottime_s": 0.0, "calls": 0}
-        for phase, _markers in _PROFILE_PHASES}
-    phases["other"] = {"tottime_s": 0.0, "calls": 0}
-    rows = []
-    for (filename, line, name), (cc, nc, tt, ct, _callers) \
-            in stats.stats.items():  # type: ignore[attr-defined]
-        phase = _profile_phase(filename)
-        phases[phase]["tottime_s"] += tt
-        phases[phase]["calls"] += nc
-        rows.append({"function": name, "file": filename, "line": line,
-                     "phase": phase, "ncalls": nc, "tottime_s": tt,
-                     "cumtime_s": ct})
-    key = "tottime_s" if sort == "tottime" else "cumtime_s"
-    rows.sort(key=lambda row: (-row[key], row["file"], row["line"]))
-    total = sum(entry["tottime_s"] for entry in phases.values())
-    for entry in phases.values():
-        entry["tottime_s"] = round(entry["tottime_s"], 6)
-        entry["share"] = round(entry["tottime_s"] / total, 4) if total else 0.0
-    return {
-        "sort": sort,
-        "wall_s": round(wall_s, 6),
-        "profiled_s": round(total, 6),
-        "phases": phases,
-        "top": [dict(row, tottime_s=round(row["tottime_s"], 6),
-                     cumtime_s=round(row["cumtime_s"], 6))
-                for row in rows[:limit]],
-    }
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     params = _collect_params(args.set, args.seed)
     cache = _run_cache(args)
-    if args.profile_out is not None:
-        args.profile = True      # --profile-out implies profiling
-    if args.profile and not (cache is None and args.retries == 0):
-        print("error: --profile runs the scenario in-process; it cannot be "
-              "combined with --cache/--cache-dir/--retries", file=sys.stderr)
-        return 2
     if cache is None and args.retries == 0:
         # The plain path: run in-process, keep the raw results (including
         # volatile keys like wall-clock) for the summary.
         spec = ScenarioSpec(scenario=args.scenario, params=params)
-        profiler = None
-        if args.profile:
-            import cProfile
-            profiler = cProfile.Profile()
         wall_start = time.perf_counter()
-        if profiler is not None:
-            profiler.enable()
-            try:
-                result = run_spec(spec)
-            finally:
-                profiler.disable()
-        else:
-            result = run_spec(spec)
+        result = run_spec(spec)
         wall_s = time.perf_counter() - wall_start
-        if profiler is not None:
-            import pstats
-            stats = pstats.Stats(profiler, stream=sys.stderr)
-            stats.sort_stats(args.profile_sort).print_stats(args.profile_limit)
-            if args.profile_out is not None:
-                report = _profile_report(profiler, args.profile_sort,
-                                         args.profile_limit, wall_s)
-                report["scenario"] = args.scenario
-                _write_output(json.dumps(report, indent=2, sort_keys=True)
-                              + "\n", args.profile_out)
         if not args.quiet:
             _print_run_stats(result.results, wall_s)
         if args.out is not None:
@@ -453,20 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's RNG seed")
     p_run.add_argument("--out", metavar="FILE",
                        help="write deterministic JSON results ('-' = stdout)")
-    p_run.add_argument("--profile", action="store_true",
-                       help="profile the run with cProfile and print the top "
-                            "functions by cumulative time to stderr")
-    p_run.add_argument("--profile-limit", type=int, default=25, metavar="N",
-                       help="number of profile rows to print (default 25)")
-    p_run.add_argument("--profile-sort", choices=("cumulative", "tottime"),
-                       default="cumulative",
-                       help="profile ordering for the stderr table and the "
-                            "--profile-out top list (default cumulative)")
-    p_run.add_argument("--profile-out", metavar="FILE", default=None,
-                       help="write a JSON profile report (implies --profile): "
-                            "per-phase tottime split — placement / allocation "
-                            "/ kernel_dispatch / other — plus the top "
-                            "--profile-limit functions ('-' = stdout)")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
     p_run.add_argument("--retries", type=int, default=0, metavar="K",

@@ -79,7 +79,11 @@ SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
         "AllOf", "AnyOf", "Container", "Environment", "Event", "Interrupt",
         "PriorityStore", "Process", "RandomStreams", "Resource",
         "SimulationError", "Store", "Timeout", "Timer", "derive_seed",
+        "ids",
     }),
+    # Draw as ``next(ids.hosts)``: rewind() rebinds the sequences, so a
+    # ``from repro.sim.ids import hosts`` would keep a stale one.
+    "repro.sim.ids": frozenset({"rewind"}),
     "repro.sim.kernel": frozenset({
         "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
         "SimulationError", "Timeout", "Timer",
@@ -122,6 +126,19 @@ WALLCLOCK_ALLOWLIST: Dict[str, str] = {
 }
 
 
+#: Modules that may keep process-wide mutable state (DET006): the owner
+#: of the id space, and composition roots whose state is a memo of
+#: something no run can change.
+PROCESS_STATE_ALLOWLIST: Dict[str, str] = {
+    "sim/ids.py":
+        "the one id space; run_spec rewinds it on entry",
+    "experiments/runner.py":
+        "the lazily built default scenario registry (the built-in catalog)",
+    "experiments/cache.py":
+        "memo of the source-tree hash that salts cache keys",
+}
+
+
 #: Ordering-sensitive hot paths: modules whose iteration order can leak
 #: into event order, placement, replication or emitted output.  DET004
 #: (unordered dict iteration) applies only here; DET003 (set iteration)
@@ -161,6 +178,8 @@ class LintConfig:
     wallclock_allowlist: Mapping[str, str] = \
         field(default_factory=lambda: dict(WALLCLOCK_ALLOWLIST))
     hot_modules: Tuple[str, ...] = HOT_MODULES
+    process_state_allowlist: Mapping[str, str] = \
+        field(default_factory=lambda: dict(PROCESS_STATE_ALLOWLIST))
     #: Path prefixes exempt from the *sim-internal* rules (the sim package
     #: itself may use its own private surface).
     sim_package_prefixes: Tuple[str, ...] = ("sim/",)
@@ -194,4 +213,5 @@ def default_config() -> LintConfig:
 def permissive_config(hot: Sequence[str] = ("",)) -> LintConfig:
     """A config that applies every rule everywhere (fixture testing)."""
     return LintConfig(wallclock_allowlist={}, hot_modules=tuple(hot),
+                      process_state_allowlist={},
                       sim_package_prefixes=("sim/",), layer_exemptions={})

@@ -15,6 +15,10 @@ discrete-event codebases:
   are per-process entropy; fed into ordering, keys or output they break
   cross-run identity (the MapReduce ``hash()`` → ``crc32`` switch in
   PR 2 is the canonical fix).
+* DET006 — a module- or class-level ``itertools.count()``, or a module
+  name rebound through ``global``, is state that outlives a run: what the
+  Nth run in a process sees depends on the N−1 before it.  Ids come from
+  :mod:`repro.sim.ids`, which ``run_spec`` rewinds.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "SetIterationRule",
     "DictIterationRule",
     "IdentityEntropyRule",
+    "ProcessStateRule",
 ]
 
 
@@ -345,6 +350,44 @@ class IdentityEntropyRule(Rule):
                 yield _finding(
                     module, self.rule_id, node,
                     f"`{qualified}` is a CSPRNG — never deterministic")
+
+
+def _import_time_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements that run at import: module and (nested) class bodies."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, ast.ClassDef):
+            yield from _import_time_statements(stmt.body)
+
+
+@register
+class ProcessStateRule(Rule):
+    """DET006: no process-wide counters or ``global``-rebound module state."""
+
+    rule_id = "DET006"
+    title = "process-wide counter or rebound module state"
+
+    def check(self, module: ParsedModule,
+              config: LintConfig) -> Iterator[Finding]:
+        if module.rel in config.process_state_allowlist:
+            return
+        for stmt in _import_time_statements(module.tree.body):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(stmt.value, ast.Call) \
+                    and resolve_qualified(module, stmt.value.func) \
+                    == "itertools.count":
+                yield _finding(
+                    module, self.rule_id, stmt,
+                    "`itertools.count()` created at import time numbers "
+                    "objects across runs — draw from repro.sim.ids (rewound "
+                    "by run_spec) or keep the counter on an instance")
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Global):
+                yield _finding(
+                    module, self.rule_id, node,
+                    f"`global {', '.join(node.names)}` rebinds module state "
+                    f"that outlives a run — own it on an object, or in "
+                    f"repro.sim.ids if it is an id sequence")
 
 
 def _locally_bound_names(tree: ast.Module) -> Set[str]:

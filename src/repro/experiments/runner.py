@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.registry import ScenarioDefinition, ScenarioRegistry
 from repro.experiments.spec import ScenarioSpec, expand_grid
+from repro.sim import ids
 
 __all__ = [
     "ScenarioResult",
@@ -93,27 +94,17 @@ class ScenarioResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_AUID_BASELINE: Optional[int] = None
-
-
 def run_spec(spec: ScenarioSpec,
              registry: Optional[ScenarioRegistry] = None) -> ScenarioResult:
     """Run a (possibly partial) spec; unspecified params take their defaults."""
-    from repro.storage.persistence import auid_counter_state, set_auid_counter
-    global _AUID_BASELINE
     registry = registry if registry is not None else default_registry()
     definition = registry.get(spec.scenario)
     resolved = definition.spec(**spec.params)
-    # Every run starts from the same AUID-counter state: uids come from a
-    # process-wide counter (already advanced by import-time objects like
-    # DEFAULT_ATTRIBUTE), and a scenario whose results depend on uid hash
-    # placement (the elastic-fabric ring) would otherwise differ between a
-    # fresh worker process and the Nth run of a serial sweep.  The first
-    # run in the process defines the baseline; later runs rewind to it.
-    if _AUID_BASELINE is None:
-        _AUID_BASELINE = auid_counter_state()
-    else:
-        set_auid_counter(_AUID_BASELINE)
+    # Every run numbers its hosts, flows, transfers and AUIDs from the same
+    # state, whatever ran before it in this process.  Rewind on entry only:
+    # a scenario that itself calls run_spec (sweep-parallel) keeps going on
+    # the ids its last inner run left behind, in every process alike.
+    ids.rewind()
     results = definition.runner(**resolved.params)
     return ScenarioResult(spec=resolved, results=results, definition=definition)
 

@@ -41,17 +41,15 @@ rate subtracted from a constraint's capacity, see
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim import ids
 from repro.sim.kernel import Environment, Event, Timer
 from repro.net.allocation import make_allocator
 from repro.net.host import Host
 
 __all__ = ["Flow", "Network", "TransferFailed"]
-
-_flow_counter = itertools.count()
 
 #: Rates below this (MB/s) are treated as zero to avoid numerical dust.
 _EPSILON = 1e-12
@@ -76,7 +74,7 @@ class Flow:
             raise ValueError("size_mb must be non-negative")
         if rate_cap_mbps is not None and rate_cap_mbps <= 0:
             raise ValueError("rate_cap_mbps must be positive")
-        self.fid = next(_flow_counter)
+        self.fid = next(ids.flows)
         self.env = env
         self.src = src
         self.dst = dst

@@ -10,13 +10,12 @@ cores), and the volatility state the scheduler's failure detector observes.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-__all__ = ["Host", "HostState", "HostSpec"]
+from repro.sim import ids
 
-_host_counter = itertools.count()
+__all__ = ["Host", "HostState", "HostSpec"]
 
 
 class HostState(enum.Enum):
@@ -62,7 +61,7 @@ class Host:
             raise ValueError("link capacities must be positive")
         if cpu_factor <= 0:
             raise ValueError("cpu_factor must be positive")
-        self.uid = next(_host_counter)
+        self.uid = next(ids.hosts)
         self.name = name
         self.cluster = cluster
         self.uplink_mbps = float(uplink_mbps)

@@ -19,7 +19,6 @@ The DT "launches out-of-band transfers and ensures their reliability":
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -27,6 +26,7 @@ from repro.core.data import Data
 from repro.core.exceptions import TransferAbortedError
 from repro.net.flows import Network
 from repro.net.host import Host
+from repro.sim import ids
 from repro.sim.kernel import Environment
 from repro.transfer.oob import (
     OOBTransfer,
@@ -37,8 +37,6 @@ from repro.transfer.oob import (
 from repro.transfer.registry import ProtocolRegistry
 
 __all__ = ["DataTransferService", "SupervisedTransfer"]
-
-_transfer_counter = itertools.count(1)
 
 
 @dataclass
@@ -122,7 +120,7 @@ class DataTransferService:
         """Register a transfer with the DT (the client then waits on it)."""
         self.requests += 1
         record = SupervisedTransfer(
-            tid=next(_transfer_counter), data=data, protocol=protocol,
+            tid=next(ids.transfers), data=data, protocol=protocol,
             source=source, destination=destination, submitted_at=self.env.now,
         )
         self.transfers[record.tid] = record

@@ -25,8 +25,11 @@ Public API
     Exception injected into a process by ``Process.interrupt``.
 ``Resource``, ``Store``, ``Container``
     Shared-resource primitives used by the network and database models.
+``ids``
+    The run-scoped id space (hosts, flows, transfers, handles, AUIDs).
 """
 
+from repro.sim import ids
 from repro.sim.kernel import (
     AllOf,
     AnyOf,
@@ -51,4 +54,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
+    "ids",
 ]

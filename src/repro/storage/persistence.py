@@ -12,17 +12,16 @@ relies on.
 
 from __future__ import annotations
 
-import itertools
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Type, TypeVar
 
+from repro.sim import ids
 from repro.storage.database import Database
 
-__all__ = ["PersistenceManager", "new_auid", "reset_auid_counter"]
+__all__ = ["PersistenceManager", "new_auid"]
 
 T = TypeVar("T")
 
-_auid_counter = itertools.count(1)
 _NAMESPACE = uuid.UUID("8c6b7f2e-bd3e-4c5a-9e6d-2b1f0a7c4d5e")
 
 
@@ -30,33 +29,13 @@ def new_auid(label: Optional[str] = None) -> str:
     """Return a new AUID (globally unique identifier string).
 
     When *label* is provided the AUID is derived deterministically from the
-    label and a process-wide counter (stable across runs of a seeded
+    label and the run's AUID sequence (stable across runs of a seeded
     simulation that creates objects in the same order); otherwise a random
     UUID4 is used.
     """
     if label is not None:
-        return str(uuid.uuid5(_NAMESPACE, f"{label}:{next(_auid_counter)}"))
+        return str(uuid.uuid5(_NAMESPACE, f"{label}:{next(ids.auids)}"))
     return str(uuid.uuid4())  # detlint: ignore[DET005] — documented non-deterministic fallback; seeded simulations always label their AUIDs
-
-
-def reset_auid_counter() -> None:
-    """Reset the deterministic AUID counter (test isolation helper)."""
-    global _auid_counter
-    _auid_counter = itertools.count(1)
-
-
-def auid_counter_state() -> int:
-    """The next value the counter would issue (without consuming it)."""
-    global _auid_counter
-    value = next(_auid_counter)
-    _auid_counter = itertools.count(value)
-    return value
-
-
-def set_auid_counter(value: int) -> None:
-    """Rewind/advance the counter so *value* is issued next."""
-    global _auid_counter
-    _auid_counter = itertools.count(value)
 
 
 class PersistenceManager:

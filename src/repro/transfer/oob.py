@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import abc
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim import ids
 from repro.sim.kernel import Environment
 from repro.net.flows import Network
 from repro.net.host import Host
@@ -38,8 +38,6 @@ __all__ = [
     "TransferHandle",
     "TransferState",
 ]
-
-_handle_counter = itertools.count(1)
 
 
 class TransferError(RuntimeError):
@@ -81,7 +79,7 @@ class TransferHandle:
     def __init__(self, env: Environment, content: FileContent,
                  source: TransferEndpoint, destination: TransferEndpoint,
                  protocol: str):
-        self.tid = next(_handle_counter)
+        self.tid = next(ids.handles)
         self.env = env
         self.content = content
         self.source = source

@@ -50,6 +50,7 @@ def lint_fixture(name: str, **kwargs):
     ("det003_set_iter.py", "DET003"),
     ("det004_dict_iter.py", "DET004"),
     ("det005_identity.py", "DET005"),
+    ("det006_process_state.py", "DET006"),
 ])
 def test_det_fixture_flags_exactly_its_seed(fixture: str, rule: str) -> None:
     report = lint_fixture(fixture)
@@ -66,6 +67,33 @@ def test_det003_sorted_wrapping_is_clean(tmp_path: Path) -> None:
         "    print(name)\n")
     report = run_checks(clean, config=permissive_config())
     assert report.ok, report.findings
+
+
+def test_det006_global_rebinding_and_class_level_counters(tmp_path: Path) -> None:
+    dirty = tmp_path / "state.py"
+    dirty.write_text(
+        "from itertools import count\n"
+        "_BASELINE = None\n"
+        "class Thing:\n"
+        "    _ids = count(1)\n"
+        "def remember(value):\n"
+        "    global _BASELINE\n"
+        "    _BASELINE = value\n")
+    report = run_checks(dirty, config=permissive_config())
+    assert [(f.rule, f.line) for f in report.findings] \
+        == [("DET006", 4), ("DET006", 6)], report.findings
+
+
+def test_det006_flags_a_counter_re_added_to_the_real_tree(tmp_path: Path) -> None:
+    """The rule bites where the bug lived: ``net/flows.py`` in ``src/repro``."""
+    flows = default_scan_root() / "net" / "flows.py"
+    copy = tmp_path / "net" / "flows.py"
+    copy.parent.mkdir()
+    copy.write_text(flows.read_text()
+                    + "\nimport itertools\n_flow_counter = itertools.count()\n")
+    report = run_checks(tmp_path, config=default_config())
+    assert [(f.rule, f.path) for f in report.findings] \
+        == [("DET006", "net/flows.py")], report.findings
 
 
 def test_det004_only_applies_to_hot_modules(tmp_path: Path) -> None:
@@ -237,5 +265,5 @@ def test_cli_list_rules(capsys) -> None:
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                    "ARCH001", "ARCH002"):
+                    "DET006", "ARCH001", "ARCH002"):
         assert rule_id in out

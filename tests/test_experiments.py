@@ -227,20 +227,56 @@ class TestRunner:
     def test_run_spec_isolates_process_state(self):
         """The Nth run in a process equals a fresh-process run.
 
-        AUIDs come from a process-wide counter; run_spec resets it, so a
-        scenario whose results depend on uid hash placement (the elastic
-        ring moves whichever keys change owner) is byte-identical whether
-        it runs first, after other scenarios in a serial sweep, or in a
-        pool worker.  The burned uids below simulate a prior run's drift.
+        Hosts, flows, transfer records, transfer handles and AUIDs are
+        numbered from one id space that run_spec rewinds, so a scenario
+        whose results depend on them (the elastic ring moves whichever
+        keys change owner; BitTorrent seeds its streams from host uids)
+        is byte-identical whether it runs first, after other scenarios in
+        a serial sweep, or in a pool worker.  The ids burned below
+        simulate a prior run's drift.
         """
+        from repro.core.data import Data
+        from repro.net.flows import Network
+        from repro.net.host import Host
+        from repro.services.data_transfer import DataTransferService
+        from repro.sim import Environment
+        from repro.storage.filesystem import FileContent, LocalFileSystem
         from repro.storage.persistence import new_auid
-        params = {"n_hosts": 3, "n_data": 8, "run_for_s": 4.0,
-                  "split_at": 1.0, "merge_at": 2.5}
-        first = run_spec(ScenarioSpec("fabric-rebalance", dict(params)))
-        for _ in range(997):
-            new_auid("drift")
-        second = run_spec(ScenarioSpec("fabric-rebalance", dict(params)))
-        assert first.to_json() == second.to_json()
+        from repro.transfer.oob import TransferEndpoint
+        from repro.transfer.registry import default_registry as protocols
+
+        def burn_ids():
+            env = Environment()
+            network = Network(env)
+            hosts = [network.add_host(Host(f"burn{i}")) for i in range(13)]
+            service = DataTransferService(env, hosts[0], network,
+                                          protocols(env, network))
+            content = FileContent.from_seed("burn.bin", 2)
+            source_fs = LocalFileSystem()
+            source_fs.write("burn.bin", content)
+            # One supervised transfer: a record, a handle and its flows.
+            env.process(service.submit(
+                Data.from_content(content), "ftp",
+                TransferEndpoint(hosts[0], source_fs, "burn.bin"),
+                TransferEndpoint(hosts[1], LocalFileSystem(), "burn.bin")))
+            env.run()
+            assert service.bandwidth_report()["transfers"] == 1
+            for _ in range(997):
+                new_auid("drift")
+
+        def runs():
+            return [
+                run_spec(ScenarioSpec("fabric-rebalance", {
+                    "n_hosts": 3, "n_data": 8, "run_for_s": 4.0,
+                    "split_at": 1.0, "merge_at": 2.5})).to_json(),
+                run_spec(ScenarioSpec("blast", {
+                    "n_workers": 8,
+                    "transfer_protocol": "bittorrent"})).to_json(),
+            ]
+
+        first = runs()
+        burn_ids()
+        assert runs() == first
 
     def test_different_seed_different_results(self):
         base = {"n_initial": 3, "n_spare": 2, "replica": 3, "size_mb": 1.0,
@@ -362,40 +398,12 @@ class TestCLI:
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text())["spec"]["params"]["seed"] == 11
 
-    def test_profile_out_writes_phase_split(self, tmp_path, capsys):
-        profile_file = tmp_path / "prof.json"
-        code = cli_main(["run", "ftp-alone", "--set", "size_mb=1",
-                         "--set", "n_nodes=2", "--quiet",
-                         "--profile-out", str(profile_file),
-                         "--profile-sort", "tottime"])
-        assert code == 0
-        report = json.loads(profile_file.read_text())
-        assert report["scenario"] == "ftp-alone"
-        assert report["sort"] == "tottime"
-        phases = report["phases"]
-        assert set(phases) == {"placement", "allocation", "kernel_dispatch",
-                               "other"}
-        # tottime is disjoint per function, so the shares partition the
-        # profiled total; a transfer scenario must spend kernel time.
-        assert sum(p["share"] for p in phases.values()) == pytest.approx(
-            1.0, abs=0.01)
-        assert phases["kernel_dispatch"]["calls"] > 0
-        rows = report["top"]
-        assert rows and all({"function", "file", "phase", "tottime_s",
-                             "cumtime_s"} <= set(row) for row in rows)
-        # The top list honours the requested ordering.
-        tottimes = [row["tottime_s"] for row in rows]
-        assert tottimes == sorted(tottimes, reverse=True)
-        # The stderr table reports the same ordering key.
-        assert "tottime" in capsys.readouterr().err
-
-    def test_profile_out_rejected_with_cache(self, tmp_path, capsys):
-        code = cli_main(["run", "ftp-alone", "--cache",
-                         "--cache-dir", str(tmp_path / "cache"),
-                         "--profile-out", str(tmp_path / "p.json"),
-                         "--quiet"])
-        assert code == 2
-        assert "--profile" in capsys.readouterr().err
+    def test_removed_profile_flag_is_an_argparse_error(self, capsys):
+        """The cProfile phase split is gone; perfbench's tracer is the judge."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "ftp-alone", "--profile", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
     def test_sweep_writes_grid_and_runs(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.json"

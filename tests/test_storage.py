@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import ids
 from repro.storage.database import (
     ConnectionPool,
     Database,
@@ -10,7 +11,7 @@ from repro.storage.database import (
     NetworkedSQLEngine,
 )
 from repro.storage.filesystem import FileContent, LocalFileSystem, StorageFullError
-from repro.storage.persistence import PersistenceManager, new_auid, reset_auid_counter
+from repro.storage.persistence import PersistenceManager, new_auid
 
 
 class TestEngines:
@@ -125,9 +126,9 @@ class TestPersistence:
         assert len(auids) == 100
 
     def test_auid_deterministic_with_label_after_reset(self):
-        reset_auid_counter()
+        ids.rewind()
         first = [new_auid("x") for _ in range(3)]
-        reset_auid_counter()
+        ids.rewind()
         second = [new_auid("x") for _ in range(3)]
         assert first == second
 

@@ -116,6 +116,21 @@ class TestExecutorDeterminism:
         assert serial.to_json() == parallel.to_json()
         assert [p.spec.params["n_nodes"] for p in parallel.points] == [2, 3]
 
+    def test_history_dependent_scenario_is_jobs_and_order_invariant(self):
+        """blast/bittorrent seeds its RNG streams from ``host.uid``: a point
+        must not see the ids the previous point on its worker consumed."""
+        base = {"transfer_protocol": "bittorrent"}
+        counts = [10, 20, 30, 40]
+        serial = execute_sweep("blast", {"n_workers": counts},
+                               base_params=base, jobs=1)
+        parallel = execute_sweep("blast", {"n_workers": counts},
+                                 base_params=base, jobs=2)
+        assert serial.to_json() == parallel.to_json()
+        backwards = execute_sweep("blast", {"n_workers": counts[::-1]},
+                                  base_params=base, jobs=1)
+        assert [p.run for p in serial.points] \
+            == [p.run for p in backwards.points[::-1]]
+
     def test_matches_legacy_serial_sweep_document(self):
         from repro.experiments.runner import sweep_to_dict
         legacy = sweep_to_dict(
