@@ -76,21 +76,18 @@ LAYER_EXEMPTIONS: Dict[Tuple[str, str], str] = {
 #: Keyed by module; ``repro.sim`` re-exports the union.
 SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
     "repro.sim": frozenset({
-        "AllOf", "AnyOf", "Container", "Environment", "Event", "Interrupt",
-        "PriorityStore", "Process", "RandomStreams", "Resource",
-        "SimulationError", "Store", "Timeout", "Timer", "derive_seed",
+        "AllOf", "Environment", "Event", "Process", "RandomStreams",
+        "Resource", "SimulationError", "Timeout", "Timer", "derive_seed",
         "ids",
     }),
     # Draw as ``next(ids.hosts)``: rewind() rebinds the sequences, so a
     # ``from repro.sim.ids import hosts`` would keep a stale one.
     "repro.sim.ids": frozenset({"rewind"}),
     "repro.sim.kernel": frozenset({
-        "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
-        "SimulationError", "Timeout", "Timer",
+        "AllOf", "Environment", "Event", "Process", "SimulationError",
+        "Timeout", "Timer",
     }),
-    "repro.sim.resources": frozenset({
-        "Container", "PriorityStore", "Request", "Resource", "Store",
-    }),
+    "repro.sim.resources": frozenset({"Request", "Resource"}),
     "repro.sim.rng": frozenset({"RandomStreams", "derive_seed"}),
     # The event queue is a sim-internal implementation detail.
     "repro.sim.scheduler": frozenset(),
@@ -102,7 +99,7 @@ SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
 #: is owned by the sim backend.  This list + SIM_IMPORT_SURFACE is the
 #: clock/transport interface both backends must implement.
 ENV_SURFACE: FrozenSet[str] = frozenset({
-    "all_of", "any_of", "call_later", "event", "now", "process",
+    "all_of", "call_later", "event", "now", "process",
     "processed_events", "run", "settle", "timeout",
 })
 

@@ -120,9 +120,11 @@ class BitDew:
         return self.search_data(name)
 
     def delete_data(self, data: Data) -> Generator[Event, Any, Data]:
-        """Generator: delete the datum everywhere (catalog, scheduler, cache)."""
+        """Generator: delete the datum everywhere (catalog, scheduler,
+        repository, cache)."""
         yield from self.agent.invoke("dc", "delete_data", data.uid)
         yield from self.agent.invoke("ds", "unschedule", data.uid)
+        yield from self.agent.invoke("dr", "delete", data.uid)
         self.agent.remove_local(data.uid, fire_event=True)
         data.status = DataStatus.DELETED
         return data

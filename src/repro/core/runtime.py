@@ -35,7 +35,7 @@ from repro.dht.chord import ChordRing
 from repro.dht.ddc import DistributedDataCatalog
 from repro.net.flows import Network
 from repro.net.host import Host
-from repro.net.rpc import ChannelKind, FailoverPolicy, RpcChannel, RpcError
+from repro.net.rpc import ChannelKind, RpcChannel, RpcError
 from repro.net.topology import Topology
 from repro.services.container import ServiceContainer
 from repro.services.fabric import ServiceFabric
@@ -436,25 +436,20 @@ class BitDewEnvironment:
         self,
         topology: Topology,
         engine: Optional[DatabaseEngine] = None,
-        use_connection_pool: bool = True,
         registry: Optional[ProtocolRegistry] = None,
         sync_period_s: float = 1.0,
         monitor_period_s: float = 0.5,
         heartbeat_period_s: float = 1.0,
         timeout_multiplier: float = 3.0,
         max_data_schedule: int = 16,
-        account_monitor_bandwidth: bool = True,
-        ddc: Optional[DistributedDataCatalog] = None,
         seed: int = 0,
         service_hosts: Optional[int] = None,
         shards: int = 1,
         service_replicas: int = 1,
-        failover_policy: Optional[FailoverPolicy] = None,
         host_heartbeat_period_s: float = 1.0,
         host_timeout_multiplier: float = 3.0,
         host_sweep_period_s: float = 0.25,
         ring_vnodes: int = 16,
-        ring_seed: int = 0,
         domain: Optional[str] = None,
     ) -> None:
         self.topology = topology
@@ -488,19 +483,15 @@ class BitDewEnvironment:
             self.fabric = ServiceFabric(
                 self.env, topology.service_hosts[:n_service], self.network,
                 shards=shards, replicas=service_replicas,
-                engine=engine, use_connection_pool=use_connection_pool,
-                registry=registry,
+                engine=engine, registry=registry,
                 heartbeat_period_s=heartbeat_period_s,
                 timeout_multiplier=timeout_multiplier,
                 monitor_period_s=monitor_period_s,
                 max_data_schedule=max_data_schedule,
-                account_monitor_bandwidth=account_monitor_bandwidth,
                 host_heartbeat_period_s=host_heartbeat_period_s,
                 host_timeout_multiplier=host_timeout_multiplier,
                 host_sweep_period_s=host_sweep_period_s,
-                failover_policy=failover_policy,
                 ring_vnodes=ring_vnodes,
-                ring_seed=ring_seed,
                 domain=domain,
             )
             self.container = self.fabric
@@ -509,19 +500,16 @@ class BitDewEnvironment:
             self.fabric = None
             self.container = ServiceContainer(
                 self.env, topology.service_host, self.network,
-                engine=engine, use_connection_pool=use_connection_pool,
-                registry=registry,
+                engine=engine, registry=registry,
                 heartbeat_period_s=heartbeat_period_s,
                 timeout_multiplier=timeout_multiplier,
                 monitor_period_s=monitor_period_s,
                 max_data_schedule=max_data_schedule,
-                account_monitor_bandwidth=account_monitor_bandwidth,
                 domain=domain,
             )
             self.router = StaticRouter(self.container.endpoints())
         self.container.start()
-        self.ddc = ddc if ddc is not None else DistributedDataCatalog(
-            self.env, ChordRing())
+        self.ddc = DistributedDataCatalog(self.env, ChordRing())
         # The service host(s) participate in the DHT so the ring is never empty.
         if self.fabric is not None:
             for host in self.fabric.hosts:

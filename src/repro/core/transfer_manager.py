@@ -64,7 +64,9 @@ class TransferManager:
         return request
 
     def release_slot(self, request: Request) -> None:
-        self._slots.release(request)
+        # On the request's own resource: set_max_concurrent may have swapped
+        # self._slots since, and waiters queued on the old one still need it.
+        request.resource.release(request)
 
     # -- tracking -------------------------------------------------------------------
     def track(self, data: Data, completion: Event) -> Event:

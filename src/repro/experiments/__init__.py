@@ -49,11 +49,9 @@ from repro.experiments.runner import (
     default_registry,
     run_scenario,
     run_spec,
-    run_sweep,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import (
-    SweepFailure,
     SweepOutcome,
     derive_point_seed,
     execute_sweep,
@@ -66,7 +64,6 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioResult",
     "ScenarioSpec",
-    "SweepFailure",
     "SweepOutcome",
     "UnknownScenarioError",
     "default_cache_dir",
@@ -77,5 +74,4 @@ __all__ = [
     "registered_entry_point",
     "run_scenario",
     "run_spec",
-    "run_sweep",
 ]

@@ -50,7 +50,6 @@ from repro.experiments.spec import ScenarioSpec, expand_grid
 __all__ = [
     "PointFailure",
     "PointOutcome",
-    "SweepFailure",
     "SweepOutcome",
     "SweepStats",
     "derive_point_seed",
@@ -58,18 +57,6 @@ __all__ = [
 ]
 
 ProgressFn = Callable[[str], None]
-
-
-class SweepFailure(RuntimeError):
-    """Raised by :func:`repro.experiments.runner.run_sweep` when points fail.
-
-    Carries the failed :class:`PointOutcome` list as ``.failures`` so
-    programmatic callers can inspect the structured entries.
-    """
-
-    def __init__(self, message: str, failures: Sequence["PointOutcome"]):
-        super().__init__(message)
-        self.failures = list(failures)
 
 
 def derive_point_seed(base_seed: object, scenario: str,

@@ -137,19 +137,9 @@ class ScenarioRegistry:
         self._definitions[key] = definition
         return definition
 
-    def scenario(self, name: str, **kwargs):
-        """Decorator form of :meth:`register` for scenario implementations."""
-        def decorate(runner: Callable[..., object]):
-            self.register(name, runner, **kwargs)
-            return runner
-        return decorate
-
     # -- resolution ---------------------------------------------------------
     def names(self) -> List[str]:
         return sorted(self._definitions)
-
-    def supports(self, name: str) -> bool:
-        return name.lower() in self._definitions
 
     def get(self, name: str) -> ScenarioDefinition:
         key = name.lower()
@@ -167,9 +157,3 @@ class ScenarioRegistry:
         if group is not None:
             out = [d for d in out if d.group == group]
         return out
-
-    def __len__(self) -> int:
-        return len(self._definitions)
-
-    def __contains__(self, name: str) -> bool:
-        return self.supports(name)

@@ -2,9 +2,10 @@
 
 The runner is deliberately thin: a scenario's physics lives in its runner
 callable; this module contributes (a) name → definition → fully-resolved
-:class:`~repro.experiments.spec.ScenarioSpec` resolution, (b) deterministic
-serialisation of the outcome (same spec, same seed → byte-identical JSON),
-and (c) cartesian parameter sweeps.
+:class:`~repro.experiments.spec.ScenarioSpec` resolution and (b)
+deterministic serialisation of the outcome (same spec, same seed →
+byte-identical JSON).  Cartesian parameter sweeps are
+:func:`repro.experiments.executor.execute_sweep`.
 
 Serialisation scrubs each definition's ``volatile_keys`` — wall-clock
 timings and non-JSON report objects — recursively from the results, so that
@@ -17,10 +18,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.experiments.registry import ScenarioDefinition, ScenarioRegistry
-from repro.experiments.spec import ScenarioSpec, expand_grid
+from repro.experiments.spec import ScenarioSpec
 from repro.sim import ids
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "json_safe",
     "run_scenario",
     "run_spec",
-    "run_sweep",
 ]
 
 
@@ -120,75 +120,3 @@ def run_scenario(name: str,
     """
     return run_spec(ScenarioSpec(scenario=name, params=dict(params)),
                     registry=registry).results
-
-
-def run_sweep(
-    name: str,
-    grid: Mapping[str, Sequence[object]],
-    base_params: Optional[Mapping[str, object]] = None,
-    registry: Optional[ScenarioRegistry] = None,
-    *,
-    jobs: int = 1,
-    cache=None,
-    retries: int = 0,
-    derive_seeds: bool = False,
-    progress=None,
-) -> List[ScenarioResult]:
-    """Run the cartesian product of *grid* over scenario *name*.
-
-    ``base_params`` applies to every run; each grid combination overrides it.
-    Returns one :class:`ScenarioResult` per combination, in grid order.
-
-    With the defaults this is the original in-process serial path and the
-    returned results carry the runner's *raw* (unscrubbed) output.  Passing
-    ``jobs`` > 1, a :class:`~repro.experiments.cache.ResultCache`,
-    ``retries`` or ``derive_seeds`` routes through the sweep executor
-    (:func:`repro.experiments.executor.execute_sweep`): results then hold
-    the *serialised* (volatile-key-scrubbed) run documents — serialising
-    either form yields byte-identical sweep JSON — and a point that keeps
-    raising aborts with :class:`~repro.experiments.executor.SweepFailure`
-    instead of propagating the bare exception.
-    """
-    registry = registry if registry is not None else default_registry()
-    if jobs <= 1 and cache is None and retries == 0 \
-            and not derive_seeds and progress is None:
-        base = dict(base_params or {})
-        results = []
-        for overrides in expand_grid(grid):
-            params = dict(base)
-            params.update(overrides)
-            results.append(run_spec(ScenarioSpec(scenario=name, params=params),
-                                    registry=registry))
-        return results
-
-    from repro.experiments.executor import SweepFailure, execute_sweep
-    outcome = execute_sweep(
-        name, grid, base_params=base_params, registry=registry, jobs=jobs,
-        cache=cache, retries=retries, progress=progress,
-        derive_seeds=derive_seeds)
-    if not outcome.ok:
-        failures = outcome.failures()
-        first = failures[0].failure
-        raise SweepFailure(
-            f"{len(failures)} of {outcome.stats.points} sweep points failed; "
-            f"first: {first.error}: {first.message}", failures)
-    definition = registry.get(name)
-    return [
-        ScenarioResult(spec=ScenarioSpec.from_dict(point.run["spec"]),
-                       results=point.run["results"],
-                       definition=definition)
-        for point in outcome.points
-    ]
-
-
-def sweep_to_dict(name: str, grid: Mapping[str, Sequence[object]],
-                  runs: Sequence[ScenarioResult]) -> Dict[str, object]:
-    """Serialisable form of a sweep: the grid plus every run's spec/results."""
-    return {
-        "scenario": name,
-        "grid": {axis: list(values) for axis, values in sorted(grid.items())},
-        "runs": [run.to_dict() for run in runs],
-    }
-
-
-__all__.append("sweep_to_dict")

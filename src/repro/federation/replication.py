@@ -50,15 +50,12 @@ class FederationReplicator:
     """Drives one domain's scheduled exports to its peers."""
 
     def __init__(self, domain, period_s: float = 1.0,
-                 on_phase: Optional[Callable] = None,
-                 ring_vnodes: int = 16, ring_seed: int = 0):
+                 on_phase: Optional[Callable] = None):
         self.domain = domain
         self.gateway = domain.gateway
         self.env = domain.env
         self.period_s = float(period_s)
         self.on_phase = on_phase
-        self._ring_vnodes = ring_vnodes
-        self._ring_seed = ring_seed
         #: uid -> peers confirmed holding an exported copy
         self.exported: Dict[str, Set[str]] = {}
         #: uid -> peers whose gateway denied the offer (policy, not
@@ -81,9 +78,7 @@ class FederationReplicator:
         """Deterministic per-datum peer rotation off the consistent ring."""
         if len(peers) <= 1:
             return list(peers)
-        ring = ShardRing(len(peers), label="fed", vnodes=self._ring_vnodes,
-                         seed=self._ring_seed)
-        start = ring.shard_for(uid)
+        start = ShardRing(len(peers), label="fed").shard_for(uid)
         return peers[start:] + peers[:start]
 
     def plan_round(self) -> List[Tuple[str, str]]:

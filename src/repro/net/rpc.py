@@ -261,11 +261,3 @@ class RpcChannel:
                 self.failover_attempts += 1
             if policy.backoff_s > 0:
                 yield self.env.timeout(policy.backoff_s)
-
-
-def channel_for(env: Environment, kind: ChannelKind) -> RpcChannel:
-    """Convenience factory mirroring the paper's three experimental settings."""
-    return RpcChannel(env, kind)
-
-
-__all__.append("channel_for")

@@ -114,8 +114,6 @@ def cluster_topology(
     server_link_mbps: float = 125.0,
     cpu_factor: float = 1.0,
     lan_latency_s: float = 0.0002,
-    allocator: str = "incremental",
-    coalesce: bool = True,
     n_service_hosts: int = 1,
 ) -> Topology:
     """A single LAN cluster: stable service/file-server node(s) + workers.
@@ -133,8 +131,7 @@ def cluster_topology(
         raise ValueError("n_workers must be non-negative")
     if n_service_hosts < 1:
         raise ValueError("n_service_hosts must be at least 1")
-    network = Network(env, default_latency_s=lan_latency_s,
-                      allocator=allocator, coalesce=coalesce)
+    network = Network(env, default_latency_s=lan_latency_s)
     servers = []
     for i in range(n_service_hosts):
         name = f"{cluster}-service" if i == 0 else f"{cluster}-service{i + 1}"
@@ -165,8 +162,6 @@ def grid5000_testbed(
     total_nodes: Optional[int] = None,
     service_cluster: str = "gdx",
     wan_latency_s: float = 0.01,
-    allocator: str = "incremental",
-    coalesce: bool = True,
 ) -> Topology:
     """The 4-cluster Grid'5000 testbed of Table 1.
 
@@ -188,8 +183,7 @@ def grid5000_testbed(
     if unknown:
         raise ValueError(f"unknown clusters: {sorted(unknown)}")
 
-    network = Network(env, default_latency_s=0.0002, wan_latency_s=wan_latency_s,
-                      allocator=allocator, coalesce=coalesce)
+    network = Network(env, default_latency_s=0.0002, wan_latency_s=wan_latency_s)
     spec0 = GRID5000_CLUSTERS[service_cluster]
     server = Host(
         f"{service_cluster}-service", cluster=service_cluster,
@@ -224,8 +218,6 @@ def dsl_lab_topology(
     max_down_mbps: float = 0.50,
     uplink_fraction: float = 0.25,
     adsl_latency_s: float = 0.03,
-    allocator: str = "incremental",
-    coalesce: bool = True,
 ) -> Topology:
     """The DSL-Lab broadband platform (§4.1, §4.4).
 
@@ -239,8 +231,7 @@ def dsl_lab_topology(
     if rng is None:
         rng = RandomStreams(42)
     network = Network(env, default_latency_s=adsl_latency_s,
-                      wan_latency_s=adsl_latency_s,
-                      allocator=allocator, coalesce=coalesce)
+                      wan_latency_s=adsl_latency_s)
     server = Host(
         "dsl-service", cluster="dsl-server",
         uplink_mbps=5.0, downlink_mbps=5.0, cpu_factor=1.0, stable=True,

@@ -30,7 +30,6 @@ from repro.services.data_transfer import DataTransferService
 from repro.services.heartbeat import FailureDetector
 from repro.storage.database import ConnectionPool, Database, DatabaseEngine, EmbeddedSQLEngine
 from repro.storage.filesystem import LocalFileSystem
-from repro.storage.persistence import PersistenceManager
 from repro.transfer.registry import ProtocolRegistry, default_registry
 
 __all__ = ["ServiceContainer"]
@@ -46,7 +45,6 @@ class ServiceContainer:
         network: Network,
         engine: Optional[DatabaseEngine] = None,
         use_connection_pool: bool = True,
-        pool_size: int = 8,
         registry: Optional[ProtocolRegistry] = None,
         heartbeat_period_s: float = 1.0,
         timeout_multiplier: float = 3.0,
@@ -65,9 +63,8 @@ class ServiceContainer:
         self.domain = domain
 
         engine = engine if engine is not None else EmbeddedSQLEngine()
-        pool = ConnectionPool(env, engine, size=pool_size) if use_connection_pool else None
+        pool = ConnectionPool(env, engine) if use_connection_pool else None
         self.database = Database(env, engine=engine, pool=pool)
-        self.persistence = PersistenceManager(self.database)
 
         self.registry = registry if registry is not None else default_registry(env, network)
         self.failure_detector = FailureDetector(

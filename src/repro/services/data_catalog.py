@@ -64,9 +64,6 @@ class DataCatalogService:
         rows = yield from self.database.query(_DATA, lambda d: d.name == name)
         return rows
 
-    def find_by_name_now(self, name: str) -> List[Data]:
-        return self.database.raw_query(_DATA, lambda d: d.name == name)
-
     def update_status(self, uid: str, status: DataStatus):
         """Generator: update a datum's life-cycle status."""
         self.requests += 1

@@ -134,14 +134,8 @@ class DataRepositoryService:
             reference=path,
         )
 
-    def store(self, data: Data, content: FileContent):
-        """Generator: remote store (upload landing in the repository)."""
+    def delete(self, data_uid: str):
+        """Generator: remote delete of the repository's permanent copy."""
         self.requests += 1
         yield self.env.timeout(self.access_overhead_s)
-        return self.store_now(data, content)
-
-    def retrieve(self, data_uid: str):
-        """Generator: remote read of the repository content."""
-        self.requests += 1
-        yield self.env.timeout(self.access_overhead_s)
-        return self.retrieve_now(data_uid)
+        return self.delete_now(data_uid)

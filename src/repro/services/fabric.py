@@ -84,14 +84,7 @@ class ShardedDataCatalog:
     def locators_for_now(self, data_uid: str):
         return self._shard(data_uid).locators_for_now(data_uid)
 
-    def lookup_pair_now(self, key: str) -> set:
-        return self._shard(key).lookup_pair_now(key)
-
     # -- aggregates ---------------------------------------------------------
-    def find_by_name_now(self, name: str):
-        return [row for shard in self.shards
-                for row in shard.find_by_name_now(name)]
-
     def all_data_now(self):
         return [row for shard in self.shards for row in shard.all_data_now()]
 
@@ -137,13 +130,6 @@ class ShardedDataScheduler:
     def confirm_ownership(self, host_name: str, data_uid: str) -> None:
         self._shard(data_uid).confirm_ownership(host_name, data_uid)
 
-    def release_ownership(self, host_name: str, data_uid: str) -> None:
-        self._shard(data_uid).release_ownership(host_name, data_uid)
-
-    def heartbeat(self, host_name: str) -> bool:
-        # The shards share one failure detector; any shard records it.
-        return self.shards[0].heartbeat(host_name)
-
     # -- aggregates ---------------------------------------------------------
     def entries(self):
         return [entry for shard in self.shards for entry in shard.entries()]
@@ -163,16 +149,8 @@ class ShardedDataScheduler:
         return sum(shard.sync_count for shard in self.shards)
 
     @property
-    def assignments(self) -> int:
-        return sum(shard.assignments for shard in self.shards)
-
-    @property
     def entries_examined(self) -> int:
         return sum(shard.entries_examined for shard in self.shards)
-
-    @property
-    def repairs_triggered(self) -> int:
-        return sum(shard.repairs_triggered for shard in self.shards)
 
 
 class ServiceFabric:
@@ -193,20 +171,15 @@ class ServiceFabric:
         shards: int = 1,
         replicas: int = 1,
         engine: Optional[DatabaseEngine] = None,
-        use_connection_pool: bool = True,
-        pool_size: int = 8,
         registry: Optional[ProtocolRegistry] = None,
         heartbeat_period_s: float = 1.0,
         timeout_multiplier: float = 3.0,
         monitor_period_s: float = 0.5,
         max_data_schedule: int = 16,
-        account_monitor_bandwidth: bool = True,
         host_heartbeat_period_s: float = 1.0,
         host_timeout_multiplier: float = 3.0,
         host_sweep_period_s: float = 0.25,
-        failover_policy: Optional[FailoverPolicy] = None,
         ring_vnodes: int = 16,
-        ring_seed: int = 0,
         domain: Optional[str] = None,
     ):
         hosts = list(hosts)
@@ -236,9 +209,6 @@ class ServiceFabric:
         engine = engine if engine is not None else EmbeddedSQLEngine()
         self.engine = engine
         self.registry = registry if registry is not None else default_registry(env, network)
-        # Saved so add_shard() can build a new shard's database identically.
-        self._use_connection_pool = use_connection_pool
-        self._pool_size = pool_size
 
         # Service-host failure detection drives shard failover; it sweeps
         # faster than the volatile-host detector so reroutes land promptly.
@@ -246,13 +216,12 @@ class ServiceFabric:
             env, heartbeat_period_s=host_heartbeat_period_s,
             timeout_multiplier=host_timeout_multiplier,
             sweep_period_s=host_sweep_period_s)
-        self.failover_policy = (
-            failover_policy if failover_policy is not None
-            else FailoverPolicy(
-                max_attempts=max(
-                    4, int(self.host_detector.timeout_s
-                           / max(host_sweep_period_s, 1e-9)) + 4),
-                backoff_s=host_sweep_period_s))
+        # Retries must outlast the detection window of a crashed host.
+        self.failover_policy = FailoverPolicy(
+            max_attempts=max(
+                4, int(self.host_detector.timeout_s
+                       / max(host_sweep_period_s, 1e-9)) + 4),
+            backoff_s=host_sweep_period_s)
         # Volatile-host failure detection is a fabric-level (logically
         # replicated) service shared by every scheduler shard, exactly like
         # the container's detector — except that its timeout must also
@@ -274,14 +243,11 @@ class ServiceFabric:
             filesystem=LocalFileSystem(owner=f"{self.host.name}:repository"))
         self.data_transfer = DataTransferService(
             env, self.host, network, self.registry,
-            monitor_period_s=monitor_period_s,
-            account_monitor_bandwidth=account_monitor_bandwidth)
+            monitor_period_s=monitor_period_s)
 
         # -- sharded services ----------------------------------------------
-        self.dc_ring = ShardRing(shards, label="dc", vnodes=ring_vnodes,
-                                 seed=ring_seed)
-        self.ds_ring = ShardRing(shards, label="ds", vnodes=ring_vnodes,
-                                 seed=ring_seed)
+        self.dc_ring = ShardRing(shards, label="dc", vnodes=ring_vnodes)
+        self.ds_ring = ShardRing(shards, label="ds", vnodes=ring_vnodes)
         self.shard_databases: List[Database] = []
         self.catalog_shards: List[DataCatalogService] = []
         self.scheduler_shards: List[DataSchedulerService] = []
@@ -300,9 +266,6 @@ class ServiceFabric:
                                                self.dc_ring)
         self.data_scheduler = ShardedDataScheduler(self.scheduler_shards,
                                                    self.ds_ring)
-        # Note: no ``persistence`` facade — a PersistenceManager over a
-        # single shard's database would silently miss the other shards'
-        # records; code needing persistence walks ``shard_databases``.
         self._started = False
         #: bumped by every start(); heartbeat loops exit on a stale epoch,
         #: so stop()+start() never leaves two loops beating per host.
@@ -311,9 +274,8 @@ class ServiceFabric:
     # ------------------------------------------------------------------ shard construction
     def _build_shard(self, index: int) -> None:
         """Build shard *index*'s database, services and replica endpoints."""
-        pool = (ConnectionPool(self.env, self.engine, size=self._pool_size)
-                if self._use_connection_pool else None)
-        database = Database(self.env, engine=self.engine, pool=pool)
+        database = Database(self.env, engine=self.engine,
+                            pool=ConnectionPool(self.env, self.engine))
         self.shard_databases.append(database)
         catalog = DataCatalogService(database)
         scheduler = DataSchedulerService(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.dht.chord import ChordRing, chord_hash
-from repro.net.rpc import FailoverPolicy, RpcChannel, RpcEndpoint, RpcError
+from repro.net.rpc import RpcChannel, RpcEndpoint, RpcError
 from repro.sim.kernel import Event
 from repro.services.data_scheduler import SyncResult
 
@@ -259,9 +259,9 @@ _MISSING = object()
 class FabricRouter(ServiceRouter):
     """Sharded + replicated routing with heartbeat-driven failover."""
 
-    def __init__(self, fabric, policy: Optional[FailoverPolicy] = None):
+    def __init__(self, fabric):
         self.fabric = fabric
-        self.policy = policy if policy is not None else fabric.failover_policy
+        self.policy = fabric.failover_policy
         #: resolutions served by a non-primary replica — one count per
         #: resolve attempt (so blocked retries against an undetected crash
         #: count each attempt), a traffic measure rather than a count of

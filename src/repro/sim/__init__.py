@@ -19,12 +19,11 @@ Public API
 
 ``Environment``
     The simulation core: clock, scheduling, ``run()``.
-``Event``, ``Timeout``, ``Process``, ``AnyOf``, ``AllOf``
+``Event``, ``Timeout``, ``Process``, ``AllOf``
     Waitable primitives.
-``Interrupt``
-    Exception injected into a process by ``Process.interrupt``.
-``Resource``, ``Store``, ``Container``
-    Shared-resource primitives used by the network and database models.
+``Resource``
+    The counted, FIFO-queued resource behind connection pools and
+    concurrency limits.
 ``ids``
     The run-scoped id space (hosts, flows, transfers, handles, AUIDs).
 """
@@ -32,27 +31,21 @@ Public API
 from repro.sim import ids
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "ids",
 ]

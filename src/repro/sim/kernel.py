@@ -7,8 +7,7 @@ The kernel is deliberately small and dependency-free.  It provides:
 * :class:`Timeout` — an event that fires after a simulated delay.
 * :class:`Process` — wraps a generator; the generator yields events and is
   resumed with the event's value (or has the event's exception thrown in).
-* :class:`AnyOf` / :class:`AllOf` — condition events over several events.
-* :class:`Interrupt` — exception delivered by :meth:`Process.interrupt`.
+* :class:`AllOf` — condition event over several events.
 
 Determinism: events scheduled for the same simulated time are processed in
 FIFO order of scheduling (a monotonically increasing sequence number breaks
@@ -28,10 +27,8 @@ from repro.sim.scheduler import HeapScheduler
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "ProcessGenerator",
     "SimulationError",
@@ -49,17 +46,6 @@ Callback = Callable[["Event"], None]
 
 class SimulationError(RuntimeError):
     """Raised for kernel usage errors (double trigger, bad yield, ...)."""
-
-
-class Interrupt(Exception):
-    """Delivered inside a process when another process interrupts it.
-
-    The optional *cause* is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 #: Sentinel priority classes: normal events before process-bootstrap events is
@@ -148,15 +134,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if not event.triggered:
-            raise SimulationError("cannot chain from an untriggered event")
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     # -- misc --------------------------------------------------------------
     def _push_callback(self, callback: Callback) -> None:
@@ -275,78 +252,50 @@ class Process(Event):
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait point."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self._target is None:
-            raise SimulationError("cannot interrupt a process before it starts")
-        # Deliver asynchronously via a failing proxy event so ordering stays
-        # consistent with the rest of the event queue.
-        proxy = Event(self.env)
-        proxy._ok = False
-        proxy._value = Interrupt(cause)
-        proxy.defused = True
-        proxy._push_callback(self._resume_cb)
-        # Detach from the old target so a later trigger does not resume us twice.
-        if self._target.callbacks is not None and self._resume_cb in self._target.callbacks:
-            self._target.callbacks.remove(self._resume_cb)
-        self.env._schedule(proxy, priority=0)
-
     # -- driving ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        env = self.env
         generator = self._generator
-        env._active_process = self
-        try:
-            while True:
-                if event._ok:
-                    try:
-                        next_target = generator.send(event._value)
-                    except StopIteration as stop:
-                        self._terminate(True, stop.value)
-                        return
-                    except BaseException as exc:
-                        self._terminate(False, exc)
-                        return
-                else:
-                    event.defused = True
-                    try:
-                        next_target = generator.throw(event._value)
-                    except StopIteration as stop:
-                        self._terminate(True, stop.value)
-                        return
-                    except BaseException as exc:
-                        # Either the process let the failure escape, or it
-                        # raised a different exception while handling it;
-                        # both terminate the process as failed.
-                        self._terminate(False, exc)
-                        return
-                if not isinstance(next_target, Event):
-                    raise SimulationError(
-                        f"process yielded a non-event: {next_target!r}"
-                    )
-                # ``processed``/``add_callback``, inlined: this is the one
-                # call per process yield, and an unprocessed target (the
-                # overwhelmingly common case) only needs the append.
-                callbacks = next_target.callbacks
-                if callbacks is None:
-                    # Already-resolved event: loop immediately with its value.
-                    event = next_target
-                    continue
-                callbacks.append(self._resume_cb)
-                self._target = next_target
-                return
-        finally:
-            env._active_process = None
+        while True:
+            if event._ok:
+                try:
+                    next_target = generator.send(event._value)
+                except StopIteration as stop:
+                    self._terminate(True, stop.value)
+                    return
+                except BaseException as exc:
+                    self._terminate(False, exc)
+                    return
+            else:
+                event.defused = True
+                try:
+                    next_target = generator.throw(event._value)
+                except StopIteration as stop:
+                    self._terminate(True, stop.value)
+                    return
+                except BaseException as exc:
+                    # Either the process let the failure escape, or it
+                    # raised a different exception while handling it;
+                    # both terminate the process as failed.
+                    self._terminate(False, exc)
+                    return
+            if not isinstance(next_target, Event):
+                raise SimulationError(
+                    f"process yielded a non-event: {next_target!r}"
+                )
+            # ``processed``/``add_callback``, inlined: this is the one
+            # call per process yield, and an unprocessed target (the
+            # overwhelmingly common case) only needs the append.
+            callbacks = next_target.callbacks
+            if callbacks is None:
+                # Already-resolved event: loop immediately with its value.
+                event = next_target
+                continue
+            callbacks.append(self._resume_cb)
+            self._target = next_target
+            return
 
     def _terminate(self, ok: bool, value: Any) -> None:
         self._target = None
@@ -358,8 +307,8 @@ class Process(Event):
             self.fail(value)
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf: waits for a set of events."""
+class AllOf(Event):
+    """Triggers once all events have triggered (fails fast on any failure)."""
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -380,26 +329,6 @@ class _Condition(Event):
             for ev in self.events
             if ev._value is not _PENDING and ev._ok
         }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as one of the events triggers (or any fails)."""
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all events have triggered (fails fast on any failure)."""
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:   # triggered, inlined: hot path
@@ -427,7 +356,6 @@ class Environment:
         #: Event creation counter, separate from the scheduling counter so
         #: repr identities never perturb the (time, priority, seq) order.
         self._event_ids = itertools.count(1)
-        self._active_process: Optional[Process] = None
         #: Number of events processed by :meth:`step` (benchmark metric).
         self.processed_events = 0
 
@@ -442,10 +370,6 @@ class Environment:
         """The live event queue."""
         return self._scheduler
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -455,9 +379,6 @@ class Environment:
 
     def process(self, generator: ProcessGenerator) -> Process:
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

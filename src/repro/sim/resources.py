@@ -1,16 +1,11 @@
-"""Shared-resource primitives for the simulation kernel.
+"""The shared-resource primitive of the simulation kernel.
 
-Three classic primitives are provided:
+:class:`Resource` is a counted resource with FIFO queueing (the database
+connection pool, FTP/HTTP server connection limits, the transfer
+manager's concurrency slots).
 
-* :class:`Resource` — a counted resource with FIFO queueing (used e.g. by the
-  database connection pool and FTP server connection limits).
-* :class:`Container` — a continuous quantity that can be ``put`` and ``get``
-  (used for storage capacity accounting on reservoir hosts).
-* :class:`Store` — a FIFO object store (used for message queues between
-  simulated services).
-
-All requests are events; processes ``yield`` them.  ``Resource`` requests
-support use as context managers inside a process::
+A request is an event; processes ``yield`` it.  Requests support use as
+context managers inside a process::
 
     with resource.request() as req:
         yield req
@@ -21,11 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from types import TracebackType
-from typing import Any, Deque, List, Optional, Type
+from typing import Deque, List, Optional, Type
 
-from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.kernel import Environment, Event
 
-__all__ = ["Container", "Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Request(Event):
@@ -85,149 +80,3 @@ class Resource:
             request = self._queue.popleft()
             self._users.append(request)
             request.succeed(self)
-
-
-class ContainerPut(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous-quantity container with an optional capacity bound."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_queue: Deque[ContainerPut] = deque()
-        self._get_queue: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self.capacity:
-                    self._put_queue.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.popleft()
-                    self._level -= get.amount
-                    get.succeed(get.amount)
-                    progressed = True
-
-
-class StorePut(Event):
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class Store:
-    """A FIFO store of arbitrary items with optional capacity."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            if self._get_queue and self.items:
-                get = self._get_queue.popleft()
-                get.succeed(self.items.pop(0))
-                progressed = True
-
-    def cancel_get(self, get: StoreGet) -> None:
-        """Remove a pending get (used when a waiting consumer is killed)."""
-        if get in self._get_queue:
-            self._get_queue.remove(get)
-
-
-class PriorityStore(Store):
-    """A store that always yields the smallest item first.
-
-    Items must be orderable (e.g. tuples whose first element is a priority).
-    """
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                self.items.sort()
-                put.succeed()
-                progressed = True
-            if self._get_queue and self.items:
-                get = self._get_queue.popleft()
-                get.succeed(self.items.pop(0))
-                progressed = True
-
-
-__all__.append("PriorityStore")

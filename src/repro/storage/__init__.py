@@ -1,4 +1,4 @@
-"""Storage substrate: database back-ends, object persistence, local file systems.
+"""Storage substrate: database back-ends, AUIDs, local file systems.
 
 The BitDew prototype serialises its meta-data through Java JDO/JPOX into a
 relational database (MySQL over the network, or the embedded HsqlDB engine),
@@ -9,8 +9,8 @@ pieces:
 * :mod:`repro.storage.database` — a functional in-process object store with
   two cost profiles (networked vs embedded engine) and an optional
   connection pool; this is what Table 2 measures.
-* :mod:`repro.storage.persistence` — a JDO-like persistence manager with
-  AUID generation (the unique identifiers every BitDew object carries).
+* :mod:`repro.storage.persistence` — AUID generation (the unique
+  identifiers every BitDew object carries).
 * :mod:`repro.storage.filesystem` — logical file content (size + MD5
   checksum + optional payload) and per-host local file systems / reservoir
   caches with capacity accounting.
@@ -24,7 +24,7 @@ from repro.storage.database import (
     NetworkedSQLEngine,
 )
 from repro.storage.filesystem import FileContent, LocalFileSystem, StorageFullError
-from repro.storage.persistence import PersistenceManager, new_auid
+from repro.storage.persistence import new_auid
 
 __all__ = [
     "ConnectionPool",
@@ -34,7 +34,6 @@ __all__ = [
     "FileContent",
     "LocalFileSystem",
     "NetworkedSQLEngine",
-    "PersistenceManager",
     "StorageFullError",
     "new_auid",
 ]

@@ -117,7 +117,6 @@ class Database:
         env: Environment,
         engine: Optional[DatabaseEngine] = None,
         pool: Optional[ConnectionPool] = None,
-        concurrency: int = 1,
         copy_objects: bool = True,
     ):
         self.env = env
@@ -125,8 +124,8 @@ class Database:
         self.pool = pool
         self.copy_objects = copy_objects
         self._collections: Dict[str, Dict[str, Any]] = {}
-        #: The database executes statements serially by default.
-        self._executor = Resource(env, capacity=max(1, concurrency))
+        #: The database executes statements serially.
+        self._executor = Resource(env, capacity=1)
         #: Dedicated admin connection (see :meth:`admin_execute`).
         self._admin_executor = Resource(env, capacity=1)
         self._admin_connected = False
@@ -232,9 +231,6 @@ class Database:
 
     def get(self, collection: str, key: str, default: Any = None):
         return self.execute(lambda: self.raw_get(collection, key, default))
-
-    def delete(self, collection: str, key: str):
-        return self.execute(lambda: self.raw_delete(collection, key))
 
     def query(self, collection: str,
               predicate: Optional[Callable[[Any], bool]] = None):

@@ -1,7 +1,7 @@
 """Workload and volatility generators used by the experiments.
 
-* :mod:`repro.workloads.generator` — file-size sweeps, parameter-sweep task
-  sets and the "filecule" grouped-file workloads that motivate BitDew (§2.2).
+* :mod:`repro.workloads.generator` — deterministic arrival traces (the
+  diurnal request curve, the flash crowd).
 * :mod:`repro.workloads.traces` — host availability / churn traces
   (exponential and Weibull session models, plus the scripted
   crash-one-start-one scenario of the Figure 4 fault-tolerance experiment).
@@ -16,12 +16,6 @@ from repro.workloads.cohort import (
     cohort_heartbeat_process,
     cohort_sync_process,
 )
-from repro.workloads.generator import (
-    FileSpec,
-    filecule_group,
-    parameter_sweep_tasks,
-    transfer_matrix,
-)
 from repro.workloads.traces import (
     ChurnEvent,
     ChurnScript,
@@ -32,14 +26,10 @@ from repro.workloads.traces import (
 __all__ = [
     "ChurnEvent",
     "ChurnScript",
-    "FileSpec",
     "HostCohort",
     "availability_trace",
     "build_cohorts",
     "cohort_heartbeat_process",
     "cohort_sync_process",
     "crash_replace_script",
-    "filecule_group",
-    "parameter_sweep_tasks",
-    "transfer_matrix",
 ]

@@ -1,106 +1,17 @@
-"""Workload generators.
+"""Arrival-trace generators.
 
-These produce the inputs of the paper's experiments:
-
-* the file-size / node-count sweep of the transfer benchmarks (Figure 3),
-* parameter-sweep task sets (many independent tasks sharing large input
-  data, §2.2),
-* "filecule" groups — files accessed together, as observed in high-energy
-  physics workloads (§2.2), used to exercise affinity scheduling.
+Deterministic (RNG-free) request arrival times for the open-loop
+scenarios: the day-shaped trace the elastic fabric absorbs and the
+flash crowd that hits a federation gateway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.sim.rng import RandomStreams
-from repro.storage.filesystem import FileContent
-
-__all__ = [
-    "DiurnalProfile",
-    "FileSpec",
-    "diurnal_arrivals",
-    "filecule_group",
-    "parameter_sweep_tasks",
-    "transfer_matrix",
-]
-
-
-@dataclass(frozen=True)
-class FileSpec:
-    """A logical file to be created in an experiment."""
-
-    name: str
-    size_mb: float
-    shared: bool = False          # shared by many tasks (worth BitTorrent)
-    compressed: bool = False
-
-    def content(self, seed: Optional[str] = None) -> FileContent:
-        return FileContent.from_seed(self.name, self.size_mb, seed=seed)
-
-
-def transfer_matrix(sizes_mb: Sequence[float] = (10, 50, 100, 250, 500),
-                    node_counts: Sequence[int] = (10, 20, 50, 100, 150, 200, 250),
-                    ) -> List[Tuple[float, int]]:
-    """The (file size, node count) grid of the Figure 3 experiments."""
-    matrix = []
-    for size in sizes_mb:
-        if size <= 0:
-            raise ValueError("sizes must be positive")
-        for nodes in node_counts:
-            if nodes <= 0:
-                raise ValueError("node counts must be positive")
-            matrix.append((float(size), int(nodes)))
-    return matrix
-
-
-@dataclass(frozen=True)
-class SweepTask:
-    """One task of a parameter-sweep application."""
-
-    task_id: int
-    input_file: FileSpec
-    shared_files: Tuple[FileSpec, ...]
-    reference_compute_s: float
-    result_size_mb: float
-
-
-def parameter_sweep_tasks(
-    n_tasks: int,
-    shared_files: Sequence[FileSpec],
-    input_size_mb: float = 0.01,
-    result_size_mb: float = 0.5,
-    reference_compute_s: float = 300.0,
-    compute_cv: float = 0.1,
-    rng: Optional[RandomStreams] = None,
-    name_prefix: str = "task",
-) -> List[SweepTask]:
-    """A set of independent tasks sharing large input data (§2.2).
-
-    Per-task compute time varies around ``reference_compute_s`` with
-    coefficient of variation ``compute_cv`` (deterministic under a seed).
-    """
-    if n_tasks <= 0:
-        raise ValueError("n_tasks must be positive")
-    rng = rng if rng is not None else RandomStreams(11)
-    shared = tuple(shared_files)
-    tasks = []
-    for i in range(n_tasks):
-        compute = rng.normal_clipped(
-            f"compute-{name_prefix}-{i}", reference_compute_s,
-            reference_compute_s * compute_cv,
-            minimum=reference_compute_s * 0.25)
-        tasks.append(SweepTask(
-            task_id=i,
-            input_file=FileSpec(name=f"{name_prefix}-{i:05d}.in",
-                                size_mb=input_size_mb),
-            shared_files=shared,
-            reference_compute_s=compute,
-            result_size_mb=result_size_mb,
-        ))
-    return tasks
+__all__ = ["DiurnalProfile", "diurnal_arrivals"]
 
 
 @dataclass(frozen=True)
@@ -192,31 +103,3 @@ def flash_crowd_offsets(n: int, spread_s: float) -> List[float]:
         raise ValueError("spread_s must be non-negative")
     phi_conjugate = (5 ** 0.5 - 1) / 2.0
     return [spread_s * ((i * phi_conjugate) % 1.0) for i in range(n)]
-
-
-def filecule_group(
-    group_name: str,
-    n_files: int,
-    total_size_mb: float,
-    skew: float = 1.5,
-    rng: Optional[RandomStreams] = None,
-) -> List[FileSpec]:
-    """A group of files accessed together ("filecules", §2.2).
-
-    Sizes follow a Zipf-like skew so a few files carry most of the volume,
-    which is the regime where grouping + affinity placement pays off.
-    """
-    if n_files <= 0:
-        raise ValueError("n_files must be positive")
-    if total_size_mb <= 0:
-        raise ValueError("total_size_mb must be positive")
-    rng = rng if rng is not None else RandomStreams(13)
-    weights = [1.0 / (rank ** skew) for rank in range(1, n_files + 1)]
-    total_weight = sum(weights)
-    specs = []
-    for index, weight in enumerate(weights):
-        jitter = rng.uniform(f"filecule-{group_name}-{index}", 0.9, 1.1)
-        size = max(0.001, total_size_mb * weight / total_weight * jitter)
-        specs.append(FileSpec(name=f"{group_name}-{index:03d}.dat",
-                              size_mb=size, shared=True))
-    return specs

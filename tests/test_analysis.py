@@ -136,6 +136,38 @@ def test_arch002_flags_surface_breaches_import_and_attribute() -> None:
     assert got == expected, report.findings
 
 
+def test_kernel_surface_is_pinned_exactly(tmp_path: Path) -> None:
+    """The surface is the contract a second backend must meet: growing it
+    is a deliberate edit here, not a side effect of a new import."""
+    config = default_config()
+    assert config.sim_import_surface == {
+        "repro.sim": frozenset({
+            "AllOf", "Environment", "Event", "Process", "RandomStreams",
+            "Resource", "SimulationError", "Timeout", "Timer",
+            "derive_seed", "ids"}),
+        "repro.sim.ids": frozenset({"rewind"}),
+        "repro.sim.kernel": frozenset({
+            "AllOf", "Environment", "Event", "Process", "SimulationError",
+            "Timeout", "Timer"}),
+        "repro.sim.resources": frozenset({"Request", "Resource"}),
+        "repro.sim.rng": frozenset({"RandomStreams", "derive_seed"}),
+        "repro.sim.scheduler": frozenset(),
+    }
+    assert config.env_surface == frozenset({
+        "all_of", "call_later", "event", "now", "process",
+        "processed_events", "run", "settle", "timeout"})
+
+    # A deleted primitive creeping back in outside sim/ is a finding.
+    tree = tmp_path / "tree"
+    (tree / "services").mkdir(parents=True)
+    (tree / "services" / "queue.py").write_text(
+        "from repro.sim import Store\n"
+        "from repro.sim.resources import Resource, Store as Queue\n")
+    report = run_checks(tree, config=config, rules=["ARCH002"])
+    assert [(f.rule, f.line) for f in report.findings] \
+        == [("ARCH002", 1), ("ARCH002", 2)], report.findings
+
+
 def test_arch001_exemption_forgives_a_declared_edge(tmp_path: Path) -> None:
     tree = tmp_path / "tree"
     (tree / "sim").mkdir(parents=True)

@@ -11,10 +11,10 @@ from repro.experiments import (
     ScenarioSpec,
     UnknownScenarioError,
     default_registry,
+    execute_sweep,
     expand_grid,
     run_scenario,
     run_spec,
-    run_sweep,
 )
 from repro.experiments.runner import json_safe
 
@@ -285,12 +285,15 @@ class TestRunner:
         second = run_spec(ScenarioSpec("fig4", dict(base, seed=2)))
         assert first.to_json() != second.to_json()
 
-    def test_run_sweep_grid_order_and_overrides(self):
-        runs = run_sweep("ftp-alone", {"n_nodes": [2, 4]},
-                         base_params={"size_mb": 1.0})
-        assert [run.spec.params["n_nodes"] for run in runs] == [2, 4]
-        assert all(run.spec.params["size_mb"] == 1.0 for run in runs)
-        assert runs[1].results["completion_s"] > runs[0].results["completion_s"]
+    def test_sweep_grid_order_and_overrides(self):
+        # A grid axis overrides the base parameter of the same name.
+        points = execute_sweep("ftp-alone", {"n_nodes": [2, 4]},
+                               base_params={"size_mb": 1.0,
+                                            "n_nodes": 9}).points
+        assert [p.spec.params["n_nodes"] for p in points] == [2, 4]
+        assert all(p.spec.params["size_mb"] == 1.0 for p in points)
+        assert points[1].run["results"]["completion_s"] \
+            > points[0].run["results"]["completion_s"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.federation.deployment import DomainSpec, Federation
 from repro.federation.policy import TrustPolicy
 from repro.net.rpc import RpcEndpoint, RpcError
 from repro.services.autoscaler import HotspotMonitor
+from repro.sim import ids
 from repro.storage.filesystem import FileContent
 
 
@@ -205,6 +206,29 @@ def test_federated_search_merges_and_reports_unreachable():
         env.process(alpha.gateway.federated_search()))
     assert unreachable == ["beta"]
     assert {row["uid"] for row in rows} == {mine.uid, hidden.uid}
+
+
+def test_sharded_home_domain_replicates_through_the_scheduler_facade():
+    """A domain deployed as a fabric exports like a classic one: the
+    replicator plans off, and commits into, the sharded scheduler facade."""
+    ids.rewind()        # the uids' shard spread must not depend on test order
+    federation = Federation(
+        [DomainSpec("alpha", n_workers=0, shards=2, service_hosts=2, seed=1),
+         DomainSpec("beta", n_workers=0, shards=2, service_hosts=2, seed=2)],
+        wan_latency_s=0.01, wan_bandwidth_mbps=50.0)
+    federation.peer("alpha", "beta")
+    alpha, beta = federation.domain("alpha"), federation.domain("beta")
+    datums = [_publish(alpha, f"pub-{i}", "public") for i in range(6)]
+    homes = {alpha.runtime.fabric.ds_ring.shard_for(d.uid) for d in datums}
+    assert homes == {0, 1}
+
+    replicator = alpha.start_replicator(period_s=0.5)
+    env = federation.env
+    assert env.run(env.process(replicator.run_round())) == 6
+    for datum in datums:
+        assert beta.catalog.get_data_now(datum.uid) is not None
+        assert alpha.scheduler.owners_of(datum.uid) == {"wan::beta"}
+    assert replicator.plan_round() == []
 
 
 def test_wan_link_partition_fails_calls_and_heals():

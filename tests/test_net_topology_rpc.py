@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.rpc import ChannelKind, RpcChannel, RpcEndpoint, RpcError, channel_for
+from repro.net.rpc import ChannelKind, RpcChannel, RpcEndpoint, RpcError
 from repro.net.topology import (
     GRID5000_CLUSTERS,
     cluster_topology,
@@ -158,9 +158,6 @@ class TestRpcChannel:
         process = env.process(channel.invoke(endpoint, "echo", 1))
         with pytest.raises(RpcError):
             env.run(until=process)
-
-    def test_channel_for_factory(self, env):
-        assert channel_for(env, ChannelKind.LOCAL).kind is ChannelKind.LOCAL
 
     def test_endpoint_label(self):
         service = _EchoService()

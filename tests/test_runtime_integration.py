@@ -107,6 +107,9 @@ class TestBitDewApi:
         assert runtime.data_catalog.get_data_now(data.uid) is None
         assert runtime.data_scheduler.entry(data.uid) is None
         assert not master.has_local(data.uid)
+        # The repository's permanent copy goes too, and its disk with it.
+        assert not runtime.data_repository.has(data.uid)
+        assert runtime.data_repository.used_mb == 0.0
 
     def test_publish_search_key_value_through_dht(self, env, drive):
         topo, runtime = build_runtime(env, n_workers=2)

@@ -11,9 +11,12 @@ from repro.net.rpc import RpcError
 from repro.net.topology import cluster_topology
 from repro.services.fabric import ServiceFabric
 from repro.services.heartbeat import FailureDetector
+from repro.services.rebalance import RebalanceCoordinator
 from repro.services.router import FabricRouter, ShardRing, StaticRouter
 from repro.sim.kernel import Environment
 from repro.storage.filesystem import FileContent
+
+from tests.chaos import ChaosHarness
 
 
 def _make_data(i, size_mb=0.01):
@@ -381,6 +384,111 @@ class TestClientApisUnderFabric:
         assert agent.host.name in outcome["owners"]
         assert outcome["removed"] is True
         assert runtime.data_scheduler.entry(data.uid) is None
+
+    def test_delete_data_frees_the_repository_copy(self):
+        """``dr`` is the unsharded group: delete_data reaches it through the
+        fabric router and the permanent copy's disk is given back."""
+        env, topo, runtime = _fabric_env(n_workers=1)
+        master = runtime.attach(topo.worker_hosts[0], auto_sync=False)
+        content = FileContent.from_seed("doomed", 5)
+        seen = {}
+
+        def script():
+            data = yield from master.bitdew.create_data("doomed",
+                                                        content=content)
+            yield from master.bitdew.put(data, content)
+            seen["stored_mb"] = runtime.data_repository.used_mb
+            yield from master.bitdew.delete_data(data)
+            return data
+        process = env.process(script())
+        data = env.run(until=process)
+
+        assert seen["stored_mb"] == 5.0
+        assert runtime.data_catalog.get_data_now(data.uid) is None
+        assert not runtime.data_repository.has(data.uid)
+        assert runtime.data_repository.used_mb == 0.0
+
+    def test_search_data_matches_the_classic_container(self):
+        """The paper's searchData under a fabric: find_by_name fans out to
+        every shard and merges; the answer is the classic container's."""
+        # Explicit uids: the shard spread must not depend on how many
+        # AUIDs earlier tests drew.
+        datas = [Data(name=f"solo-{i}", uid=f"solo-uid-{i}")
+                 for i in range(12)]
+        twins = [Data(name="twin", uid=f"twin-uid-{i}") for i in range(12)]
+
+        def answers(runtime, worker):
+            for data in datas + twins:
+                runtime.data_catalog.register_data_now(data)
+            agent = runtime.attach(worker, auto_sync=False)
+            out = {}
+
+            def script():
+                for data in datas:
+                    out[data.name] = yield from agent.bitdew.search_data(
+                        data.name)
+                out["twin"] = yield from agent.invoke(
+                    "dc", "find_by_name", "twin")
+            runtime.env.run(until=runtime.env.process(script()))
+            return out
+
+        env, topo, runtime = _fabric_env(n_workers=1, shards=3,
+                                         service_hosts=3, replicas=1)
+        sharded = answers(runtime, topo.worker_hosts[0])
+        classic_env = Environment()
+        classic_topo = cluster_topology(classic_env, n_workers=1)
+        classic = answers(BitDewEnvironment(classic_topo),
+                          classic_topo.worker_hosts[0])
+
+        # Every shard homes some of the searched data, so every branch of
+        # the fan-out contributed a hit.
+        ring = runtime.fabric.dc_ring
+        assert {ring.shard_for(d.uid) for d in datas} == {0, 1, 2}
+        assert {ring.shard_for(d.uid) for d in twins} == {0, 1, 2}
+        for data in datas:
+            assert sharded[data.name] == classic[data.name] == data
+        # Row order is shard order on the fabric, insertion order classic.
+        assert sorted(sharded["twin"], key=lambda d: d.uid) \
+            == sorted(classic["twin"], key=lambda d: d.uid) \
+            == sorted(twins, key=lambda d: d.uid)
+
+    def test_scatter_dedups_dual_homed_datum_mid_split(self):
+        """While a split copies, a moved datum sits on its old and its new
+        shard; find_by_name reads both and must report it exactly once."""
+        env, topo, runtime = _fabric_env(n_workers=1, replicas=1)
+        fabric = runtime.fabric
+        datas = [Data(name=f"mig-{i}", uid=f"mig-uid-{i}") for i in range(24)]
+        for data in datas:
+            runtime.data_catalog.register_data_now(data)
+        agent = runtime.attach(topo.worker_hosts[0], auto_sync=False)
+        harness = ChaosHarness(runtime)
+        coordinator = RebalanceCoordinator(
+            fabric, runtime.router, on_phase=harness.observe_phases())
+
+        def homes(uid):
+            return [index for index, shard in enumerate(fabric.catalog_shards)
+                    if shard.get_data_now(uid) is not None]
+
+        answers = []    # (phase at issue, dual-homed throughout, exact?)
+
+        def searcher():
+            while not coordinator.history:
+                for data in datas:
+                    phase = harness.phases[-1][0] if harness.phases else None
+                    before = homes(data.uid)
+                    rows = yield from agent.invoke("dc", "find_by_name",
+                                                   data.name)
+                    dual = len(before) == 2 and homes(data.uid) == before
+                    answers.append((phase, dual,
+                                    [row.uid for row in rows] == [data.uid]))
+        env.process(searcher())
+        env.run(until=env.process(coordinator.split()))
+
+        assert fabric.shards == 3
+        assert all(exact for _phase, _dual, exact in answers)
+        # The scatter really did read two copies, and did so mid-copy.
+        assert any(dual and phase == "copy" for phase, dual, _e in answers)
+        harness.assert_ok()
 
     def test_fabric_stop_start_leaves_single_heartbeat_loops(self):
         """stop()+start() must not leave duplicate per-host heartbeat loops

@@ -4,10 +4,8 @@ import pytest
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -149,14 +147,6 @@ class TestEvents:
         env.run()
         assert p.value == "early"
 
-    def test_trigger_copies_state(self, env):
-        a = env.event()
-        b = env.event()
-        a.succeed(7)
-        b.trigger(a)
-        env.run()
-        assert b.value == 7
-
 
 class TestProcesses:
     def test_process_return_value(self, env):
@@ -231,45 +221,6 @@ class TestProcesses:
         with pytest.raises(KeyError):
             env.run(until=p)
 
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return interrupt.cause, env.now
-
-        def interrupter(victim):
-            yield env.timeout(3)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper())
-        env.process(interrupter(victim))
-        env.run(until=victim)
-        cause, when = victim.value
-        assert cause == "wake up"
-        assert when == pytest.approx(3)
-
-    def test_interrupt_terminated_process_raises(self, env):
-        def proc():
-            yield env.timeout(1)
-
-        p = env.process(proc())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_active_process_tracking(self, env):
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        p = env.process(proc())
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
-
 
 def iter_forever(env):
     while True:
@@ -292,22 +243,6 @@ class TestConditions:
         env.run()
         assert p.value == [10, 20, 30]
         assert env.now == 3
-
-    def test_any_of_returns_first(self, env):
-        def worker(delay, value):
-            yield env.timeout(delay)
-            return value
-
-        procs = [env.process(worker(d, d)) for d in (5, 1, 3)]
-
-        def waiter():
-            results = yield env.any_of(procs)
-            return list(results.values())
-
-        p = env.process(waiter())
-        env.run(until=p)
-        assert p.value == [1]
-        assert env.now == 1
 
     def test_all_of_empty_succeeds_immediately(self, env):
         def waiter():
@@ -418,28 +353,6 @@ class TestSettleHook:
             env.timeout(1.0).add_callback(lambda evt: request())
         env.run()
         assert passes == [1.0]
-
-
-class TestTriggerChaining:
-    def test_trigger_from_untriggered_event_raises(self, env):
-        from repro.sim.kernel import SimulationError
-        source = env.event()
-        target = env.event()
-        with pytest.raises(SimulationError, match="untriggered"):
-            target.trigger(source)
-        # The target stays usable after the error.
-        source.succeed("v")
-        target.trigger(source)
-        assert target.value == "v"
-
-    def test_trigger_copies_failure(self, env):
-        source = env.event()
-        source.fail(RuntimeError("boom"))
-        source.defused = True
-        target = env.event()
-        target.trigger(source)
-        target.defused = True
-        assert target.ok is False
 
 
 class TestDeterministicRepr:

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Container, Store and PriorityStore."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.sim.kernel import Environment
-from repro.sim.resources import Container, PriorityStore, Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -79,166 +79,3 @@ class TestResource:
         assert resource.queue_length == 0
         resource.release(first)
         assert resource.count == 0
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10).put(0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10).get(-1)
-
-    def test_put_then_get(self, env):
-        container = Container(env, capacity=100, init=10)
-
-        def producer():
-            yield container.put(30)
-
-        def consumer():
-            amount = yield container.get(25)
-            return amount
-
-        env.process(producer())
-        p = env.process(consumer())
-        env.run()
-        assert p.value == 25
-        assert container.level == pytest.approx(15)
-
-    def test_get_blocks_until_enough(self, env):
-        container = Container(env, capacity=100)
-        got = []
-
-        def consumer():
-            yield container.get(50)
-            got.append(env.now)
-
-        def producer():
-            yield env.timeout(5)
-            yield container.put(50)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert got == [5]
-
-    def test_put_blocks_at_capacity(self, env):
-        container = Container(env, capacity=10, init=10)
-        stored = []
-
-        def producer():
-            yield container.put(5)
-            stored.append(env.now)
-
-        def consumer():
-            yield env.timeout(3)
-            yield container.get(7)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert stored == [3]
-
-
-class TestStore:
-    def test_fifo_order(self, env):
-        store = Store(env)
-        received = []
-
-        def producer():
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert received == ["x", "y", "z"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        times = []
-
-        def consumer():
-            yield store.get()
-            times.append(env.now)
-
-        def producer():
-            yield env.timeout(7)
-            yield store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert times == [7]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-            done.append(env.now)
-
-        def consumer():
-            yield env.timeout(4)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert done == [4]
-
-    def test_len(self, env):
-        store = Store(env)
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")
-
-        env.process(producer())
-        env.run()
-        assert len(store) == 2
-
-    def test_cancel_get(self, env):
-        store = Store(env)
-        get = store.get()
-        env.run()
-        store.cancel_get(get)
-
-        def producer():
-            yield store.put("item")
-
-        env.process(producer())
-        env.run()
-        # The cancelled get never consumed the item.
-        assert store.items == ["item"]
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        received = []
-
-        def producer():
-            for item in (5, 1, 3):
-                yield store.put(item)
-
-        def consumer():
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert received == [1, 3, 5]

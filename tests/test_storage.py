@@ -11,7 +11,7 @@ from repro.storage.database import (
     NetworkedSQLEngine,
 )
 from repro.storage.filesystem import FileContent, LocalFileSystem, StorageFullError
-from repro.storage.persistence import PersistenceManager, new_auid
+from repro.storage.persistence import new_auid
 
 
 class TestEngines:
@@ -131,47 +131,6 @@ class TestPersistence:
         ids.rewind()
         second = [new_auid("x") for _ in range(3)]
         assert first == second
-
-    def test_make_persistent_requires_uid(self, env):
-        pm = PersistenceManager(Database(env))
-
-        class Thing:
-            uid = ""
-
-        with pytest.raises(ValueError):
-            pm.make_persistent(Thing())
-
-    def test_round_trip_and_query(self, env):
-        pm = PersistenceManager(Database(env, copy_objects=False))
-
-        class Item:
-            def __init__(self, uid, value):
-                self.uid = uid
-                self.value = value
-
-        items = [Item(new_auid(), i) for i in range(5)]
-        for item in items:
-            pm.make_persistent(item)
-        assert pm.count(Item) == 5
-        assert pm.get_by_uid(Item, items[2].uid).value == 2
-        big = pm.query(Item, lambda it: it.value >= 3)
-        assert sorted(i.value for i in big) == [3, 4]
-        assert pm.delete_persistent(items[0])
-        assert pm.count(Item) == 4
-
-    def test_sim_variants_pay_cost(self, env, drive):
-        engine = EmbeddedSQLEngine(operation_cost_s=0.2, connection_cost_s=0.0)
-        pm = PersistenceManager(Database(env, engine=engine, copy_objects=False))
-
-        class Item:
-            def __init__(self):
-                self.uid = new_auid()
-
-        item = Item()
-        drive(env, pm.make_persistent_sim(item))
-        assert env.now == pytest.approx(0.2)
-        found = drive(env, pm.get_by_uid_sim(Item, item.uid))
-        assert found is item
 
 
 class TestFileContent:

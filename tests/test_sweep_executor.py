@@ -9,10 +9,10 @@ from repro.__main__ import main as cli_main
 from repro.experiments import (
     ResultCache,
     ScenarioRegistry,
-    SweepFailure,
+    ScenarioSpec,
     derive_point_seed,
     execute_sweep,
-    run_sweep,
+    run_spec,
 )
 from repro.experiments.cache import code_version_salt, point_key
 from repro.experiments.executor import PointFailure
@@ -131,13 +131,16 @@ class TestExecutorDeterminism:
         assert [p.run for p in serial.points] \
             == [p.run for p in backwards.points[::-1]]
 
-    def test_matches_legacy_serial_sweep_document(self):
-        from repro.experiments.runner import sweep_to_dict
-        legacy = sweep_to_dict(
-            "ftp-alone", GRID,
-            run_sweep("ftp-alone", GRID, base_params=BASE))
+    def test_sweep_document_is_each_points_run_document(self):
+        expected = {
+            "scenario": "ftp-alone",
+            "grid": GRID,
+            "runs": [run_spec(ScenarioSpec(
+                "ftp-alone", dict(BASE, n_nodes=n))).to_dict()
+                for n in GRID["n_nodes"]],
+        }
         outcome = execute_sweep("ftp-alone", GRID, base_params=BASE, jobs=2)
-        assert json.dumps(legacy, indent=2, sort_keys=True) + "\n" \
+        assert json.dumps(expected, indent=2, sort_keys=True) + "\n" \
             == outcome.to_json()
 
     def test_derived_seeds_are_jobs_invariant_and_distinct(self):
@@ -231,18 +234,6 @@ class TestFailureIsolation:
                                 base_params=FAILING_BASE, retries=2)
         assert outcome.points[0].failure.attempts == 3
         assert outcome.stats.retries_used == 2
-
-    def test_run_sweep_api_raises_sweep_failure(self):
-        with pytest.raises(SweepFailure) as err:
-            run_sweep("distribution", FAILING_GRID,
-                      base_params=FAILING_BASE, retries=1)
-        assert len(err.value.failures) == 1
-        assert err.value.failures[0].failure.attempts == 2
-
-    def test_run_sweep_parallel_matches_serial_results(self):
-        serial = run_sweep("ftp-alone", GRID, base_params=BASE)
-        parallel = run_sweep("ftp-alone", GRID, base_params=BASE, jobs=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_custom_registry_falls_back_inline(self):
         registry = ScenarioRegistry()

@@ -173,6 +173,28 @@ class TestConcurrencyControl:
         with pytest.raises(ValueError):
             manager.set_max_concurrent(0)
 
+    def test_resize_does_not_strand_queued_transfers(self, env):
+        manager = TransferManager(FakeAgent(env), max_concurrent=1)
+        log = []
+
+        def transfer(name, hold_s):
+            slot = yield from manager.acquire_slot()
+            log.append((name, "running", env.now))
+            yield env.timeout(hold_s)
+            manager.release_slot(slot)
+            log.append((name, "released", env.now))
+
+        def retune():
+            yield env.timeout(5)
+            manager.set_max_concurrent(4)
+
+        env.process(transfer("a", 10))
+        env.process(transfer("b", 1))      # queues behind a on the old slots
+        env.process(retune())
+        env.run()
+        assert log == [("a", "running", 0.0), ("a", "released", 10.0),
+                       ("b", "running", 10.0), ("b", "released", 11.0)]
+
     def test_runtime_agent_exposes_manager(self, env):
         topo = cluster_topology(env, n_workers=1)
         runtime = BitDewEnvironment(topo)

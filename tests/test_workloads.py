@@ -1,88 +1,16 @@
-"""Unit tests for workload generators and churn traces."""
+"""Unit tests for churn traces."""
 
 import pytest
 
 from repro.net.topology import cluster_topology
 from repro.core.runtime import BitDewEnvironment
 from repro.sim.rng import RandomStreams
-from repro.workloads.generator import (
-    FileSpec,
-    filecule_group,
-    parameter_sweep_tasks,
-    transfer_matrix,
-)
 from repro.workloads.traces import (
     ChurnEvent,
     ChurnScript,
     availability_trace,
     crash_replace_script,
 )
-
-
-class TestFileSpecAndMatrix:
-    def test_filespec_content(self):
-        spec = FileSpec(name="f.bin", size_mb=3)
-        content = spec.content()
-        assert content.size_mb == 3
-        assert spec.content().checksum == content.checksum
-
-    def test_transfer_matrix_default_is_paper_grid(self):
-        matrix = transfer_matrix()
-        assert len(matrix) == 5 * 7
-        assert (10.0, 10) in matrix
-        assert (500.0, 250) in matrix
-
-    def test_transfer_matrix_validation(self):
-        with pytest.raises(ValueError):
-            transfer_matrix(sizes_mb=[0])
-        with pytest.raises(ValueError):
-            transfer_matrix(node_counts=[-5])
-
-
-class TestParameterSweep:
-    def test_task_count_and_shared_files(self):
-        shared = [FileSpec("genebase", 2744, shared=True)]
-        tasks = parameter_sweep_tasks(20, shared, rng=RandomStreams(1))
-        assert len(tasks) == 20
-        assert all(t.shared_files == (shared[0],) for t in tasks)
-        assert len({t.input_file.name for t in tasks}) == 20
-
-    def test_compute_time_variability_bounded(self):
-        tasks = parameter_sweep_tasks(200, [], reference_compute_s=100,
-                                      compute_cv=0.1, rng=RandomStreams(2))
-        times = [t.reference_compute_s for t in tasks]
-        assert all(t >= 25 for t in times)
-        mean = sum(times) / len(times)
-        assert 90 <= mean <= 110
-
-    def test_deterministic_under_seed(self):
-        a = parameter_sweep_tasks(10, [], rng=RandomStreams(3))
-        b = parameter_sweep_tasks(10, [], rng=RandomStreams(3))
-        assert [t.reference_compute_s for t in a] == [t.reference_compute_s for t in b]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            parameter_sweep_tasks(0, [])
-
-
-class TestFilecules:
-    def test_sizes_sum_close_to_total(self):
-        group = filecule_group("physics", 20, total_size_mb=1000,
-                               rng=RandomStreams(4))
-        assert len(group) == 20
-        total = sum(f.size_mb for f in group)
-        assert total == pytest.approx(1000, rel=0.15)
-
-    def test_skewed_sizes(self):
-        group = filecule_group("physics", 10, total_size_mb=100,
-                               rng=RandomStreams(4))
-        assert group[0].size_mb > group[-1].size_mb * 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            filecule_group("x", 0, 10)
-        with pytest.raises(ValueError):
-            filecule_group("x", 5, 0)
 
 
 class TestChurnTraces:
