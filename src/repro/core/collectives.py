@@ -66,8 +66,6 @@ def slice_content(content: FileContent, n_slices: int) -> List[FileContent]:
 class ScatterPlan:
     """Book-keeping of one scatter: which slice goes to which host."""
 
-    parent_name: str
-    slices: List[Data]
     assignments: Dict[str, str] = field(default_factory=dict)  # data uid -> host name
     markers: Dict[str, Data] = field(default_factory=dict)      # host name -> marker
 
@@ -83,8 +81,6 @@ class DataCollectives:
         self.env = agent.env
         self.protocol = protocol
         self._collector: Optional[Data] = None
-        self._collector_attr: Optional[Attribute] = None
-        self._gathered: Dict[str, Data] = {}
 
     # ------------------------------------------------------------------ slices
     def create_slices(self, name: str, content: FileContent, n_slices: int
@@ -124,8 +120,7 @@ class DataCollectives:
         """
         if not target_agents:
             raise ValueError("scatter needs at least one target agent")
-        plan = ScatterPlan(parent_name=slices[0].name if slices else "scatter",
-                           slices=list(slices))
+        plan = ScatterPlan()
         # One pinned marker per distinct target host.
         for target in target_agents:
             if target.host.name in plan.markers:
@@ -156,12 +151,7 @@ class DataCollectives:
         attribute = Attribute(name=name, replica=1, protocol=self.protocol)
         yield from self.agent.active_data.pin(collector, attribute=attribute)
         self._collector = collector
-        self._collector_attr = attribute
         return collector
-
-    @property
-    def collector(self) -> Optional[Data]:
-        return self._collector
 
     def contribute(self, agent: "HostAgent", data: Data, content: FileContent,
                    protocol: Optional[str] = None

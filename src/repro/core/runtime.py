@@ -17,13 +17,13 @@ the Data Scheduler (heartbeat + synchronisation).  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple, Union
 
 from repro.core.active_data import ActiveData
 from repro.core.attributes import Attribute, DEFAULT_ATTRIBUTE
 from repro.core.bitdew import BitDew
-from repro.core.data import Data, DataStatus, Locator
+from repro.core.data import Data, Locator
 from repro.core.events import DataEventType, EventBus
 from repro.core.exceptions import (
     BitDewError,
@@ -134,7 +134,6 @@ class HostAgent:
         #: per-datum transfer timeline (Figure 4 reads this)
         self.stats: Dict[str, DataTransferStats] = {}
         self.attached_at = self.env.now
-        self.sync_rounds = 0
         self._running = False
 
     # ------------------------------------------------------------------ shared services
@@ -323,7 +322,6 @@ class HostAgent:
         published in the Distributed Data Catalog, confirmed to the Data
         Scheduler and announced to the local life-cycle handlers.
         """
-        self.sync_rounds += 1
         result = yield from self.invoke(
             "ds", "synchronize", self.host.name, self.sync_view(),
             reservoir=self.reservoir, max_new=self.max_data_schedule)

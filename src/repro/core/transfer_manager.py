@@ -39,7 +39,6 @@ class TransferManager:
         self._pending: Dict[str, List[Event]] = {}
         #: data uid -> last observed state
         self._states: Dict[str, TransferState] = {}
-        self.started = 0
         self.completed = 0
         self.failed = 0
 
@@ -73,7 +72,6 @@ class TransferManager:
         """Register an in-flight transfer of *data*; returns the same event."""
         self._pending.setdefault(data.uid, []).append(completion)
         self._states[data.uid] = TransferState.TRANSFERRING
-        self.started += 1
 
         def _done(event: Event, uid: str = data.uid) -> None:
             events = self._pending.get(uid, [])

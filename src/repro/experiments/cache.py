@@ -113,10 +113,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores}
-
 
 class ResultCache:
     """A directory of content-addressed sweep-point results."""

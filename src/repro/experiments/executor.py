@@ -168,11 +168,6 @@ class SweepStats:
     failed: int = 0
     retries_used: int = 0   # extra attempts beyond the first, across points
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"cache_hits": self.cache_hits, "executed": self.executed,
-                "failed": self.failed, "points": self.points,
-                "retries_used": self.retries_used}
-
 
 @dataclass
 class SweepOutcome:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.spec import ScenarioSpec

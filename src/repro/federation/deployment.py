@@ -165,10 +165,6 @@ class FederationDomain:
         """Raw catalog check (routed by uid, works for both deployments)."""
         return self.catalog.get_data_now(uid) is not None
 
-    def known_uids(self) -> List[str]:
-        """Every uid registered anywhere in this domain's catalog."""
-        return sorted(row.uid for row in self.catalog.all_data_now())
-
     # ------------------------------------------------------------------ replication
     def start_replicator(self, period_s: float = 1.0,
                          on_phase=None) -> FederationReplicator:
@@ -292,10 +288,6 @@ class Federation:
                             f"observed in {other_name} "
                             f"({', '.join(sightings)})")
         return leaks
-
-    def run(self, until=None):
-        """Advance the shared simulation kernel."""
-        return self.env.run(until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Federation({self.domain_names()}, "

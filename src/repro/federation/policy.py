@@ -84,11 +84,6 @@ class TrustPolicy:
             return True
         return caller_domain in self.peers
 
-    def describe(self) -> str:
-        if self.kind == "open":
-            return "trust open"
-        return f"trust allowlist({', '.join(sorted(self.peers))})"
-
 
 def may_list(visibility: str, caller_domain: str, home_domain: str,
              trust: TrustPolicy) -> bool:

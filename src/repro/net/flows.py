@@ -163,9 +163,6 @@ class Network:
         host.on_failure(self._on_host_failure)
         return host
 
-    def get_host(self, name: str) -> Host:
-        return self.hosts[name]
-
     def set_cluster_gateway(self, cluster: str, egress_mbps: float,
                             ingress_mbps: Optional[float] = None) -> None:
         """Cap the aggregate rate of flows leaving/entering a cluster."""
@@ -281,6 +278,10 @@ class Network:
     def _fail_flow(self, flow: Flow, reason: str) -> None:
         flow.aborted = True
         flow.end_time = self.env.now
+        # A dead flow moves nothing.  Its last allocated rate is not a fact
+        # of the run: it depends on whether the allocator ran a pass per
+        # event (dense) or one per timestamp (coalesced) at this instant.
+        flow.rate_mbps = 0.0
         if flow in self._active:
             self._active.remove(flow)
             self._allocator.flow_removed(flow)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 from repro.net.flows import Network
-from repro.net.host import Host, HostSpec
+from repro.net.host import Host
 
 __all__ = [
     "GRID5000_CLUSTERS",

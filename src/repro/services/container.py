@@ -16,7 +16,6 @@ single-host runtime behaves byte-identically to the pre-fabric code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.flows import Network

@@ -15,7 +15,7 @@ round-trip and a database write to serialise the object).  Cost-free
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.data import Data, DataStatus, Locator
 from repro.core.exceptions import DataNotFoundError

@@ -11,7 +11,7 @@ Data Transfer service needs to move the bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.data import Data, Locator
 from repro.core.exceptions import DataNotFoundError

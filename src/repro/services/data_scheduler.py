@@ -9,7 +9,7 @@ downloads newly assigned data (Ψk \\ Δk).
 Scheduling decisions follow the paper's attributes:
 
 * **lifetime** — data whose absolute lifetime expired, or whose relative
-  lifetime references a datum no longer managed, is dropped;
+  lifetime references a datum no longer managed, leaves every cache;
 * **affinity** — a datum with an affinity towards data present in the host's
   cache is always assigned (affinity is stronger than replica);
 * **replica** — a datum is assigned while its number of active owners is
@@ -35,15 +35,21 @@ proportional to what is actually assignable:
   count is below its replica target (or that replicates to all), i.e. the
   data assignable by the replica rule;
 * an ``owner → uids`` index makes the failure-detector callback O(data
-  owned by the failed host);
-* a **lifetime-expiry heap** (plus an unresolved-reference set maintained
-  incrementally) lets :meth:`expire_lifetimes` drop exactly the expired
-  entries and cascade through relative-lifetime dependents with a worklist,
-  instead of rescanning Θ to a fixpoint.
+  owned by the failed host).
 
 ``compute_schedule`` walks a candidate heap in Θ-insertion order, so its
 decisions — including the one-forward-pass treatment of affinity chains —
-are identical to the reference full-scan implementation.
+are identical to the reference full-scan implementation, kept as the
+``ReferenceScheduler`` oracle of ``tests/test_data_scheduler_oracle.py``.
+
+**Lifetime contract.**  Lifetime is resolved lazily, as in Algorithm 1: one
+test (:meth:`_lifetime_valid`) per datum of Δk and per candidate, inside the
+synchronisation, and nowhere else.  An expired entry is assigned to no host
+and deleted from every cache that presents it, but it *stays in Θ* until
+:meth:`unschedule` removes it — there is no eager sweep.  Relative lifetime
+is therefore non-transitive: in a chain A → B → C (B lives as long as A, C
+as long as B), removing A invalidates B, but C stays valid while B is *in
+Θ*, valid or not.
 
 Note: line 21 of the paper's pseudo-code reads ``replica < |Ω|``; given the
 prose ("schedule new data transfers to hosts if the number of owners is less
@@ -60,7 +66,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import Attribute, DEFAULT_ATTRIBUTE
 from repro.core.data import Data
-from repro.core.exceptions import SchedulingError
 from repro.sim.kernel import Environment
 from repro.services.heartbeat import FailureDetector
 from repro.storage.database import Database
@@ -77,12 +82,8 @@ class ScheduledEntry:
     scheduled_at: float
     #: active owners Ω(D): hosts believed to hold a live replica
     owners: Set[str] = field(default_factory=set)
-    #: hosts that pinned the datum (it must stay with them; never reclaimed)
-    pinned_on: Set[str] = field(default_factory=set)
     #: Θ-insertion sequence number; preserves the reference scan order
     seq: int = 0
-    #: bumped when the attribute is replaced (invalidates expiry-heap rows)
-    generation: int = 0
 
     @property
     def uid(self) -> str:
@@ -139,14 +140,10 @@ class DataSchedulerService:
         self._affinity_dependents: Dict[str, Set[str]] = {}
         #: lifetime reference -> uids whose relative_lifetime names it
         self._lifetime_dependents: Dict[str, Set[str]] = {}
-        #: uids whose relative-lifetime reference currently resolves to nothing
-        self._unresolved: Set[str] = set()
         #: managed entries carrying any lifetime attribute; the batched
         #: placement fast path requires this to be zero (see
         #: :meth:`compute_schedule_batch`)
         self._lifetime_count = 0
-        #: (expire_at, seq, uid, generation) rows; validated lazily on pop
-        self._expiry_heap: List[Tuple[float, int, str, int]] = []
         #: uids frozen during a shard migration: compute_schedule makes no
         #: *new* assignments of these (existing owners keep their copies)
         self._quiesced: Set[str] = set()
@@ -154,7 +151,7 @@ class DataSchedulerService:
         #: coordinator while this shard is a migration source): called with
         #: the uid of every Θ mutation that happens outside the router's
         #: tracked request path — scheduler-internal owner changes from
-        #: syncs, failure-detector repairs, expiries
+        #: syncs and failure-detector repairs
         self._mutation_hook = None
         #: statistics
         self.sync_count = 0
@@ -165,28 +162,9 @@ class DataSchedulerService:
         self.entries_examined = 0
 
     # ------------------------------------------------------------------ indexing
-    def _reference_resolves(self, reference: str) -> bool:
-        """True if *reference* designates at least one managed entry."""
-        return bool(reference in self._entries
-                    or self._by_name.get(reference)
-                    or self._by_attr.get(reference))
-
-    def _mark_unresolved_dependents(self, reference: str) -> None:
-        """A provider of *reference* disappeared; re-check its dependents."""
-        deps = self._lifetime_dependents.get(reference)
-        if not deps or self._reference_resolves(reference):
-            return
-        for dep_uid in deps:
-            if dep_uid in self._entries:
-                self._unresolved.add(dep_uid)
-
     def _resolve_dependents(self, reference: str) -> None:
         """A provider of *reference* appeared; its dependents resolve again."""
-        deps = self._lifetime_dependents.get(reference)
-        if not deps:
-            return
-        self._unresolved.difference_update(deps)
-        for dep_uid in deps:
+        for dep_uid in self._lifetime_dependents.get(reference, ()):
             # A dependent evicted from the deficit while its reference was
             # dangling becomes assignable again.
             entry = self._entries.get(dep_uid)
@@ -217,12 +195,6 @@ class DataSchedulerService:
         if attr.relative_lifetime is not None:
             self._lifetime_dependents.setdefault(
                 attr.relative_lifetime, set()).add(uid)
-            if not self._reference_resolves(attr.relative_lifetime):
-                self._unresolved.add(uid)
-        if attr.absolute_lifetime is not None:
-            heapq.heappush(self._expiry_heap,
-                           (entry.scheduled_at + attr.absolute_lifetime,
-                            entry.seq, uid, entry.generation))
         if attr.absolute_lifetime is not None or attr.relative_lifetime is not None:
             self._lifetime_count += 1
         self._update_deficit(entry)
@@ -236,7 +208,6 @@ class DataSchedulerService:
             holders.discard(uid)
             if not holders:
                 del self._by_attr[attr.name]
-        self._mark_unresolved_dependents(attr.name)
         if attr.has_affinity:
             deps = self._affinity_dependents.get(attr.affinity)
             if deps is not None:
@@ -249,11 +220,9 @@ class DataSchedulerService:
                 deps.discard(uid)
                 if not deps:
                     del self._lifetime_dependents[attr.relative_lifetime]
-        self._unresolved.discard(uid)
         self._replica_deficit.discard(uid)
         if attr.absolute_lifetime is not None or attr.relative_lifetime is not None:
             self._lifetime_count -= 1
-        entry.generation += 1   # expiry-heap rows for the old attribute die
 
     def _remove_entry(self, uid: str) -> Optional[ScheduledEntry]:
         entry = self._entries.pop(uid, None)
@@ -271,9 +240,6 @@ class DataSchedulerService:
                 owned.discard(uid)
                 if not owned:
                     del self._owner_index[host]
-        # References this entry provided may now be dangling.
-        self._mark_unresolved_dependents(uid)
-        self._mark_unresolved_dependents(entry.data.name)
         if self._mutation_hook is not None:
             self._mutation_hook(uid)
         return entry
@@ -324,9 +290,6 @@ class DataSchedulerService:
             self._detach_attribute(entry)
             entry.attribute = attr
             self._attach_attribute(entry)
-        if self.database is not None:
-            self.database.raw_upsert("ds.entries", data.uid, {
-                "data": data, "attribute": attr, "at": self.env.now})
         if self._mutation_hook is not None:
             self._mutation_hook(data.uid)
         return entry
@@ -335,16 +298,12 @@ class DataSchedulerService:
             attribute: Optional[Attribute] = None) -> ScheduledEntry:
         """Schedule *data* and record that *host_name* owns it (paper §3.3)."""
         entry = self.schedule(data, attribute)
-        entry.pinned_on.add(host_name)
         self._add_owner(entry, host_name)
         return entry
 
     def unschedule(self, data_uid: str) -> bool:
         """Remove a datum from management; hosts drop it at their next sync."""
-        removed = self._remove_entry(data_uid)
-        if self.database is not None:
-            self.database.raw_delete("ds.entries", data_uid)
-        return removed is not None
+        return self._remove_entry(data_uid) is not None
 
     def entry(self, data_uid: str) -> Optional[ScheduledEntry]:
         return self._entries.get(data_uid)
@@ -362,51 +321,16 @@ class DataSchedulerService:
 
     # ------------------------------------------------------------------ lifetime
     def _lifetime_valid(self, entry: ScheduledEntry) -> bool:
+        """The lifetime test of the module's *Lifetime contract*: a reference
+        resolves while it names any entry of Θ (uid, data or attribute name)."""
         attr = entry.attribute
         if attr.absolute_lifetime is not None:
             if self.env.now > entry.scheduled_at + attr.absolute_lifetime:
                 return False
-        if attr.relative_lifetime is not None:
-            if not self._reference_resolves(attr.relative_lifetime):
-                return False
-        return True
-
-    def expire_lifetimes(self) -> List[str]:
-        """Drop entries whose lifetime expired; returns the dropped uids.
-
-        Absolute expiries pop off a time-ordered heap (rows are validated
-        against the entry's generation, so attribute replacement invalidates
-        stale rows lazily).  Relative lifetimes are resolved transitively
-        through the dependents index: deleting the Collector obsoletes every
-        datum whose lifetime references it (§5), which may dangle further
-        references — the unresolved set acts as the cascade worklist.
-        """
-        dropped: List[str] = []
-        now = self.env.now
-        heap = self._expiry_heap
-        while heap and heap[0][0] < now:
-            _expire_at, seq, uid, generation = heapq.heappop(heap)
-            entry = self._entries.get(uid)
-            if entry is None or entry.seq != seq \
-                    or entry.generation != generation:
-                # Unscheduled, re-registered (a fresh entry restarts its
-                # generation, so the seq — unique per incarnation — is what
-                # detects rows from a previous life), or re-scheduled with a
-                # different attribute since the push.
-                continue
-            self._remove_entry(uid)
-            dropped.append(uid)
-        while self._unresolved:
-            # Drain in sorted order: set.pop() would emit `dropped` in
-            # hash order, which varies across processes.  A while-loop
-            # (not a snapshot) because _remove_entry can mark further
-            # dependents unresolved.
-            uid = min(self._unresolved)
-            self._unresolved.discard(uid)
-            if uid in self._entries:
-                self._remove_entry(uid)
-                dropped.append(uid)
-        return dropped
+        reference = attr.relative_lifetime
+        return reference is None or bool(reference in self._entries
+                                         or self._by_name.get(reference)
+                                         or self._by_attr.get(reference))
 
     # ------------------------------------------------------------------ Algorithm 1
     def _affinity_satisfied(self, reference: str, psi: Dict[str, ScheduledEntry],
@@ -725,12 +649,6 @@ class DataSchedulerService:
         if entry is not None:
             self._add_owner(entry, host_name)
 
-    def release_ownership(self, host_name: str, data_uid: str) -> None:
-        entry = self._entries.get(data_uid)
-        if entry is not None:
-            self._remove_owner(entry, host_name)
-            entry.pinned_on.discard(host_name)
-
     # ------------------------------------------------------------------ fault tolerance
     def _on_host_failure(self, host_name: str) -> None:
         """Failure-detector callback: repair owner lists of fault-tolerant data.
@@ -748,7 +666,6 @@ class DataSchedulerService:
             if entry.attribute.fault_tolerance:
                 # Remove the faulty owner so the datum is re-scheduled elsewhere.
                 self._remove_owner(entry, host_name)
-                entry.pinned_on.discard(host_name)
                 self.repairs_triggered += 1
             # Non-fault-tolerant data: the replica stays registered (it will be
             # available again if the host comes back), as prescribed in §3.2.
@@ -756,9 +673,9 @@ class DataSchedulerService:
     # ------------------------------------------------------------------ migration
     # The elastic fabric moves Θ entries between scheduler shards by uid.
     # Export/import preserve everything Algorithm 1 can observe — attribute,
-    # owners Ω, pinned hosts, the original scheduled_at (absolute lifetimes
-    # keep their expiry instant) — except the Θ-insertion seq, which is
-    # re-issued on the destination in deterministic import order.
+    # owners Ω, the original scheduled_at (absolute lifetimes keep their
+    # expiry instant) — except the Θ-insertion seq, which is re-issued on
+    # the destination in deterministic import order.
 
     def migration_keys(self) -> List[str]:
         """Sorted uids under this shard's management (no simulated cost)."""
@@ -773,7 +690,6 @@ class DataSchedulerService:
             "attribute": entry.attribute,
             "scheduled_at": entry.scheduled_at,
             "owners": set(entry.owners),
-            "pinned_on": set(entry.pinned_on),
         }
 
     def export_entry(self, data_uid: str):
@@ -790,11 +706,6 @@ class DataSchedulerService:
                                    snapshot["scheduled_at"])
         for host in sorted(snapshot["owners"]):
             self._add_owner(entry, host)
-        entry.pinned_on.update(snapshot["pinned_on"])
-        if self.database is not None:
-            self.database.raw_upsert("ds.entries", data.uid, {
-                "data": data, "attribute": entry.attribute,
-                "at": entry.scheduled_at})
         return entry
 
     def import_entry(self, snapshot: dict):
@@ -812,8 +723,6 @@ class DataSchedulerService:
         """
         removed = self._remove_entry(data_uid)
         self._quiesced.discard(data_uid)
-        if self.database is not None:
-            self.database.raw_delete("ds.entries", data_uid)
         return removed is not None
 
     def drop_entry(self, data_uid: str):

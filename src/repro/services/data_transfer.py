@@ -19,7 +19,7 @@ The DT "launches out-of-band transfers and ensures their reliability":
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.data import Data
@@ -50,7 +50,6 @@ class SupervisedTransfer:
     destination: TransferEndpoint
     handle: Optional[TransferHandle] = None
     attempts: int = 0
-    monitor_polls: int = 0
     submitted_at: float = 0.0
     completed_at: Optional[float] = None
     failed: bool = False
@@ -207,7 +206,6 @@ class DataTransferService:
         """Generator: receiver-driven polling until the transfer settles."""
         while True:
             yield self.env.timeout(self.monitor_period_s)
-            record.monitor_polls += 1
             self.monitor_messages += 2  # request towards the receiver + reply
             state = protocol.probe(handle)
             if state is TransferState.COMPLETE:

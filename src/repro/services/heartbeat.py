@@ -127,9 +127,6 @@ class FailureDetector:
     def known_hosts(self) -> List[str]:
         return sorted(self._hosts)
 
-    def alive_hosts(self) -> List[str]:
-        return sorted(name for name, e in self._hosts.items() if e.alive)
-
     def liveness(self, host_name: str) -> Optional[HostLiveness]:
         return self._hosts.get(host_name)
 

@@ -116,14 +116,11 @@ class ShardMigration:
     """
 
     def __init__(self, env, kind: str,
-                 old_rings: Dict[str, "ShardRing"],
                  new_rings: Dict[str, "ShardRing"],
                  plans: Dict[str, HandoffPlan]):
         self.env = env
         self.kind = kind
-        self.old_rings = dict(old_rings)
         self.new_rings = dict(new_rings)
-        self.plans = dict(plans)
         #: service -> key -> KeyMove
         self.planned = {service: {move.key: move
                                   for move in plans[service].moves}
@@ -340,8 +337,7 @@ class RebalanceCoordinator:
             stats.total_keys[service] = plans[service].total_keys
             stats.theoretical_minimum[service] = (
                 plans[service].theoretical_minimum)
-        migration = ShardMigration(self.env, kind, old_rings, new_rings,
-                                   plans)
+        migration = ShardMigration(self.env, kind, new_rings, plans)
         router.migration = migration
         fabric.data_catalog.migration = migration
         fabric.data_scheduler.migration = migration

@@ -219,7 +219,6 @@ _ROUTING_KEYS: Dict[str, Dict[str, Optional[Callable[..., str]]]] = {
     "ds": {
         "heartbeat": lambda host_name, *a: host_name,
         "confirm_ownership": lambda host_name, data_uid, *a: data_uid,
-        "release_ownership": lambda host_name, data_uid, *a: data_uid,
         # The ActiveData API surface: Θ mutations route by data uid.
         "schedule": lambda data, *a: data.uid,
         "pin": lambda data, *a: data.uid,

@@ -166,7 +166,7 @@ class Event:
 class Timeout(Event):
     """Event that fires after ``delay`` units of simulated time."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float,
                  value: Any = None) -> None:
@@ -182,7 +182,6 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self._eid = next(env._event_ids)
-        self.delay = delay
         env._scheduler.push((env._now + delay, 1, next(env._counter), self))
 
 
@@ -202,7 +201,6 @@ class Timer(Event):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
         if callback is not None:
@@ -249,7 +247,7 @@ class Process(Event):
         #: The resume callback, bound once: it is registered on every event
         #: the process waits for, and binding it per yield is pure overhead.
         self._resume_cb: Callback = self._resume
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)    # schedules itself: the first resume
 
     @property
     def is_alive(self) -> bool:
@@ -294,11 +292,9 @@ class Process(Event):
                 event = next_target
                 continue
             callbacks.append(self._resume_cb)
-            self._target = next_target
             return
 
     def _terminate(self, ok: bool, value: Any) -> None:
-        self._target = None
         if ok:
             self.succeed(value)
         else:

@@ -131,7 +131,6 @@ class Database:
         self._admin_connected = False
         #: statistics
         self.operations = 0
-        self.busy_time_s = 0.0
 
     # -- immediate (cost-free) access, used by unit tests and local setup ----
     def collection(self, name: str) -> Dict[str, Any]:
@@ -180,7 +179,6 @@ class Database:
         """
         if statements <= 0:
             raise ValueError("statements must be positive")
-        start = self.env.now
         pooled_request = None
         if self.pool is not None:
             pooled_request = yield from self.pool.acquire()
@@ -195,7 +193,6 @@ class Database:
             if pooled_request is not None:
                 self.pool.release(pooled_request)
         self.operations += 1
-        self.busy_time_s += self.env.now - start
         return result
 
     def admin_execute(self, operation: Callable[[], Any], statements: int = 1):
@@ -210,7 +207,6 @@ class Database:
         """
         if statements <= 0:
             raise ValueError("statements must be positive")
-        start = self.env.now
         with self._admin_executor.request() as req:
             yield req
             if not self._admin_connected:
@@ -219,7 +215,6 @@ class Database:
             yield self.env.timeout(self.engine.operation_cost_s * statements)
             result = operation()
         self.operations += 1
-        self.busy_time_s += self.env.now - start
         return result
 
     # -- convenience simulated statements --------------------------------------

@@ -60,7 +60,6 @@ class SwarmStats:
     peers_completed: int = 0
     pieces_transferred: int = 0
     first_join_time: Optional[float] = None
-    last_completion_time: Optional[float] = None
 
 
 class _Peer:
@@ -277,7 +276,6 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
             handle.transferred_mb = handle.content.size_mb
             handle.destination.write(handle.source.read())
             swarm.stats.peers_completed += 1
-            swarm.stats.last_completion_time = self.env.now
             # The peer keeps seeding (its pieces stay available to others).
             swarm.notify()
         except TransferError:
@@ -396,7 +394,6 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
             handle.transferred_mb = handle.content.size_mb
             handle.destination.write(handle.source.read())
             swarm.stats.peers_completed += 1
-            swarm.stats.last_completion_time = self.env.now
         finally:
             swarm.fluid_active -= 1
             if swarm.fluid_active == 0 and swarm.background_reserved:

@@ -13,6 +13,22 @@ From the repository root::
     PYTHONPATH=src python tests/census.py tests /tmp/tests.json
     python tests/census.py report /tmp/scenarios.json /tmp/tests.json
 
+A fourth mode reads state instead of calls: ``state`` is an AST pass (no
+import of ``repro``, under a second) that lists every attribute, dataclass
+field or class-level attribute *stored* under ``src/repro`` and *loaded*
+nowhere in ``src/ tests/ benchmarks/ examples/ perfbench/`` — write-only
+state.  It exits 1, printing each store as ``file:line  Class.name``, unless
+every such name is on ``STATE_KEPT`` below (CI ``static-analysis`` runs it)::
+
+    python tests/census.py state
+
+It matches by bare attribute name, so it cannot see a name some other class
+also loads, a container that is only ever mutated (``x.seen.add(...)`` loads
+``seen``), a load that only guards the name's own store, or a database
+collection written and never queried — the two largest finds of the PR that
+added this mode were made by reading, not by this pass (see "Its blind
+spot" in ``docs/ARCHITECTURE.md``).
+
 Not collected by pytest (no ``test_`` prefix); ``__main__.py`` and
 ``analysis/`` are left out of the report (the CLI and the linter have
 their own tests and no scenario drives them).
@@ -29,6 +45,25 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.join(REPO, "src", "repro") + os.sep
 
+#: Names ``state`` finds stored and never loaded that stay, and why (the
+#: table in ``docs/ARCHITECTURE.md`` "Surface census" groups them).
+STATE_KEPT = {
+    "cores": "Table 1 host characteristics",
+    "memory_mb": "Table 1 host characteristics",
+    "attribute_uid": "paper record: the attribute governing a datum (§3.2)",
+    "blocking": "paper record: OOBTransfer taxonomy (Figure 2)",
+    "daemon_based": "paper record: OOBTransfer taxonomy (Figure 2)",
+    "supports_resume": "paper record: protocol description (§3.4)",
+    "data_name": "report field: per-datum transfer timeline",
+    "result_uid": "report field: per-task master/worker record",
+    "shared_wait_s": "report field: per-task master/worker record",
+    "upload_s": "report field: per-task master/worker record",
+    "tasks_submitted": "report field: master/worker run summary",
+    "sequence": "report field: checkpoint record and signature verdict",
+    "stored_at": "report field: checkpoint record",
+    "flow": "exception payload: the flow a TransferFailed is about",
+}
+
 
 def _trace(reached: set):
     def hook(frame, event, _arg):
@@ -36,6 +71,13 @@ def _trace(reached: set):
         if event == "call" and code.co_filename.startswith(ROOT):
             reached.add(f"{code.co_filename[len(ROOT):]}:{code.co_firstlineno}")
     return hook
+
+
+def _python_files(root: str):
+    for folder, _dirs, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(folder, name)
 
 
 def _defined() -> dict:
@@ -57,13 +99,9 @@ def _defined() -> dict:
             else:
                 walk(rel, child, prefix, outer)
 
-    for folder, _dirs, files in os.walk(ROOT):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                with open(path) as handle:
-                    walk(path[len(ROOT):], ast.parse(handle.read()), "",
-                         None)
+    for path in _python_files(ROOT):
+        with open(path) as handle:
+            walk(path[len(ROOT):], ast.parse(handle.read()), "", None)
     return out
 
 
@@ -106,8 +144,74 @@ def _report(scenarios_file: str, tests_file: str) -> None:
           f"({totals['tests only']} tests only, {totals['nothing']} nothing)")
 
 
+def _class_fields(node: ast.ClassDef):
+    """``(name, line)`` of *node*'s dataclass fields and class-level
+    attributes; constants and enum members (upper case) are not state."""
+    for stmt in node.body:
+        targets = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                   else stmt.targets if isinstance(stmt, ast.Assign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not (
+                    target.id.isupper() or target.id.startswith("__")):
+                yield target.id, stmt.lineno
+
+
+def _state(root: str) -> int:
+    """List what *root* stores and nothing loads; 1 if any is not kept."""
+    stored: dict = {}       # name -> [(file, line, enclosing class)]
+    loaded: set = set()
+
+    def walk(path, node, cls, collect):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if collect:
+                    for name, line in _class_fields(child):
+                        stored.setdefault(name, []).append(
+                            (path, line, child.name))
+                walk(path, child, child.name, collect)
+                continue
+            if isinstance(child, ast.Attribute):
+                if isinstance(child.ctx, ast.Load):
+                    loaded.add(child.attr)
+                elif isinstance(child.ctx, ast.Store) and collect:
+                    # ``x.n += 1`` is a Store too: a counter only ever
+                    # incremented is write-only.
+                    stored.setdefault(child.attr, []).append(
+                        (path, child.lineno, cls))
+            elif isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) in (
+                        "getattr", "hasattr", "attrgetter"):
+                loaded.update(arg.value for arg in child.args
+                              if isinstance(arg, ast.Constant)
+                              and isinstance(arg.value, str))
+            walk(path, child, cls, collect)
+
+    def scan(folder, collect):
+        for path in _python_files(folder):
+            if not collect and path.startswith(root):
+                continue    # read once already, loads included
+            with open(path) as handle:
+                walk(path, ast.parse(handle.read()), None, collect
+                     and not path.startswith(os.path.join(ROOT, "analysis")))
+
+    scan(root, True)
+    for folder in ("src", "tests", "benchmarks", "examples", "perfbench"):
+        scan(os.path.join(REPO, folder), False)
+    write_only = sorted(name for name in stored if name not in loaded)
+    offending = [name for name in write_only if name not in STATE_KEPT]
+    for name in write_only:
+        for path, line, cls in stored[name]:
+            print(f"{'' if name in STATE_KEPT else 'NOT KEPT  '}"
+                  f"{os.path.relpath(path, REPO)}:{line}  {cls}.{name}")
+    print(f"stored and never loaded: {len(write_only)} names "
+          f"({len(offending)} not on the kept list)")
+    return 1 if offending else 0
+
+
 def main(argv) -> int:
     mode = argv[1]
+    if mode == "state":
+        return _state(argv[2] if len(argv) > 2 else ROOT)
     if mode == "report":
         _report(argv[2], argv[3])
         return 0

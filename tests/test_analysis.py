@@ -9,7 +9,8 @@ Covers, per ISSUE 9:
 * baseline round-trip: record → forgive → regressions still fail;
 * the self-hosting gate: ``src/repro`` lints clean with zero
   unsuppressed findings;
-* the CLI surface (exit codes, JSON format, --list-rules).
+* the CLI surface (exit codes, JSON format, --list-rules);
+* the sibling write-only-state gate, ``tests/census.py state``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.analysis.cli import main as lint_main
 from repro.analysis.config import permissive_config
 from repro.analysis.engine import default_scan_root
 from repro.analysis.findings import write_baseline
+from tests import census
 
 FIXTURES = Path(__file__).parent / "detlint_fixtures"
 
@@ -299,3 +301,27 @@ def test_cli_list_rules(capsys) -> None:
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005",
                     "DET006", "ARCH001", "ARCH002"):
         assert rule_id in out
+
+
+# ---------------------------------------------------------------------------
+# Write-only state (tests/census.py state, the CI static-analysis gate)
+# ---------------------------------------------------------------------------
+
+def test_state_census_fails_on_a_stored_never_loaded_attribute(
+        tmp_path: Path, capsys) -> None:
+    (tmp_path / "fixture.py").write_text(
+        "class Meter:\n"
+        "    def __init__(self):\n"
+        "        self.never_read_back = 0\n"
+        "        self.total = 0\n"
+        "    def add(self, n):\n"
+        "        self.never_read_back += 1\n"
+        "        self.total += n\n"
+        "        return self.total\n")
+    assert census.main(["census.py", "state", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "NOT KEPT" in out and "fixture.py:3  Meter.never_read_back" in out
+    assert "fixture.py:6  Meter.never_read_back" in out
+    assert "Meter.total" not in out
+    # The tree itself carries no write-only state off the kept list.
+    assert census.main(["census.py", "state"]) == 0

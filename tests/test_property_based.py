@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import Attribute, parse_attribute
@@ -228,6 +228,12 @@ def _replay_schedule(allocator, coalesce, host_specs, ops, probe_times):
 
 @common_settings
 @given(host_specs=host_spec_strategy, ops=flow_op_strategy)
+# Two aborts at one instant: the dense allocator re-allocates between them,
+# the coalesced one does not, so the second (dead) flow used to read 1.0 on
+# one and 0.5 on the other until Network._fail_flow zeroed a dead flow's rate.
+@example(host_specs=[(1.0, 1.0), (1.0, 1.0)],
+         ops=[(0.0, "start", 0, 1, 1.0), (0.0, "start", 0, 1, 1.0),
+              (1.0, "abort", 0, 0, 1.0), (0.0, "abort", 1, 0, 1.0)])
 def test_incremental_allocator_matches_dense_oracle(host_specs, ops):
     """Random flow arrival/departure/failure schedules produce identical
     rates and completion times on the dense (reference) allocator and the

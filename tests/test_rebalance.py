@@ -118,7 +118,7 @@ def _overlay(keys=("a", "b"), shards=2):
     old = {s: ShardRing(shards, label=s, vnodes=16) for s in ("dc", "ds")}
     new = {s: old[s].with_shards(shards + 1) for s in ("dc", "ds")}
     plans = {s: old[s].plan_handoff(new[s], list(keys)) for s in ("dc", "ds")}
-    return env, ShardMigration(env, "split", old, new, plans)
+    return env, ShardMigration(env, "split", new, plans)
 
 
 def test_effective_shard_follows_src_until_flip():

@@ -222,17 +222,49 @@ class TestSchedulingLifetime:
         drop = sync(scheduler, "h1", cached={dependent.uid})
         assert dependent.uid in drop.to_delete
 
-    def test_expire_lifetimes_transitive(self, env, scheduler):
-        a = Data(name="a")
-        b = Data(name="b")
-        c = Data(name="c")
+    def test_relative_lifetime_is_not_transitive(self, env, scheduler):
+        """The lifetime contract on a chain A → B → C (B lives as long as A,
+        C as long as B): a reference is tested for presence in Θ, not for
+        validity, and an expired entry stays in Θ until it is unscheduled."""
+        a, b, c = Data(name="a"), Data(name="b"), Data(name="c")
         scheduler.schedule(a, Attribute(name="A", absolute_lifetime=10))
         scheduler.schedule(b, Attribute(name="B", relative_lifetime="A"))
         scheduler.schedule(c, Attribute(name="C", relative_lifetime="B"))
+        everything = {a.uid, b.uid, c.uid}
         env._now = 20.0
-        dropped = scheduler.expire_lifetimes()
-        assert set(dropped) == {a.uid, b.uid, c.uid}
-        assert scheduler.managed_count == 0
+        # A expired: every cache drops it, but it still anchors B.
+        assert sync(scheduler, "h1", cached=everything).to_delete == [a.uid]
+        assert scheduler.managed_count == 3
+        # A removed: B dangles, C stays valid while B is in Θ.
+        scheduler.unschedule(a.uid)
+        assert sync(scheduler, "h1", cached=everything).to_delete == sorted(
+            [a.uid, b.uid])
+        scheduler.unschedule(b.uid)
+        assert sync(scheduler, "h1", cached=everything).to_delete == sorted(
+            everything)
+
+    def test_reschedule_extends_lifetime(self, env, scheduler):
+        data = Data(name="d")
+        scheduler.schedule(data, Attribute(name="a", replica=1,
+                                           absolute_lifetime=10.0))
+        scheduler.schedule(data, Attribute(name="a2", replica=1,
+                                           absolute_lifetime=1000.0))
+        env._now = 50.0
+        assert sync(scheduler, "h1", cached={data.uid}).to_delete == []
+        env._now = 2000.0
+        assert sync(scheduler, "h1", cached={data.uid}).to_delete == [data.uid]
+
+    def test_reregistration_restarts_scheduled_at(self, env, scheduler):
+        data = Data(name="d")
+        attribute = Attribute(name="a", replica=1, absolute_lifetime=5.0)
+        scheduler.schedule(data, attribute)
+        scheduler.unschedule(data.uid)
+        env._now = 100.0
+        scheduler.schedule(data, attribute)
+        env._now = 104.0
+        assert sync(scheduler, "h1").to_download == [data.uid]
+        env._now = 106.0
+        assert sync(scheduler, "h1", cached={data.uid}).to_delete == [data.uid]
 
     def test_expired_data_not_assigned(self, env, scheduler):
         data = Data(name="d")
@@ -280,12 +312,6 @@ class TestFaultTolerance:
     def test_heartbeat_service_method(self, scheduler, detector):
         assert scheduler.heartbeat("h9")
         assert detector.is_alive("h9")
-
-    def test_release_ownership(self, scheduler):
-        data = Data(name="d")
-        scheduler.pin(data, "h1", Attribute(name="a"))
-        scheduler.release_ownership("h1", data.uid)
-        assert scheduler.owners_of(data.uid) == set()
 
 
 class TestSynchronizeGenerator:
@@ -362,15 +388,6 @@ class TestIndexedScanBehaviour:
         assert result.to_download == [needy.uid]
         assert scheduler.entries_examined == 1
 
-    def test_release_ownership_reenters_deficit(self, env):
-        scheduler = DataSchedulerService(env)
-        data = Data(name="d")
-        scheduler.schedule(data, Attribute(name="a", replica=1))
-        scheduler.compute_schedule("h1", set())
-        assert scheduler.compute_schedule("h2", set()).to_download == []
-        scheduler.release_ownership("h1", data.uid)
-        assert scheduler.compute_schedule("h2", set()).to_download == [data.uid]
-
     def test_owner_index_survives_unschedule(self, env, detector):
         scheduler = DataSchedulerService(env, failure_detector=detector)
         kept = Data(name="kept")
@@ -389,65 +406,7 @@ class TestIndexedScanBehaviour:
         assert scheduler.repairs_triggered == 1
 
 
-class TestLifetimeIndexes:
-    def test_expiry_heap_ignores_rescheduled_attribute(self, env, scheduler):
-        data = Data(name="d")
-        scheduler.schedule(data, Attribute(name="a", replica=1,
-                                           absolute_lifetime=10.0))
-        # Replacing the attribute invalidates the original expiry row.
-        scheduler.schedule(data, Attribute(name="a2", replica=1,
-                                           absolute_lifetime=1000.0))
-        env._now = 50.0
-        assert scheduler.expire_lifetimes() == []
-        assert scheduler.managed_count == 1
-        env._now = 2000.0
-        assert scheduler.expire_lifetimes() == [data.uid]
-
-    def test_unresolvable_reference_dropped(self, env, scheduler):
-        orphan = Data(name="orphan")
-        scheduler.schedule(orphan, Attribute(name="O",
-                                             relative_lifetime="never-existed"))
-        assert scheduler.expire_lifetimes() == [orphan.uid]
-
-    def test_late_provider_resurrects_reference(self, env, scheduler):
-        dependent = Data(name="dep")
-        scheduler.schedule(dependent, Attribute(name="D",
-                                                relative_lifetime="Anchor"))
-        anchor = Data(name="anchor")
-        scheduler.schedule(anchor, Attribute(name="Anchor", replica=1))
-        assert scheduler.expire_lifetimes() == []
-        scheduler.unschedule(anchor.uid)
-        assert scheduler.expire_lifetimes() == [dependent.uid]
-
-    def test_transitive_expiry_through_names_and_attributes(self, env, scheduler):
-        a = Data(name="a")
-        b = Data(name="b")
-        c = Data(name="c")
-        d = Data(name="d")
-        scheduler.schedule(a, Attribute(name="A", absolute_lifetime=10))
-        scheduler.schedule(b, Attribute(name="B", relative_lifetime="a"))
-        scheduler.schedule(c, Attribute(name="C", relative_lifetime="B"))
-        scheduler.schedule(d, Attribute(name="D", relative_lifetime=c.uid))
-        env._now = 20.0
-        dropped = scheduler.expire_lifetimes()
-        assert set(dropped) == {a.uid, b.uid, c.uid, d.uid}
-        assert scheduler.managed_count == 0
-
-
 class TestReregistrationStaleness:
-    def test_reschedule_after_unschedule_ignores_old_expiry_row(self, env, scheduler):
-        """Regression: a heap row from a previous incarnation of the same uid
-        must not expire the re-registered entry (a fresh entry restarts its
-        generation, so the row's seq is what identifies the incarnation)."""
-        data = Data(name="d")
-        scheduler.schedule(data, Attribute(name="a", replica=1,
-                                           absolute_lifetime=5.0))
-        scheduler.unschedule(data.uid)
-        scheduler.schedule(data, Attribute(name="b", replica=1))
-        env._now = 100.0
-        assert scheduler.expire_lifetimes() == []
-        assert scheduler.managed_count == 1
-
     def test_reschedule_after_unschedule_keeps_theta_order(self, env):
         """Regression: a stale deficit-heap row carrying the old seq must not
         let a re-registered datum jump the Θ-insertion-order queue."""
