@@ -332,7 +332,6 @@ class HostAgent:
         for uid in result.to_delete:
             if self.is_managed(uid):
                 self.remove_local(uid, fire_event=True)
-                self._scheduler_managed.discard(uid)
 
         downloads: List[Process] = []
         for uid in result.to_download:

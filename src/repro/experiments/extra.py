@@ -351,8 +351,7 @@ def run_catalog_load(
     engine_profile = engines[engine]()
     from repro.services.data_catalog import DataCatalogService
     database = Database(env2, engine=engine_profile,
-                        pool=ConnectionPool(env2, engine_profile, size=8),
-                        copy_objects=False)
+                        pool=ConnectionPool(env2, engine_profile, size=8))
     catalog = DataCatalogService(database)
     endpoint = RpcEndpoint(catalog, name="DataCatalog")
     dc_published: List[str] = []

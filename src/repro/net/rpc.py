@@ -157,21 +157,31 @@ class RpcChannel:
         self.per_kb_s = (
             _DEFAULT_PER_KB[kind] if per_kb_s is None else float(per_kb_s)
         )
-        #: Counters useful for protocol-overhead accounting (Figure 3b/3c).
-        self.calls = 0
-        self.total_latency_s = 0.0
-        #: Marshalling accounting: payload KB pushed through the channel and
-        #: the per-KB serialisation latency it cost (part of total_latency_s).
+        #: Payload KB pushed through the channel (marshalling accounting).
         self.marshalled_kb = 0.0
-        self.marshalling_latency_s = 0.0
         #: Per-endpoint-label accounting (fabric shards show up individually,
-        #: e.g. ``"DataScheduler[ds-2]"`` — the per-shard latency breakdown).
+        #: e.g. ``"DataScheduler[ds-2]"`` — the per-shard latency breakdown);
+        #: the channel totals below are sums over it.
         self.calls_by_label: Dict[str, int] = {}
         self.latency_by_label: Dict[str, float] = {}
         #: Failover accounting: attempts that failed and were retried, and
         #: requests lost after exhausting a policy's attempts.
         self.failover_attempts = 0
         self.lost_requests = 0
+
+    # Counters useful for protocol-overhead accounting (Figure 3b/3c).
+    @property
+    def calls(self) -> int:
+        return sum(self.calls_by_label.values())
+
+    @property
+    def total_latency_s(self) -> float:
+        return sum(self.latency_by_label.values())
+
+    @property
+    def marshalling_latency_s(self) -> float:
+        """The per-KB serialisation share of :attr:`total_latency_s`."""
+        return self.per_kb_s * self.marshalled_kb
 
     def call_cost(self, payload_kb: float = 1.0) -> float:
         """Latency charged for one round trip carrying ``payload_kb`` KB."""
@@ -193,10 +203,7 @@ class RpcChannel:
         target = getattr(endpoint.service, method)
         cost = self.call_cost(payload_kb)
         label = endpoint.label()
-        self.calls += 1
-        self.total_latency_s += cost
         self.marshalled_kb += max(0.0, payload_kb)
-        self.marshalling_latency_s += self.per_kb_s * max(0.0, payload_kb)
         self.calls_by_label[label] = self.calls_by_label.get(label, 0) + 1
         self.latency_by_label[label] = (
             self.latency_by_label.get(label, 0.0) + cost)

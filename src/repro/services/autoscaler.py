@@ -204,7 +204,6 @@ class SloAutoscaler:
         if min_shards < 1 or max_shards < min_shards:
             raise ValueError("need 1 <= min_shards <= max_shards")
         self.fabric = fabric
-        self.router = router
         self.tracker = tracker
         self.coordinator = (coordinator if coordinator is not None
                             else RebalanceCoordinator(fabric, router))
@@ -226,7 +225,7 @@ class SloAutoscaler:
         in_cooldown = (
             self._last_action_at is not None
             and self.env.now - self._last_action_at < self.cooldown_s)
-        if self.router.migration is not None:
+        if self.fabric.migration is not None:
             return "hold", "migration in flight"
         if in_cooldown:
             return "hold", "cooldown"

@@ -10,7 +10,11 @@ All protocol-facing methods are generators: they pay the database engine's
 simulated costs, which is exactly what the Table 2 micro-benchmark measures
 (one remote data creation is an object creation on the client, an RMI
 round-trip and a database write to serialise the object).  Cost-free
-``*_now`` variants back the unit tests and internal bookkeeping.
+``*_now`` variants back the unit tests and internal bookkeeping; each
+generator is its ``*_now`` body under one ``Database.execute``.
+
+Each of the three collections is stored under the key its readers ask by
+(``docs/ARCHITECTURE.md``, "What the catalog stores").
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class DataCatalogService:
     def register_data(self, data: Data):
         """Generator: create the data slot in the catalog (one DB write)."""
         self.requests += 1
-        yield from self.database.upsert(_DATA, data.uid, data)
+        yield from self.database.execute(lambda: self.register_data_now(data))
         return data
 
     def register_data_now(self, data: Data) -> Data:
@@ -50,7 +54,7 @@ class DataCatalogService:
     def get_data(self, uid: str):
         """Generator: fetch one datum by uid (one DB read)."""
         self.requests += 1
-        data = yield from self.database.get(_DATA, uid)
+        data = yield from self.database.execute(lambda: self.get_data_now(uid))
         if data is None:
             raise DataNotFoundError(f"no data with uid {uid!r} in the catalog")
         return data
@@ -59,9 +63,14 @@ class DataCatalogService:
         return self.database.raw_get(_DATA, uid)
 
     def find_by_name(self, name: str):
-        """Generator: all data whose label equals *name* (one DB query)."""
+        """Generator: all data whose label equals *name* (one DB query).
+
+        The paper's ``searchData``: the one read that is by value, not by
+        key, and so the one predicate scan in this module.
+        """
         self.requests += 1
-        rows = yield from self.database.query(_DATA, lambda d: d.name == name)
+        rows = yield from self.database.execute(
+            lambda: self.database.raw_query(_DATA, lambda d: d.name == name))
         return rows
 
     def update_status(self, uid: str, status: DataStatus):
@@ -84,11 +93,8 @@ class DataCatalogService:
         self.requests += 1
 
         def _delete():
-            removed = self.database.raw_delete(_DATA, uid)
-            for loc in self.database.raw_query(_LOCATORS,
-                                               lambda l: l.data_uid == uid):
-                self.database.raw_delete(_LOCATORS, loc.uid)
-            return removed
+            self.database.raw_delete(_LOCATORS, uid)
+            return self.database.raw_delete(_DATA, uid)
 
         removed = yield from self.database.execute(_delete, statements=2)
         return removed
@@ -101,25 +107,32 @@ class DataCatalogService:
         return self.database.size(_DATA)
 
     # ------------------------------------------------------------------ locators
+    # One ``dc.locators`` record per datum, stored under the key every reader
+    # asks by: ``{locator.uid: locator}`` in insertion order.  A frozen
+    # Locator is its own snapshot, so the record is written and read in place.
+
     def add_locator(self, locator: Locator):
         """Generator: register a permanent copy's location."""
         self.requests += 1
-        yield from self.database.upsert(_LOCATORS, locator.uid, locator)
+        yield from self.database.execute(lambda: self.add_locator_now(locator))
         return locator
 
     def add_locator_now(self, locator: Locator) -> Locator:
-        self.database.raw_upsert(_LOCATORS, locator.uid, locator)
+        record = self.database.collection(_LOCATORS).setdefault(
+            locator.data_uid, {})
+        record[locator.uid] = locator
         return locator
 
     def locators_for(self, data_uid: str):
         """Generator: all known locators of a datum."""
         self.requests += 1
-        rows = yield from self.database.query(
-            _LOCATORS, lambda l: l.data_uid == data_uid)
+        rows = yield from self.database.execute(
+            lambda: self.locators_for_now(data_uid))
         return rows
 
     def locators_for_now(self, data_uid: str) -> List[Locator]:
-        return self.database.raw_query(_LOCATORS, lambda l: l.data_uid == data_uid)
+        record = self.database.collection(_LOCATORS).get(data_uid, {})
+        return list(record.values())
 
     # ------------------------------------------------------------------ key/value
     def publish_pair(self, key: str, value):
@@ -127,11 +140,10 @@ class DataCatalogService:
         self.requests += 1
 
         def _insert():
-            existing = self.database.raw_get(_KV, key) or set()
-            existing = set(existing)
-            existing.add(value)
-            self.database.raw_upsert(_KV, key, existing)
-            return existing
+            values = self.lookup_pair_now(key)
+            values.add(value)
+            self.database.raw_upsert(_KV, key, values)
+            return values
 
         result = yield from self.database.execute(_insert)
         return result
@@ -139,35 +151,31 @@ class DataCatalogService:
     def lookup_pair(self, key: str):
         """Generator: read back the values published under *key*."""
         self.requests += 1
-        values = yield from self.database.get(_KV, key, set())
-        return set(values) if values else set()
+        values = yield from self.database.execute(
+            lambda: self.lookup_pair_now(key))
+        return values
 
     def lookup_pair_now(self, key: str) -> set:
-        values = self.database.raw_get(_KV, key, set())
-        return set(values) if values else set()
+        return self.database.raw_get(_KV, key) or set()
 
     # ------------------------------------------------------------------ migration
     # The elastic fabric (services/rebalance.py) moves catalog state between
     # shards one *routing key* at a time.  A routing key K bundles everything
     # the router ever sends to this shard under K: the datum with uid K, the
-    # locators of data_uid K, and the key/value set published under K.
+    # locators of data_uid K, and the key/value set published under K — the
+    # record stored under K in each of the three collections.
 
     def migration_keys(self) -> List[str]:
         """Sorted routing keys with any state on this shard (no DB cost)."""
-        keys = set(self.database.collection(_DATA))
-        keys.update(self.database.collection(_KV))
-        for locator in self.database.raw_query(_LOCATORS):
-            keys.add(locator.data_uid)
-        return sorted(keys)
+        return sorted({key for name in (_DATA, _LOCATORS, _KV)
+                       for key in self.database.collection(name)})
 
     def export_key_now(self, key: str) -> dict:
         """Everything stored under routing key *key* (cost-free snapshot)."""
         return {
             "data": self.database.raw_get(_DATA, key),
-            "locators": sorted(
-                self.database.raw_query(_LOCATORS,
-                                        lambda l: l.data_uid == key),
-                key=lambda l: l.uid),
+            "locators": sorted(self.locators_for_now(key),
+                               key=lambda l: l.uid),
             "kv": self.database.raw_get(_KV, key),
         }
 
@@ -184,9 +192,9 @@ class DataCatalogService:
         if snapshot.get("data") is not None:
             self.database.raw_upsert(_DATA, key, snapshot["data"])
         for locator in snapshot.get("locators", ()):
-            self.database.raw_upsert(_LOCATORS, locator.uid, locator)
+            self.add_locator_now(locator)
         if snapshot.get("kv") is not None:
-            self.database.raw_upsert(_KV, key, set(snapshot["kv"]))
+            self.database.raw_upsert(_KV, key, snapshot["kv"])
 
     def import_key(self, key: str, snapshot: dict):
         """Generator: install one routing key's state (one admin-connection statement)."""
@@ -196,11 +204,8 @@ class DataCatalogService:
 
     def drop_key_now(self, key: str) -> None:
         """Remove every record under routing key *key* (migration clean-up)."""
-        self.database.raw_delete(_DATA, key)
-        for locator in self.database.raw_query(_LOCATORS,
-                                               lambda l: l.data_uid == key):
-            self.database.raw_delete(_LOCATORS, locator.uid)
-        self.database.raw_delete(_KV, key)
+        for name in (_DATA, _LOCATORS, _KV):
+            self.database.raw_delete(name, key)
 
     def drop_key(self, key: str):
         """Generator: drop one routing key's state (one admin-connection statement)."""

@@ -58,18 +58,15 @@ class ShardedDataCatalog:
     bookkeeping surface whether the catalog is centralized or sharded.
     """
 
-    def __init__(self, shards: Sequence[DataCatalogService], ring: ShardRing):
-        self.shards = list(shards)
-        self.ring = ring
-        #: the active ShardMigration overlay, if a rebalance is in flight —
-        #: cost-free facade access follows the same effective routing as
-        #: the RPC router so harness bookkeeping reads the right shard.
-        self.migration = None
+    def __init__(self, fabric: "ServiceFabric"):
+        self.fabric = fabric
+        #: the fabric's own list, not a copy: a split or merge shows here
+        self.shards = fabric.catalog_shards
 
     def _shard(self, key: str) -> DataCatalogService:
-        if self.migration is not None:
-            return self.shards[self.migration.effective_shard("dc", key)]
-        return self.shards[self.ring.shard_for(key)]
+        # Cost-free facade access follows the same effective routing as the
+        # RPC router, so harness bookkeeping reads the right shard mid-migration.
+        return self.shards[self.fabric.effective_shard("dc", key)]
 
     # -- keyed pass-throughs (cost-free bookkeeping variants) ---------------
     def register_data_now(self, data):
@@ -100,16 +97,12 @@ class ShardedDataCatalog:
 class ShardedDataScheduler:
     """Facade over the scheduler shards: Θ is partitioned by data uid."""
 
-    def __init__(self, shards: Sequence[DataSchedulerService], ring: ShardRing):
-        self.shards = list(shards)
-        self.ring = ring
-        #: the active ShardMigration overlay, if a rebalance is in flight
-        self.migration = None
+    def __init__(self, fabric: "ServiceFabric"):
+        self.fabric = fabric
+        self.shards = fabric.scheduler_shards    #: the fabric's own list
 
     def _shard(self, uid: str) -> DataSchedulerService:
-        if self.migration is not None:
-            return self.shards[self.migration.effective_shard("ds", uid)]
-        return self.shards[self.ring.shard_for(uid)]
+        return self.shards[self.fabric.effective_shard("ds", uid)]
 
     # -- keyed pass-throughs ------------------------------------------------
     def schedule(self, data, attribute=None):
@@ -262,10 +255,14 @@ class ServiceFabric:
             RpcEndpoint(self.data_transfer, host=self.host,
                         name="DataTransfer", domain=domain)]]
 
-        self.data_catalog = ShardedDataCatalog(self.catalog_shards,
-                                               self.dc_ring)
-        self.data_scheduler = ShardedDataScheduler(self.scheduler_shards,
-                                                   self.ds_ring)
+        #: the active :class:`~repro.services.rebalance.ShardMigration`
+        #: overlay, or None — the one place the router, both facades and the
+        #: autoscaler read it from.  While set, keyed invocations follow the
+        #: migration's copy → flip state machine (keys born during it route
+        #: by the *new* ring) and scatters cover every endpoint group.
+        self.migration = None
+        self.data_catalog = ShardedDataCatalog(self)
+        self.data_scheduler = ShardedDataScheduler(self)
         self._started = False
         #: bumped by every start(); heartbeat loops exit on a stale epoch,
         #: so stop()+start() never leaves two loops beating per host.
@@ -306,8 +303,6 @@ class ServiceFabric:
         """
         index = len(self.catalog_shards)
         self._build_shard(index)
-        self.data_catalog.shards.append(self.catalog_shards[index])
-        self.data_scheduler.shards.append(self.scheduler_shards[index])
         return index
 
     def commit_transition(self, dc_ring: ShardRing, ds_ring: ShardRing,
@@ -316,8 +311,6 @@ class ServiceFabric:
         self.dc_ring = dc_ring
         self.ds_ring = ds_ring
         self.shards = shards
-        self.data_catalog.ring = dc_ring
-        self.data_scheduler.ring = ds_ring
 
     def retire_tail_shard(self) -> None:
         """Tear down the (drained, idle) tail shard after a merge."""
@@ -326,8 +319,6 @@ class ServiceFabric:
         self.scheduler_shards.pop()
         self._endpoints["dc"].pop()
         self._endpoints["ds"].pop()
-        self.data_catalog.shards.pop()
-        self.data_scheduler.shards.pop()
 
     def endpoint_group_count(self, service: str) -> int:
         """Endpoint groups currently up for *service* — during a split this
@@ -350,6 +341,13 @@ class ServiceFabric:
 
     def ring_for(self, service: str) -> ShardRing:
         return self.dc_ring if service == "dc" else self.ds_ring
+
+    def effective_shard(self, service: str, key: str) -> int:
+        """The shard that owns *key* right now: the migration overlay's
+        answer while a rebalance is in flight, the committed ring's otherwise."""
+        if self.migration is not None:
+            return self.migration.effective_shard(service, key)
+        return self.ring_for(service).shard_for(key)
 
     def shard_endpoints(self, service: str, shard: int) -> List[RpcEndpoint]:
         return self._endpoints[service][shard]

@@ -17,9 +17,10 @@ The protocol is the classic four-phase live migration:
 ``prepare``
     Build the new ring (same vnode family, so only the joining/leaving
     shard's arcs change hands), enumerate the routing keys on every shard
-    (paying the RPC + database cost), and take an atomic key snapshot from
-    which the :class:`~repro.services.router.HandoffPlan` per service is
-    computed.  For a split the new shard's services, database and
+    (paying one RPC round trip per shard and service — ``migration_keys``
+    is not a generator, so no database statement is charged), and take an
+    atomic key snapshot from which the
+    :class:`~repro.services.router.HandoffPlan` per service is computed.  For a split the new shard's services, database and
     endpoints come up now (:meth:`ServiceFabric.add_shard`).  The routing
     overlay (:class:`ShardMigration`) is installed atomically with the
     plan: planned keys keep routing to their source shard; keys born later
@@ -269,13 +270,13 @@ class RebalanceCoordinator:
             try:
                 result = yield from self.channel.invoke_failover(
                     self.router._resolver(service, shard), method, *args,
-                    policy=self.router.policy)
+                    policy=self.fabric.failover_policy)
                 return result
             except RpcResponseLostError:
                 attempts += 1
                 if attempts > 8:
                     raise
-                yield self.env.timeout(self.router.policy.backoff_s)
+                yield self.env.timeout(self.fabric.failover_policy.backoff_s)
 
     def _phase(self, phase: str, migration: Optional[ShardMigration]) -> None:
         if self.on_phase is not None:
@@ -303,7 +304,7 @@ class RebalanceCoordinator:
     def _run(self, kind: str, new_shards: int):
         fabric = self.fabric
         router = self.router
-        if router.migration is not None:
+        if fabric.migration is not None:
             raise RpcError("a shard migration is already in progress")
         old_shards = fabric.shards
         stats = MigrationStats(kind=kind, old_shards=old_shards,
@@ -318,7 +319,8 @@ class RebalanceCoordinator:
                      for service in _SERVICES}
         if kind == "split":
             fabric.add_shard()
-        # Pay the enumeration cost: one catalog/scheduler scan per shard.
+        # Pay the enumeration cost: one RPC round trip per shard and
+        # service (migration_keys is a plain method — no database statement).
         for service in _SERVICES:
             for shard in range(old_shards):
                 yield from self._call(service, shard, "migration_keys")
@@ -338,9 +340,7 @@ class RebalanceCoordinator:
             stats.theoretical_minimum[service] = (
                 plans[service].theoretical_minimum)
         migration = ShardMigration(self.env, kind, new_rings, plans)
-        router.migration = migration
-        fabric.data_catalog.migration = migration
-        fabric.data_scheduler.migration = migration
+        fabric.migration = migration
         for shard in range(old_shards):
             fabric.scheduler_shards[shard]._mutation_hook = (
                 lambda uid, _shard=shard: migration.note_dirty_from(
@@ -408,9 +408,7 @@ class RebalanceCoordinator:
                 fabric.scheduler_shards[shard].unquiesce(uids)
             for shard in range(min(old_shards, len(fabric.scheduler_shards))):
                 fabric.scheduler_shards[shard]._mutation_hook = None
-            router.migration = None
-            fabric.data_catalog.migration = None
-            fabric.data_scheduler.migration = None
+            fabric.migration = None
         if kind == "merge":
             fabric.retire_tail_shard()
         stats.sealed_s = migration.sealed_s

@@ -260,7 +260,6 @@ class FabricRouter(ServiceRouter):
 
     def __init__(self, fabric):
         self.fabric = fabric
-        self.policy = fabric.failover_policy
         #: resolutions served by a non-primary replica — one count per
         #: resolve attempt (so blocked retries against an undetected crash
         #: count each attempt), a traffic measure rather than a count of
@@ -269,12 +268,6 @@ class FabricRouter(ServiceRouter):
         self.reroutes_by_shard: Dict[str, int] = {}
         #: synchronisations routed so far; rotates the batch-limit remainder
         self._sync_rounds = 0
-        #: the active :class:`~repro.services.rebalance.ShardMigration`
-        #: overlay, or None.  While set, keyed invocations consult the
-        #: migration for the effective shard (planned keys follow the
-        #: copy → flip state machine; keys born during the migration route
-        #: by the *new* ring) and scatters cover every endpoint group.
-        self.migration = None
         #: in-flight invocations per (service, shard); the rebalance
         #: coordinator waits for a leaving shard's count to reach zero
         #: before retiring its endpoints.
@@ -315,7 +308,7 @@ class FabricRouter(ServiceRouter):
         try:
             result = yield from channel.invoke_failover(
                 self._resolver(service, shard), method, *args,
-                policy=self.policy, **kwargs)
+                policy=self.fabric.failover_policy, **kwargs)
         finally:
             self.outstanding[slot] -= 1
         return result
@@ -337,11 +330,12 @@ class FabricRouter(ServiceRouter):
             return self._invoke_scatter(channel, service, method,
                                         *args, **kwargs)
         key = extractor(*args)
-        if self.migration is not None:
+        if self.fabric.migration is not None:
             return self._invoke_migrating(channel, service, method, key,
                                           args, kwargs)
-        shard = self.fabric.ring_for(service).shard_for(key)
-        return self._call(channel, service, shard, method, args, kwargs)
+        return self._call(channel, service,
+                          self.fabric.effective_shard(service, key),
+                          method, args, kwargs)
 
     def _invoke_migrating(self, channel: RpcChannel, service: str, method: str,
                           key: str, args, kwargs):
@@ -354,15 +348,13 @@ class FabricRouter(ServiceRouter):
         the call so the coordinator can drain in-flight work, and marks the
         key dirty on completion so post-copy mutations are re-copied.
         """
-        migration = self.migration
-        yield from migration.wait_key(service, key)
-        migration = self.migration    # the migration may have ended meanwhile
+        yield from self.fabric.migration.wait_key(service, key)
+        migration = self.fabric.migration    # may have ended meanwhile
+        shard = self.fabric.effective_shard(service, key)
         if migration is None:
-            shard = self.fabric.ring_for(service).shard_for(key)
             result = yield from self._call(channel, service, shard, method,
                                            args, kwargs)
             return result
-        shard = migration.effective_shard(service, key)
         token = migration.note_enter(service, (key,))
         try:
             result = yield from self._call(channel, service, shard, method,
@@ -412,7 +404,7 @@ class FabricRouter(ServiceRouter):
         """Generator: fan a keyless call out to every shard and merge."""
         merge = _SCATTER_MERGE[(service, method)]
         count = self.fabric.shard_count(service)
-        if self.migration is not None:
+        if self.fabric.migration is not None:
             # During a migration the scatter must reach every endpoint
             # group that may still hold state (the joining shard during a
             # split, the leaving shard until its drain completes); the
@@ -434,7 +426,7 @@ class FabricRouter(ServiceRouter):
         waits for every shard, then merges into one :class:`SyncResult`).
         """
         cached = set(cached_uids)
-        if self.migration is not None:
+        if self.fabric.migration is not None:
             result = yield from self._sync_migrating(
                 channel, host_name, cached, reservoir, max_new, payload_kb)
             return result
@@ -494,9 +486,8 @@ class FabricRouter(ServiceRouter):
         uids it carries are tracked/dirty-marked like keyed invocations —
         a sync's step-1 owner registration mutates scheduler state.
         """
-        migration = self.migration
-        yield from migration.wait_keys("ds", cached_uids)
-        migration = self.migration
+        yield from self.fabric.migration.wait_keys("ds", cached_uids)
+        migration = self.fabric.migration
         if migration is None:
             # The migration ended while this sync was parked at the seal;
             # run it as a plain post-migration synchronisation.

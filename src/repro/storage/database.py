@@ -12,8 +12,9 @@ relevant cost structure is:
   concurrent callers queue (the paper notes multi-threading as future work).
 
 The store itself is functional — a set of named collections holding object
-snapshots, with key access and predicate queries — so the Data Catalog and
-Data Scheduler really persist and retrieve their state through it.
+snapshots, with key access and predicate queries — so the Data Catalog, its
+one client, really persists and retrieves its state through it (the Data
+Scheduler only pays the statement costs).
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ __all__ = [
     "ConnectionPool",
     "Database",
     "DatabaseEngine",
-    "DatabaseError",
     "EmbeddedSQLEngine",
     "NetworkedSQLEngine",
 ]
-
-
-class DatabaseError(RuntimeError):
-    """Raised for missing keys/collections and misuse of the database API."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,8 @@ class Database:
     """A functional object store with simulated access costs.
 
     Collections map string keys to deep-copied object snapshots, which keeps
-    the store honest about persistence semantics (mutating a stored object
-    after ``insert`` does not silently change the database).
+    the store honest about persistence semantics (mutating an object after
+    it was stored, or one read back, does not silently change the database).
     """
 
     def __init__(
@@ -117,12 +113,10 @@ class Database:
         env: Environment,
         engine: Optional[DatabaseEngine] = None,
         pool: Optional[ConnectionPool] = None,
-        copy_objects: bool = True,
     ):
         self.env = env
         self.engine = engine if engine is not None else EmbeddedSQLEngine()
         self.pool = pool
-        self.copy_objects = copy_objects
         self._collections: Dict[str, Dict[str, Any]] = {}
         #: The database executes statements serially.
         self._executor = Resource(env, capacity=1)
@@ -139,22 +133,17 @@ class Database:
     def size(self, name: str) -> int:
         return len(self._collections.get(name, {}))
 
-    def _snapshot(self, obj: Any) -> Any:
-        return copy.deepcopy(obj) if self.copy_objects else obj
+    #: The one copy between a caller's object and the stored one, on the way
+    #: in and on the way out.
+    _snapshot = staticmethod(copy.deepcopy)
 
     # -- raw functional operations (no simulated cost) -----------------------
-    def raw_insert(self, collection: str, key: str, obj: Any) -> None:
-        table = self.collection(collection)
-        if key in table:
-            raise DatabaseError(f"duplicate key {key!r} in {collection!r}")
-        table[key] = self._snapshot(obj)
-
     def raw_upsert(self, collection: str, key: str, obj: Any) -> None:
         self.collection(collection)[key] = self._snapshot(obj)
 
-    def raw_get(self, collection: str, key: str, default: Any = None) -> Any:
-        value = self._collections.get(collection, {}).get(key, default)
-        return self._snapshot(value) if value is not None else default
+    def raw_get(self, collection: str, key: str) -> Any:
+        value = self._collections.get(collection, {}).get(key)
+        return None if value is None else self._snapshot(value)
 
     def raw_delete(self, collection: str, key: str) -> bool:
         table = self._collections.get(collection, {})
@@ -216,17 +205,3 @@ class Database:
             result = operation()
         self.operations += 1
         return result
-
-    # -- convenience simulated statements --------------------------------------
-    def insert(self, collection: str, key: str, obj: Any):
-        return self.execute(lambda: self.raw_insert(collection, key, obj))
-
-    def upsert(self, collection: str, key: str, obj: Any):
-        return self.execute(lambda: self.raw_upsert(collection, key, obj))
-
-    def get(self, collection: str, key: str, default: Any = None):
-        return self.execute(lambda: self.raw_get(collection, key, default))
-
-    def query(self, collection: str,
-              predicate: Optional[Callable[[Any], bool]] = None):
-        return self.execute(lambda: self.raw_query(collection, predicate))

@@ -29,6 +29,16 @@ collection written and never queried — the two largest finds of the PR that
 added this mode were made by reading, not by this pass (see "Its blind
 spot" in ``docs/ARCHITECTURE.md``).
 
+A fifth mode compares behaviour instead of reading code: ``outputs REF``
+materialises ``src/`` of a git ref in a temp dir (``git archive``: nothing is
+registered under ``.git``, so an interrupted run leaves no worktree to
+prune), runs every registered scenario at the ``REDUCED`` sizes on both
+trees, each run a fresh interpreter, ``cmp``s the two JSONs, prints one line
+per scenario and exits 1 on any difference — the acceptance check of every
+PR that must not change an output::
+
+    python tests/census.py outputs HEAD~1
+
 Not collected by pytest (no ``test_`` prefix); ``__main__.py`` and
 ``analysis/`` are left out of the report (the CLI and the linter have
 their own tests and no scenario drives them).
@@ -40,7 +50,10 @@ import ast
 import json
 import os
 import runpy
+import shutil
+import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.join(REPO, "src", "repro") + os.sep
@@ -208,10 +221,49 @@ def _state(root: str) -> int:
     return 1 if offending else 0
 
 
+def _outputs(ref: str) -> int:
+    """Byte-compare every scenario's JSON on *ref* and on this tree."""
+    sys.path[:0] = [REPO, os.path.join(REPO, "src")]
+    from repro.experiments import default_registry
+    from tests.test_ids import REDUCED
+    work = tempfile.mkdtemp(prefix="census-outputs-")
+    differing = []
+    try:
+        archive = subprocess.run(["git", "-C", REPO, "archive", ref, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", work], input=archive, check=True)
+        trees = {"ref": os.path.join(work, "src"),
+                 "here": os.path.join(REPO, "src")}
+        for definition in default_registry().definitions():
+            name = definition.name
+            argv = [sys.executable, "-m", "repro", "run", name, "--quiet",
+                    "--no-cache"]
+            for key, value in REDUCED.get(name, {}).items():
+                text = value if isinstance(value, str) else json.dumps(value)
+                argv += ["--set", f"{key}={text}"]
+            outs = []
+            for side, src in trees.items():
+                outs.append(os.path.join(work, f"{name}.{side}.json"))
+                subprocess.run(argv + ["--out", outs[-1]], check=True,
+                               cwd=work, env=dict(os.environ, PYTHONPATH=src))
+            same = subprocess.run(["cmp", "-s", *outs]).returncode == 0
+            if not same:
+                differing.append(name)
+            print(f"{'identical' if same else 'DIFFERS  '}  {name}",
+                  flush=True)
+    finally:
+        shutil.rmtree(work)
+    print(f"{len(differing)} scenario outputs differ from {ref}"
+          + (": " + ", ".join(differing) if differing else ""))
+    return 1 if differing else 0
+
+
 def main(argv) -> int:
     mode = argv[1]
     if mode == "state":
         return _state(argv[2] if len(argv) > 2 else ROOT)
+    if mode == "outputs":
+        return _outputs(argv[2])
     if mode == "report":
         _report(argv[2], argv[3])
         return 0

@@ -22,10 +22,7 @@ class _StubFabric:
     def __init__(self, env, shards=2):
         self.env = env
         self.shards = shards
-
-
-class _StubRouter:
-    migration = None
+        self.migration = None
 
 
 class _StubCoordinator:
@@ -47,7 +44,7 @@ class _StubCoordinator:
 def _autoscaler(env, tracker, **kwargs):
     kwargs.setdefault("min_shards", 1)
     kwargs.setdefault("max_shards", 8)
-    return SloAutoscaler(_StubFabric(env), _StubRouter(), tracker,
+    return SloAutoscaler(_StubFabric(env), None, tracker,
                          coordinator=_StubCoordinator(), **kwargs)
 
 
@@ -88,7 +85,7 @@ def test_migration_in_flight_wins_over_everything():
     env = Environment()
     tracker = SloTracker(env, target_p99_s=0.1)
     autoscaler = _autoscaler(env, tracker)
-    autoscaler.router = type("R", (), {"migration": object()})()
+    autoscaler.fabric.migration = object()
     assert autoscaler._decide(0.5) == ("hold", "migration in flight")
 
 

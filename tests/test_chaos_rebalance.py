@@ -97,7 +97,7 @@ def _chaos_migration(kind: str, crash_phase: str, n_data: int = 36,
                 ledger.fail(record)
             # A synchronisation presenting every datum: its cache view is
             # partitioned by effective owner while the overlay is up.
-            overlay = runtime.router.migration is not None
+            overlay = runtime.fabric.migration is not None
             record = ledger.begin("sync", agent.host.name)
             try:
                 result = yield from agent.invoke(

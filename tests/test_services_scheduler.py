@@ -16,7 +16,7 @@ def detector(env):
 
 @pytest.fixture
 def scheduler(env, detector):
-    return DataSchedulerService(env, database=Database(env, copy_objects=False),
+    return DataSchedulerService(env, database=Database(env),
                                 failure_detector=detector, max_data_schedule=16)
 
 
@@ -318,8 +318,7 @@ class TestSynchronizeGenerator:
     def test_synchronize_pays_database_cost_and_heartbeats(self, env, detector, drive):
         from repro.storage.database import EmbeddedSQLEngine
         db = Database(env, engine=EmbeddedSQLEngine(operation_cost_s=0.05,
-                                                    connection_cost_s=0.0),
-                      copy_objects=False)
+                                                    connection_cost_s=0.0))
         scheduler = DataSchedulerService(env, database=db, failure_detector=detector)
         data = Data(name="d")
         scheduler.schedule(data, Attribute(name="a", replica=1))

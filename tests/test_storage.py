@@ -6,7 +6,6 @@ from repro.sim import ids
 from repro.storage.database import (
     ConnectionPool,
     Database,
-    DatabaseError,
     EmbeddedSQLEngine,
     NetworkedSQLEngine,
 )
@@ -29,18 +28,12 @@ class TestEngines:
 class TestDatabaseFunctional:
     def test_raw_insert_get_delete(self, env):
         db = Database(env)
-        db.raw_insert("t", "k1", {"x": 1})
+        db.raw_upsert("t", "k1", {"x": 1})
         assert db.raw_get("t", "k1") == {"x": 1}
         assert db.size("t") == 1
         assert db.raw_delete("t", "k1")
         assert not db.raw_delete("t", "k1")
         assert db.raw_get("t", "k1") is None
-
-    def test_duplicate_insert_rejected(self, env):
-        db = Database(env)
-        db.raw_insert("t", "k", 1)
-        with pytest.raises(DatabaseError):
-            db.raw_insert("t", "k", 2)
 
     def test_upsert_overwrites(self, env):
         db = Database(env)
@@ -51,7 +44,7 @@ class TestDatabaseFunctional:
     def test_query_with_predicate(self, env):
         db = Database(env)
         for i in range(10):
-            db.raw_insert("nums", str(i), i)
+            db.raw_upsert("nums", str(i), i)
         evens = db.raw_query("nums", lambda v: v % 2 == 0)
         assert sorted(evens) == [0, 2, 4, 6, 8]
         assert len(db.raw_query("nums")) == 10
@@ -59,23 +52,18 @@ class TestDatabaseFunctional:
     def test_snapshot_isolation(self, env):
         db = Database(env)
         obj = {"nested": [1, 2, 3]}
-        db.raw_insert("t", "k", obj)
+        db.raw_upsert("t", "k", obj)
         obj["nested"].append(4)
         assert db.raw_get("t", "k") == {"nested": [1, 2, 3]}
-
-    def test_copy_objects_false_shares_reference(self, env):
-        db = Database(env, copy_objects=False)
-        obj = {"nested": [1]}
-        db.raw_insert("t", "k", obj)
-        obj["nested"].append(2)
-        assert db.raw_get("t", "k") == {"nested": [1, 2]}
+        db.raw_get("t", "k")["nested"].append(5)
+        assert db.raw_get("t", "k") == {"nested": [1, 2, 3]}
 
 
 class TestDatabaseCosts:
     def test_operation_pays_engine_costs_without_pool(self, env, drive):
         engine = EmbeddedSQLEngine(operation_cost_s=0.1, connection_cost_s=0.05)
         db = Database(env, engine=engine)
-        drive(env, db.insert("t", "k", 1))
+        drive(env, db.execute(lambda: db.raw_upsert("t", "k", 1)))
         assert env.now == pytest.approx(0.15)
         assert db.operations == 1
 
@@ -86,7 +74,7 @@ class TestDatabaseCosts:
 
         def client():
             for i in range(3):
-                yield from db.insert("t", f"k{i}", i)
+                yield from db.execute(lambda: db.raw_upsert("t", f"k{i}", i))
 
         drive(env, client())
         # One connection opened once (1.0) + three operations (0.3).
@@ -98,7 +86,7 @@ class TestDatabaseCosts:
         db = Database(env, engine=engine)
 
         def client(i):
-            yield from db.insert("t", f"k{i}", i)
+            yield from db.execute(lambda: db.raw_upsert("t", f"k{i}", i))
 
         procs = [env.process(client(i)) for i in range(5)]
         env.run(until=env.all_of(procs))
