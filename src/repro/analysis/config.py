@@ -129,8 +129,6 @@ WALLCLOCK_ALLOWLIST: Dict[str, str] = {
 PROCESS_STATE_ALLOWLIST: Dict[str, str] = {
     "sim/ids.py":
         "the one id space; run_spec rewinds it on entry",
-    "experiments/runner.py":
-        "the lazily built default scenario registry (the built-in catalog)",
     "experiments/cache.py":
         "memo of the source-tree hash that salts cache keys",
 }

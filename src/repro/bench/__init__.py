@@ -2,30 +2,11 @@
 
 Each ``run_*`` function builds a fresh simulated platform, runs the
 experiment and returns plain dictionaries/lists with the same rows or series
-the paper reports.  Every entry point is a thin wrapper
-(:func:`repro.experiments.entry.registered_entry_point`) over a scenario
-registered in :mod:`repro.experiments.scenarios`, so the functions below,
-the pytest benchmarks under ``benchmarks/`` and the ``python -m repro`` CLI
-all dispatch to the same registered experiment; ``docs/EXPERIMENTS.md`` maps
-the full catalog.
-
-Index (see DESIGN.md and docs/EXPERIMENTS.md for the full mapping):
-
-=============  ==========================================================
-Experiment     Harness function
-=============  ==========================================================
-Table 1        :func:`repro.bench.micro.table1_testbed`
-Table 2        :func:`repro.bench.micro.run_table2`
-Table 3        :func:`repro.bench.micro.run_table3`
-Figure 3a      :func:`repro.bench.transfer.run_fig3a`
-Figure 3b/3c   :func:`repro.bench.transfer.run_fig3bc`
-Figure 4       :func:`repro.bench.fault.run_fig4`
-Figure 5       :func:`repro.bench.blast.run_fig5`
-Figure 6       :func:`repro.bench.blast.run_fig6`
-Scale (BENCH)  :func:`repro.bench.scale.run_sync_storm` /
-               :func:`repro.bench.scale.run_scale_grid` /
-               :func:`repro.bench.sweep.run_sweep_parallel`
-=============  ==========================================================
+the paper reports.  Every one is declared as a scenario where it is defined
+(:func:`repro.experiments.registry.scenario`), so the functions below, the
+pytest benchmarks under ``benchmarks/`` and the ``python -m repro`` CLI all
+dispatch to the same registered experiment.  ``python -m repro list`` prints
+the index; ``docs/EXPERIMENTS.md`` maps it to the paper.
 """
 
 from repro.bench.micro import run_table2, run_table2_cell, run_table3, table1_testbed

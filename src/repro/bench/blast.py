@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.blast import BlastParameters, build_blast_application
 from repro.core.runtime import BitDewEnvironment
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.net.topology import cluster_topology, grid5000_testbed
 from repro.sim.kernel import Environment
 from repro.transfer.registry import default_registry
@@ -31,7 +31,12 @@ from repro.transfer.registry import default_registry
 __all__ = ["run_blast_once", "run_fig5", "run_fig6"]
 
 
-def _run_blast_once(
+@scenario(
+    "blast",
+    title="One BLAST master/worker run",
+    paper_ref="Figures 5-6 building block (§5)",
+    tags=("apps",), volatile_keys=("report",))
+def run_blast_once(
     n_workers: int,
     transfer_protocol: str,
     topology: str = "cluster",
@@ -87,7 +92,12 @@ def _run_blast_once(
     }
 
 
-def _run_fig5(
+@scenario(
+    "fig5",
+    title="BLAST total execution time vs worker count, per protocol",
+    paper_ref="Figure 5 (§5)",
+    tags=("apps",), volatile_keys=("report",))
+def run_fig5(
     worker_counts: Sequence[int] = (10, 50, 150),
     protocols: Sequence[str] = ("ftp", "bittorrent"),
     **kwargs,
@@ -96,12 +106,18 @@ def _run_fig5(
     rows = []
     for protocol in protocols:
         for workers in worker_counts:
-            result = _run_blast_once(workers, protocol, topology="cluster", **kwargs)
+            result = run_blast_once.scenario_impl(
+                workers, protocol, topology="cluster", **kwargs)
             rows.append(result)
     return rows
 
 
-def _run_fig6(
+@scenario(
+    "fig6",
+    title="BLAST per-cluster breakdown (transfer/unzip/execution)",
+    paper_ref="Figure 6 (§5)",
+    tags=("apps",), volatile_keys=("report",))
+def run_fig6(
     total_nodes: int = 100,
     protocols: Sequence[str] = ("ftp", "bittorrent"),
     **kwargs,
@@ -109,7 +125,8 @@ def _run_fig6(
     """Per-cluster breakdown (transfer / unzip / execution) on Grid'5000."""
     rows = []
     for protocol in protocols:
-        result = _run_blast_once(total_nodes, protocol, topology="grid5000", **kwargs)
+        result = run_blast_once.scenario_impl(
+            total_nodes, protocol, topology="grid5000", **kwargs)
         for cluster, values in result["breakdown_by_cluster"].items():
             rows.append({
                 "protocol": protocol,
@@ -129,9 +146,3 @@ def _run_fig6(
             "tasks": mean["tasks_executed"],
         })
     return rows
-
-
-# Public entry points: dispatch through the scenario registry.
-run_blast_once = registered_entry_point("blast", _run_blast_once)
-run_fig5 = registered_entry_point("fig5", _run_fig5)
-run_fig6 = registered_entry_point("fig6", _run_fig6)

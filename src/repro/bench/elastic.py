@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.attributes import Attribute
 from repro.core.data import Data
 from repro.core.runtime import BitDewEnvironment
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.net.rpc import ChannelKind, RpcError
 from repro.net.topology import cluster_topology
 from repro.services.autoscaler import HotspotMonitor, SloAutoscaler, SloTracker
@@ -64,7 +64,12 @@ def _audit_catalog_pairs(fabric, completed: Dict[str, str]) -> Dict[str, int]:
     return {"lost": lost, "duplicated": duplicated, "misplaced": misplaced}
 
 
-def _run_fabric_rebalance(
+@scenario(
+    "fabric-rebalance",
+    title="Live shard split+merge under traffic: zero-loss key migration",
+    paper_ref="beyond the paper (service architecture, §3.1/§3.4)",
+    group="scale", tags=("bench", "fabric"))
+def run_fabric_rebalance(
     n_hosts: int = 8,
     n_data: int = 48,
     shards: int = 2,
@@ -309,7 +314,12 @@ def _diurnal_once(
     return row
 
 
-def _run_fabric_autoscale(
+@scenario(
+    "fabric-autoscale",
+    title="SLO-driven autoscaler on a diurnal trace: fixed vs elastic shards",
+    paper_ref="beyond the paper (service architecture, §3.1/§3.4)",
+    group="scale", tags=("bench", "fabric"))
+def run_fabric_autoscale(
     base_rps: float = 15.0,
     peak_rps: float = 220.0,
     period_s: float = 120.0,
@@ -367,10 +377,3 @@ def _run_fabric_autoscale(
         "autoscaled": autoscaled,
         "violation_improvement_x": improvement,
     }
-
-
-# Public entry points: dispatch through the scenario registry.
-run_fabric_rebalance = registered_entry_point("fabric-rebalance",
-                                              _run_fabric_rebalance)
-run_fabric_autoscale = registered_entry_point("fabric-autoscale",
-                                              _run_fabric_autoscale)

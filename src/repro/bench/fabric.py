@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from repro.core.attributes import Attribute
 from repro.core.data import Data
 from repro.core.runtime import BitDewEnvironment
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.net.rpc import RpcError
 from repro.net.topology import cluster_topology
 from repro.sim.kernel import Environment
@@ -124,7 +124,12 @@ def _storm_once(
     }
 
 
-def _run_fabric_scale(
+@scenario(
+    "fabric-scale",
+    title="Flash-crowd sync storm: centralized container vs sharded fabric",
+    paper_ref="beyond the paper (distributed services, §3.4; BENCH trajectory)",
+    group="scale", tags=("bench", "fabric"))
+def run_fabric_scale(
     n_hosts: int = 100,
     n_data: int = 1000,
     shards: int = 4,
@@ -171,7 +176,12 @@ def _run_fabric_scale(
     }
 
 
-def _run_fabric_failover(
+@scenario(
+    "fabric-failover",
+    title="Service-host crash: heartbeat-driven shard failover and recovery",
+    paper_ref="beyond the paper (service architecture, §3.1/§3.4)",
+    group="scale", tags=("bench", "fabric", "churn"))
+def run_fabric_failover(
     n_hosts: int = 16,
     n_data: int = 64,
     shards: int = 2,
@@ -317,9 +327,3 @@ def _run_fabric_failover(
             runtime.router.reroutes_by_shard.items())),
         "hosts_recovered": len(first_ok_after),
     }
-
-
-# Public entry points: dispatch through the scenario registry.
-run_fabric_scale = registered_entry_point("fabric-scale", _run_fabric_scale)
-run_fabric_failover = registered_entry_point("fabric-failover",
-                                             _run_fabric_failover)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.core.attributes import Attribute
 from repro.core.runtime import BitDewEnvironment
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.net.topology import dsl_lab_topology
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
@@ -26,7 +26,12 @@ from repro.workloads.traces import ChurnScript, crash_replace_script
 __all__ = ["run_fig4"]
 
 
-def _run_fig4(
+@scenario(
+    "fig4",
+    title="Fault-tolerant replicated storage under scripted churn",
+    paper_ref="Figure 4 (§4.4)",
+    tags=("churn",))
+def run_fig4(
     size_mb: float = 5.0,
     replica: int = 5,
     n_initial: int = 5,
@@ -127,7 +132,3 @@ def _run_fig4(
         "crashes": len([e for e in script.applied if e.action == "crash"]),
         "joins": len([e for e in script.applied if e.action == "join"]),
     }
-
-
-#: Public entry point: dispatches through the scenario registry as ``fig4``.
-run_fig4 = registered_entry_point("fig4", _run_fig4)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.attributes import Attribute
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.federation.deployment import DomainSpec, Federation
 from repro.net.rpc import RpcError
 from repro.storage.filesystem import FileContent
@@ -145,7 +145,12 @@ def _crowd_once(federation: Federation, size_mb: float,
     return out
 
 
-def _run_federation_flash_crowd(
+@scenario(
+    "federation-flash-crowd",
+    title="Cross-domain flash crowd: WAN replication vs per-worker fetches",
+    paper_ref="beyond the paper (multi-cluster deployments, §5; BENCH trajectory)",
+    group="scale", tags=("bench", "federation"))
+def run_federation_flash_crowd(
     n_domains: int = 3,
     workers_per_domain: int = 10,
     size_mb: float = 5.0,
@@ -188,7 +193,12 @@ def _run_federation_flash_crowd(
 # federation-partition-heal
 # ---------------------------------------------------------------------------
 
-def _run_federation_partition_heal(
+@scenario(
+    "federation-partition-heal",
+    title="WAN partition mid-replication: exactly-once catch-up after healing",
+    paper_ref="beyond the paper (fault tolerance, §3.5)",
+    group="scale", tags=("bench", "federation", "churn"))
+def run_federation_partition_heal(
     n_data: int = 12,
     n_private: int = 3,
     size_mb: float = 1.5,
@@ -282,7 +292,12 @@ def _run_federation_partition_heal(
 # federation-sovereignty
 # ---------------------------------------------------------------------------
 
-def _run_federation_sovereignty(
+@scenario(
+    "federation-sovereignty",
+    title="Trust allowlists + visibility: policy-constrained placement",
+    paper_ref="beyond the paper (data attributes, §3.2)",
+    group="scale", tags=("bench", "federation"))
+def run_federation_sovereignty(
     n_public: int = 6,
     n_unlisted: int = 4,
     n_private: int = 4,
@@ -362,12 +377,3 @@ def _run_federation_sovereignty(
         "alpha_gateway": alpha.gateway.stats(),
         "leaks": len(federation.private_leaks()),
     }
-
-
-# Public entry points: dispatch through the scenario registry.
-run_federation_flash_crowd = registered_entry_point(
-    "federation-flash-crowd", _run_federation_flash_crowd)
-run_federation_partition_heal = registered_entry_point(
-    "federation-partition-heal", _run_federation_partition_heal)
-run_federation_sovereignty = registered_entry_point(
-    "federation-sovereignty", _run_federation_sovereignty)

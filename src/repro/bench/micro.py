@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.data import Data
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.dht.chord import ChordRing
 from repro.dht.ddc import DistributedDataCatalog
 from repro.net.rpc import ChannelKind, RpcChannel, RpcEndpoint
@@ -37,7 +37,12 @@ __all__ = ["run_table2", "run_table2_cell", "run_table3", "table1_testbed"]
 # Table 1
 # ---------------------------------------------------------------------------
 
-def _table1_testbed() -> List[Dict[str, object]]:
+@scenario(
+    "table1",
+    title="Testbed hardware configuration",
+    paper_ref="Table 1 (§4.1)",
+    tags=("micro",))
+def table1_testbed() -> List[Dict[str, object]]:
     """The hardware configuration rows of Table 1 (from the topology model)."""
     rows = []
     for name, spec in GRID5000_CLUSTERS.items():
@@ -69,7 +74,12 @@ _CHANNELS = {
 }
 
 
-def _run_table2_cell(engine: str = "hsqldb", pooled: bool = True,
+@scenario(
+    "table2-cell",
+    title="One cell of the data-slot creation-rate grid",
+    paper_ref="Table 2 (§4.2)",
+    tags=("micro",))
+def run_table2_cell(engine: str = "hsqldb", pooled: bool = True,
                     channel: str = "rmi remote",
                     n_creations: int = 2000) -> float:
     """One cell of Table 2: thousands of data-slot creations per second.
@@ -107,7 +117,12 @@ def _run_table2_cell(engine: str = "hsqldb", pooled: bool = True,
     return (n_creations / elapsed) / 1000.0
 
 
-def _run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
+@scenario(
+    "table2",
+    title="Data-slot creation rate, all 12 engine/pool/channel cells",
+    paper_ref="Table 2 (§4.2)",
+    tags=("micro",))
+def run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
     """All 12 cells of Table 2, keyed by channel then ``engine/pooling``."""
     table: Dict[str, Dict[str, float]] = {}
     for channel in _CHANNELS:
@@ -115,9 +130,9 @@ def _run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
         for engine in _ENGINES:
             for pooled in (False, True):
                 label = f"{engine}/{'dbcp' if pooled else 'no-dbcp'}"
-                row[label] = _run_table2_cell(engine=engine, pooled=pooled,
-                                             channel=channel,
-                                             n_creations=n_creations)
+                row[label] = run_table2_cell.scenario_impl(
+                    engine=engine, pooled=pooled, channel=channel,
+                    n_creations=n_creations)
         table[channel] = row
     return table
 
@@ -126,7 +141,12 @@ def _run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
 # Table 3
 # ---------------------------------------------------------------------------
 
-def _run_table3(n_nodes: int = 50, pairs_per_node: int = 500,
+@scenario(
+    "table3",
+    title="Publish rate: Distributed Data Catalog vs centralized DC",
+    paper_ref="Table 3 (§4.2, §3.4.1)",
+    tags=("micro", "dht"))
+def run_table3(n_nodes: int = 50, pairs_per_node: int = 500,
                engine: str = "hsqldb") -> Dict[str, float]:
     """Publish (dataID, hostID) pairs into the DDC (DHT) and into the DC.
 
@@ -182,10 +202,3 @@ def _run_table3(n_nodes: int = 50, pairs_per_node: int = 500,
         "dc_pairs_per_s": total_pairs / dc_total_s if dc_total_s > 0 else float("inf"),
         "slowdown_ratio": ddc_total_s / dc_total_s if dc_total_s > 0 else float("inf"),
     }
-
-
-# Public entry points: dispatch through the scenario registry.
-table1_testbed = registered_entry_point("table1", _table1_testbed)
-run_table2_cell = registered_entry_point("table2-cell", _run_table2_cell)
-run_table2 = registered_entry_point("table2", _run_table2)
-run_table3 = registered_entry_point("table3", _run_table3)

@@ -16,8 +16,7 @@ __all__ = ["format_table", "shape_check", "geometric_mean"]
 
 def format_table(rows: Sequence[Mapping[str, object]],
                  columns: Sequence[str] | None = None,
-                 title: str | None = None,
-                 float_format: str = "{:.2f}") -> str:
+                 title: str | None = None) -> str:
     """Render a list of dict rows as an aligned plain-text table."""
     rows = list(rows)
     if not rows:
@@ -27,7 +26,7 @@ def format_table(rows: Sequence[Mapping[str, object]],
 
     def cell(value: object) -> str:
         if isinstance(value, float):
-            return float_format.format(value)
+            return f"{value:.2f}"
         return str(value)
 
     table = [[cell(row.get(col, "")) for col in columns] for row in rows]

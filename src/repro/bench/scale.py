@@ -43,7 +43,7 @@ import time
 from typing import Dict, Iterator, List, Sequence
 
 from repro.core.attributes import Attribute
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.core.data import Data
 from repro.core.runtime import BitDewEnvironment
 from repro.net.flows import Network
@@ -59,6 +59,11 @@ from repro.workloads.cohort import (
 
 __all__ = ["run_completion_curve", "run_scale_grid", "run_scale_grid_100k",
            "run_scale_grid_300k", "run_sync_storm"]
+
+
+#: wall-clock result keys: real, not simulated, time (``events_per_sec`` is
+#: wall-clock-derived throughput, equally volatile) — scrubbed from ``--out``.
+_WALL_KEYS = ("wall_s", "setup_wall_s", "storm_walls_s", "events_per_sec")
 
 
 def _events_per_sec(processed_events: int, wall_s: float) -> float:
@@ -89,7 +94,12 @@ def _gc_paused() -> Iterator[None]:
             gc.collect()
 
 
-def _run_sync_storm(
+@scenario(
+    "sync-storm",
+    title="N simultaneous downloads from one server, repeated rounds",
+    paper_ref="beyond the paper (BENCH trajectory)",
+    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+def run_sync_storm(
     n_workers: int = 500,
     rounds: int = 2,
     size_mb: float = 5.0,
@@ -153,7 +163,12 @@ def _run_sync_storm(
     }
 
 
-def _run_completion_curve(
+@scenario(
+    "completion-curve",
+    title="Completion time vs worker count past the paper's grid",
+    paper_ref="beyond the paper (Figure 3a shape at scale)",
+    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+def run_completion_curve(
     worker_counts: Sequence[int] = (250, 500, 1000),
     size_mb: float = 2.0,
     server_link_mbps: float = 1000.0,
@@ -162,10 +177,9 @@ def _run_completion_curve(
     """Completion time vs worker count with a server-uplink bottleneck."""
     rows: List[Dict[str, object]] = []
     for n_workers in worker_counts:
-        metrics = _run_sync_storm(n_workers=n_workers, rounds=1,
-                                 size_mb=size_mb,
-                                 server_link_mbps=server_link_mbps,
-                                 node_link_mbps=node_link_mbps)
+        metrics = run_sync_storm.scenario_impl(
+            n_workers=n_workers, rounds=1, size_mb=size_mb,
+            server_link_mbps=server_link_mbps, node_link_mbps=node_link_mbps)
         rows.append({
             "n_workers": n_workers,
             "sim_completion_s": metrics["sim_completion_s"],
@@ -175,7 +189,12 @@ def _run_completion_curve(
     return rows
 
 
-def _run_scale_grid(
+@scenario(
+    "scale-grid",
+    title="Full runtime at ≥1000 hosts × ≥5000 data items",
+    paper_ref="beyond the paper (BENCH trajectory)",
+    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+def run_scale_grid(
     n_hosts: int = 1000,
     n_data: int = 5000,
     replica: int = 1,
@@ -263,7 +282,13 @@ def _run_scale_grid(
     }
 
 
-def _run_scale_grid_100k(
+@scenario(
+    "scale-grid-100k",
+    title="Cohort-batched placement storm at ≥100k hosts",
+    paper_ref="beyond the paper (BENCH trajectory)",
+    group="scale", tags=("bench", "kernel"),
+    volatile_keys=_WALL_KEYS + ("run_wall_s",))
+def run_scale_grid_100k(
     n_hosts: int = 100_000,
     n_data: int = 25_000,
     replica: int = 4,
@@ -373,7 +398,13 @@ def _run_scale_grid_100k(
     }
 
 
-def _run_scale_grid_300k(
+@scenario(
+    "scale-grid-300k",
+    title="Batched-placement storm at 300k hosts",
+    paper_ref="beyond the paper (BENCH trajectory)",
+    group="scale", tags=("bench", "kernel"),
+    volatile_keys=_WALL_KEYS + ("run_wall_s",))
+def run_scale_grid_300k(
     n_hosts: int = 300_000,
     n_data: int = 75_000,
     replica: int = 4,
@@ -395,7 +426,7 @@ def _run_scale_grid_300k(
     heartbeat background traffic — at triple the hosts, data and server
     link.
     """
-    results = _run_scale_grid_100k(
+    results = run_scale_grid_100k.scenario_impl(
         n_hosts=n_hosts, n_data=n_data, replica=replica, size_mb=size_mb,
         cohort_size=cohort_size, sync_rounds=sync_rounds,
         max_data_schedule=max_data_schedule, stagger_s=stagger_s,
@@ -404,14 +435,3 @@ def _run_scale_grid_300k(
         server_link_mbps=server_link_mbps, node_link_mbps=node_link_mbps)
     results["scenario"] = "scale-grid-300k"
     return results
-
-
-# Public entry points: dispatch through the scenario registry.
-run_sync_storm = registered_entry_point("sync-storm", _run_sync_storm)
-run_completion_curve = registered_entry_point("completion-curve",
-                                              _run_completion_curve)
-run_scale_grid = registered_entry_point("scale-grid", _run_scale_grid)
-run_scale_grid_100k = registered_entry_point("scale-grid-100k",
-                                             _run_scale_grid_100k)
-run_scale_grid_300k = registered_entry_point("scale-grid-300k",
-                                             _run_scale_grid_300k)

@@ -29,13 +29,20 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.experiments.cache import ResultCache, code_version_salt, point_key
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.experiments.executor import execute_sweep
 
 __all__ = ["run_sweep_parallel"]
 
 
-def _run_sweep_parallel(
+@scenario(
+    "sweep-parallel",
+    title="Sweep executor throughput: serial vs process pool vs cache",
+    paper_ref="beyond the paper (BENCH trajectory)",
+    group="scale", tags=("bench", "sweep"),
+    volatile_keys=("serial_wall_s", "parallel_wall_s", "warm_wall_s",
+                   "speedup", "warm_speedup"))
+def run_sweep_parallel(
     sizes_mb: Sequence[float] = (50.0, 100.0),
     node_counts: Sequence[int] = (100, 150, 200, 250),
     protocol: str = "ftp",
@@ -99,8 +106,3 @@ def _run_sweep_parallel(
         "failed": serial.stats.failed + parallel.stats.failed
                   + warm.stats.failed,
     }
-
-
-# Public entry point: dispatches through the scenario registry.
-run_sweep_parallel = registered_entry_point("sweep-parallel",
-                                            _run_sweep_parallel)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.attributes import Attribute
 from repro.core.runtime import BitDewEnvironment
-from repro.experiments.entry import registered_entry_point
+from repro.experiments.registry import scenario
 from repro.net.topology import cluster_topology
 from repro.sim.kernel import Environment
 from repro.storage.filesystem import FileContent, LocalFileSystem
@@ -30,7 +30,12 @@ from repro.transfer.oob import TransferEndpoint
 __all__ = ["run_distribution", "run_fig3a", "run_fig3bc", "run_ftp_alone"]
 
 
-def _run_ftp_alone(size_mb: float, n_nodes: int,
+@scenario(
+    "ftp-alone",
+    title="Baseline file distribution with raw FTP, no BitDew runtime",
+    paper_ref="Figure 3b/3c baseline (§4.3)",
+    tags=("transfer",))
+def run_ftp_alone(size_mb: float, n_nodes: int,
                   server_link_mbps: float = 125.0,
                   node_link_mbps: float = 125.0) -> Dict[str, float]:
     """Distribute one file to *n_nodes* with the raw FTP protocol only."""
@@ -67,7 +72,12 @@ def _run_ftp_alone(size_mb: float, n_nodes: int,
     }
 
 
-def _run_distribution(
+@scenario(
+    "distribution",
+    title="One BitDew-driven file distribution (any protocol)",
+    paper_ref="Figure 3 building block (§4.3)",
+    tags=("transfer",))
+def run_distribution(
     protocol: str,
     size_mb: float,
     n_nodes: int,
@@ -158,7 +168,12 @@ def _run_distribution(
     }
 
 
-def _run_fig3a(
+@scenario(
+    "fig3a",
+    title="Distribution completion-time grid, FTP vs BitTorrent",
+    paper_ref="Figure 3a (§4.3)",
+    tags=("transfer",))
+def run_fig3a(
     sizes_mb: Sequence[float] = (10, 100, 500),
     node_counts: Sequence[int] = (10, 50, 150),
     protocols: Sequence[str] = ("ftp", "bittorrent"),
@@ -169,12 +184,18 @@ def _run_fig3a(
     for protocol in protocols:
         for size in sizes_mb:
             for nodes in node_counts:
-                result = _run_distribution(protocol, size, nodes, **kwargs)
+                result = run_distribution.scenario_impl(
+                    protocol, size, nodes, **kwargs)
                 rows.append(result)
     return rows
 
 
-def _run_fig3bc(
+@scenario(
+    "fig3bc",
+    title="BitDew+FTP vs FTP-alone overhead (percent and seconds)",
+    paper_ref="Figures 3b-3c (§4.3)",
+    tags=("transfer",))
+def run_fig3bc(
     sizes_mb: Sequence[float] = (10, 100, 500),
     node_counts: Sequence[int] = (10, 50, 150),
     **kwargs,
@@ -183,8 +204,9 @@ def _run_fig3bc(
     rows = []
     for size in sizes_mb:
         for nodes in node_counts:
-            baseline = _run_ftp_alone(size, nodes)
-            bitdew = _run_distribution("ftp", size, nodes, **kwargs)
+            baseline = run_ftp_alone.scenario_impl(size, nodes)
+            bitdew = run_distribution.scenario_impl(
+                "ftp", size, nodes, **kwargs)
             overhead_s = bitdew["completion_s"] - baseline["completion_s"]
             overhead_pct = (100.0 * overhead_s / baseline["completion_s"]
                             if baseline["completion_s"] > 0 else float("inf"))
@@ -197,12 +219,3 @@ def _run_fig3bc(
                 "overhead_pct": overhead_pct,
             })
     return rows
-
-
-# Public entry points: each dispatches through the scenario registry under
-# the name shown, so ``python -m repro run fig3a`` and these functions are
-# one and the same experiment.
-run_ftp_alone = registered_entry_point("ftp-alone", _run_ftp_alone)
-run_distribution = registered_entry_point("distribution", _run_distribution)
-run_fig3a = registered_entry_point("fig3a", _run_fig3a)
-run_fig3bc = registered_entry_point("fig3bc", _run_fig3bc)

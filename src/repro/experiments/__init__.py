@@ -3,8 +3,9 @@
 The paper's central claim is that data-management *behaviour* is declared —
 attributes, protocols, replication under churn — rather than programmed.
 This package applies the same idea to the experiments themselves: every
-table, figure and beyond-the-paper stress run is a **registered scenario**
-(:mod:`repro.experiments.scenarios`) described by a
+table, figure and beyond-the-paper stress run is a **registered scenario**,
+declared once on its implementation
+(:func:`~repro.experiments.registry.scenario`) and described by a
 :class:`~repro.experiments.spec.ScenarioSpec` — a plain, JSON-round-trippable
 record of *which* scenario runs with *which* parameters and seed — instead of
 a bespoke Python function with hard-coded wiring.
@@ -13,9 +14,10 @@ Layers:
 
 * :mod:`repro.experiments.spec` — ``ScenarioSpec`` (name + params), dict/JSON
   round-trip, parameter-grid expansion for sweeps.
-* :mod:`repro.experiments.registry` — ``ScenarioRegistry`` mapping scenario
-  names to :class:`ScenarioDefinition` (runner callable, paper reference,
-  defaults introspected from the runner's signature), in the style of
+* :mod:`repro.experiments.registry` — the ``scenario`` declaration and the
+  ``ScenarioRegistry`` it fills, mapping scenario names to
+  :class:`ScenarioDefinition` (runner callable, paper reference, defaults
+  introspected from the runner's signature), in the style of
   :mod:`repro.transfer.registry`.
 * :mod:`repro.experiments.runner` — resolve a spec against the registry, run
   it, and shape the outcome into deterministic, JSON-serialisable results
@@ -27,12 +29,12 @@ Layers:
 * :mod:`repro.experiments.cache` — the content-addressed result cache
   (scenario + resolved params + code-version salt) that lets a re-run
   sweep skip every already-computed point.
-* :mod:`repro.experiments.scenarios` — the built-in catalog: one scenario per
-  paper table/figure (Tables 1-3, Figures 3a-6), the BENCH scale runs, and
-  scenarios beyond the paper (flash crowds, Weibull churn, catalog load,
-  MapReduce under churn).
-* :mod:`repro.experiments.extra` — implementations of the beyond-the-paper
-  scenarios.
+* :mod:`repro.experiments.scenarios` — the list of modules whose import
+  declares the built-in catalog: one scenario per paper table/figure
+  (Tables 1-3, Figures 3a-6) and the BENCH scale runs in :mod:`repro.bench`,
+  and :mod:`repro.experiments.extra`.
+* :mod:`repro.experiments.extra` — the scenarios beyond the paper (flash
+  crowds, Weibull churn, catalog load, MapReduce under churn).
 
 ``python -m repro`` (see :mod:`repro.__main__`) exposes the catalog on the
 command line: ``list``, ``describe``, ``run`` and ``sweep``.
@@ -43,6 +45,7 @@ from repro.experiments.registry import (
     ScenarioDefinition,
     ScenarioRegistry,
     UnknownScenarioError,
+    scenario,
 )
 from repro.experiments.runner import (
     ScenarioResult,
@@ -56,7 +59,6 @@ from repro.experiments.executor import (
     derive_point_seed,
     execute_sweep,
 )
-from repro.experiments.entry import registered_entry_point
 
 __all__ = [
     "ResultCache",
@@ -71,7 +73,7 @@ __all__ = [
     "derive_point_seed",
     "execute_sweep",
     "expand_grid",
-    "registered_entry_point",
     "run_scenario",
     "run_spec",
+    "scenario",
 ]

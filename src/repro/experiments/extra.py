@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.core.attributes import Attribute
 from repro.core.runtime import BitDewEnvironment
+from repro.experiments.registry import scenario
 from repro.net.rpc import ChannelKind, RpcChannel, RpcEndpoint
 from repro.net.topology import cluster_topology, dsl_lab_topology
 from repro.sim.kernel import Environment
@@ -48,6 +49,11 @@ __all__ = [
 ]
 
 
+@scenario(
+    "flash-crowd",
+    title="A flash crowd of late joiners hits a seeded distribution",
+    paper_ref="beyond the paper (motivated by §2.2)",
+    group="extra", tags=("transfer", "churn"))
 def run_flash_crowd(
     size_mb: float = 10.0,
     n_initial: int = 5,
@@ -165,6 +171,11 @@ def run_flash_crowd(
     }
 
 
+@scenario(
+    "fig4-weibull",
+    title="Figure 4's replicated storage under Weibull churn traces",
+    paper_ref="beyond the paper (Figure 4 setup, §4.4)",
+    group="extra", tags=("churn",))
 def run_fig4_weibull(
     size_mb: float = 5.0,
     replica: int = 5,
@@ -274,6 +285,11 @@ def run_fig4_weibull(
     }
 
 
+@scenario(
+    "catalog-load",
+    title="DDC vs centralized catalog under mixed publish+search load",
+    paper_ref="beyond the paper (Table 3 setup, §3.4.1)",
+    group="extra", tags=("micro", "dht"))
 def run_catalog_load(
     n_nodes: int = 20,
     pairs_per_node: int = 100,
@@ -393,6 +409,11 @@ def run_catalog_load(
     }
 
 
+@scenario(
+    "mapreduce-churn",
+    title="MapReduce word count with mapper crashes mid-job",
+    paper_ref="beyond the paper (conclusion / future work)",
+    group="extra", tags=("apps", "churn"))
 def run_mapreduce_churn(
     n_workers: int = 8,
     n_map_slices: int = 6,

@@ -7,18 +7,32 @@ resolved by name, so new experiments plug into the catalog (and the
 (the paper section/figure it reproduces, a one-line title, tags) and with the
 parameter schema introspected from the runner's signature — the registry is
 the single source of truth for scenario defaults.
+
+A scenario is declared once, on its implementation, with :func:`scenario`::
+
+    @scenario("fig4", title="Fault-tolerant replicated storage under churn",
+              paper_ref="Figure 4 (§4.4)", tags=("churn",))
+    def run_fig4(replica: int = 5, seed: int = 42): ...
+
+The decorator files the definition in the process-wide catalog (served by
+:func:`repro.experiments.runner.default_registry`) and returns the public
+entry point: same signature and docstring, but a call is validated against
+the parameter schema and run through the catalog, so ``run_fig4(...)`` and
+``python -m repro run fig4`` are one and the same experiment.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.spec import ScenarioSpec
 
-__all__ = ["ScenarioDefinition", "ScenarioRegistry", "UnknownScenarioError"]
+__all__ = ["ScenarioDefinition", "ScenarioRegistry", "UnknownScenarioError",
+           "scenario"]
 
 
 class UnknownScenarioError(KeyError):
@@ -128,12 +142,15 @@ class ScenarioRegistry:
         replace: bool = False,
     ) -> ScenarioDefinition:
         key = name.lower()
-        if key in self._definitions and not replace:
-            raise ValueError(f"scenario {name!r} already registered")
         definition = ScenarioDefinition(
             name=key, runner=runner, title=title, paper_ref=paper_ref,
             group=group, tags=tuple(tags), volatile_keys=tuple(volatile_keys),
         )
+        existing = self._definitions.get(key)
+        if existing is not None and not replace:
+            raise ValueError(
+                f"scenario {name!r} already registered by {existing.module}; "
+                f"second registration from {definition.module}")
         self._definitions[key] = definition
         return definition
 
@@ -157,3 +174,54 @@ class ScenarioRegistry:
         if group is not None:
             out = [d for d in out if d.group == group]
         return out
+
+
+#: Where every :func:`scenario` declaration lands; read it through
+#: :func:`repro.experiments.runner.default_registry`, which first imports the
+#: modules that declare the built-in scenarios.
+_CATALOG = ScenarioRegistry()
+
+
+def scenario(
+    name: str,
+    title: str,
+    paper_ref: str = "",
+    group: str = "paper",
+    tags: Iterable[str] = (),
+    volatile_keys: Iterable[str] = (),
+) -> Callable[[Callable[..., object]], Callable[..., object]]:
+    """Declare the decorated function as scenario *name*.
+
+    Returns the public entry point in the function's place.  The raw
+    implementation stays reachable as ``entry.scenario_impl``: a composite
+    scenario (``fig5`` over ``blast``) calls that, so its building blocks run
+    inside the caller's run — no second ``ids.rewind()``, no re-validation.
+    """
+    def declare(impl: Callable[..., object]) -> Callable[..., object]:
+        _CATALOG.register(name, impl, title=title, paper_ref=paper_ref,
+                          group=group, tags=tags, volatile_keys=volatile_keys)
+        signature = inspect.signature(impl)
+
+        @functools.wraps(impl)
+        def entry_point(*args, **kwargs):
+            # The runner imports this module; bind it at call time.
+            from repro.experiments.runner import run_scenario
+            bound = signature.bind(*args, **kwargs)
+            params = {}
+            for param_name, value in bound.arguments.items():
+                kind = signature.parameters[param_name].kind
+                if kind == inspect.Parameter.VAR_KEYWORD:
+                    params.update(value)      # flatten the **kwargs catch-all
+                elif kind == inspect.Parameter.VAR_POSITIONAL:
+                    raise TypeError(
+                        f"scenario entry point {name!r} does not support "
+                        f"*args parameters")
+                else:
+                    params[param_name] = value
+            return run_scenario(name, **params)
+
+        entry_point.scenario_name = name
+        entry_point.scenario_impl = impl
+        return entry_point
+
+    return declare

@@ -20,7 +20,11 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
-from repro.experiments.registry import ScenarioDefinition, ScenarioRegistry
+from repro.experiments.registry import (
+    _CATALOG,
+    ScenarioDefinition,
+    ScenarioRegistry,
+)
 from repro.experiments.spec import ScenarioSpec
 from repro.sim import ids
 
@@ -33,20 +37,14 @@ __all__ = [
 ]
 
 
-_DEFAULT_REGISTRY: Optional[ScenarioRegistry] = None
-
-
 def default_registry() -> ScenarioRegistry:
-    """The process-wide registry, populated with the built-in catalog.
+    """The process-wide catalog, with every built-in scenario declared.
 
-    The catalog module imports the bench harnesses, which in turn resolve
-    their entry points through this function — hence the lazy import.
+    Declaring them means importing every layer of the simulator, so it
+    happens on first use rather than with this module.
     """
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        from repro.experiments import scenarios
-        _DEFAULT_REGISTRY = scenarios.build_registry()
-    return _DEFAULT_REGISTRY
+    from repro.experiments import scenarios  # noqa: F401  (declares them)
+    return _CATALOG
 
 
 def json_safe(value, scrub: Sequence[str] = ()):

@@ -181,7 +181,6 @@ class Federation:
     """D peered domains on one simulation kernel."""
 
     def __init__(self, specs: List[DomainSpec],
-                 env: Optional[Environment] = None,
                  wan_latency_s: float = 0.05,
                  wan_bandwidth_mbps: float = 12.0):
         if not specs:
@@ -189,7 +188,7 @@ class Federation:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"domain names must be unique (got {names})")
-        self.env = env if env is not None else Environment()
+        self.env = Environment()
         self.wan_latency_s = float(wan_latency_s)
         self.wan_bandwidth_mbps = float(wan_bandwidth_mbps)
         self.domains: Dict[str, FederationDomain] = {}

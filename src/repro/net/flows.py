@@ -187,6 +187,8 @@ class Network:
 
     def remove_background_load(self, host: Host, direction: str, rate_mbps: float) -> None:
         """Release previously reserved control-traffic bandwidth."""
+        if direction not in ("up", "down"):
+            raise ValueError("direction must be 'up' or 'down'")
         key = ("host-up", host.uid) if direction == "up" else ("host-down", host.uid)
         current = self._background.get(key, 0.0) - float(rate_mbps)
         if current <= _EPSILON:
@@ -205,12 +207,11 @@ class Network:
 
     def transfer(self, src: Host, dst: Host, size_mb: float,
                  label: Optional[str] = None,
-                 extra_latency_s: float = 0.0,
                  rate_cap_mbps: Optional[float] = None) -> Flow:
         """Start a transfer of ``size_mb`` MB from *src* to *dst*.
 
         Returns the :class:`Flow`; wait on ``flow.done`` for completion.  A
-        transfer from a host to itself completes after just the extra latency.
+        transfer from a host to itself completes with no latency.
         ``rate_cap_mbps`` adds a per-flow application-level throughput cap
         (used to model protocol clients that cannot saturate a fast LAN link).
         """
@@ -223,7 +224,7 @@ class Network:
             flow.done.defused = True
             self.failed_flows += 1
             return flow
-        latency = self.latency_between(src, dst) + max(0.0, extra_latency_s)
+        latency = self.latency_between(src, dst)
         flow.start_time = self.env.now
 
         if size_mb <= _EPSILON or src is dst:

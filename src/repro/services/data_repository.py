@@ -21,6 +21,11 @@ from repro.transfer.oob import TransferEndpoint
 
 __all__ = ["DataRepositoryService", "ProtocolDescription"]
 
+#: The protocol a repository locator names when the caller asks for none.
+_DEFAULT_PROTOCOL = "http"
+#: Simulated service time of one remote repository access, in seconds.
+_ACCESS_OVERHEAD_S = 0.0005
+
 
 @dataclass(frozen=True)
 class ProtocolDescription:
@@ -35,15 +40,13 @@ class ProtocolDescription:
 class DataRepositoryService:
     """Persistent storage with remote access, on a stable host."""
 
-    def __init__(self, env, host: Host, filesystem: Optional[LocalFileSystem] = None,
-                 default_protocol: str = "http",
-                 access_overhead_s: float = 0.0005):
+    def __init__(self, env, host: Host,
+                 filesystem: Optional[LocalFileSystem] = None):
         self.env = env
         self.host = host
         self.filesystem = filesystem if filesystem is not None else LocalFileSystem(
             owner=host.name)
-        self.default_protocol = default_protocol
-        self.access_overhead_s = float(access_overhead_s)
+        self.default_protocol = _DEFAULT_PROTOCOL
         #: data_uid -> repository path
         self._paths: Dict[str, str] = {}
         self.requests = 0
@@ -123,7 +126,7 @@ class DataRepositoryService:
     def describe_protocol(self, data_uid: str, protocol: Optional[str] = None):
         """Generator: the protocol description for downloading *data_uid*."""
         self.requests += 1
-        yield self.env.timeout(self.access_overhead_s)
+        yield self.env.timeout(_ACCESS_OVERHEAD_S)
         path = self._paths.get(data_uid)
         if path is None:
             raise DataNotFoundError(
@@ -137,5 +140,5 @@ class DataRepositoryService:
     def delete(self, data_uid: str):
         """Generator: remote delete of the repository's permanent copy."""
         self.requests += 1
-        yield self.env.timeout(self.access_overhead_s)
+        yield self.env.timeout(_ACCESS_OVERHEAD_S)
         return self.delete_now(data_uid)

@@ -196,16 +196,15 @@ class Timer(Event):
     """
 
     def __init__(self, env: "Environment", delay: float,
-                 callback: Optional[Callback] = None,
-                 value: Any = None, priority: int = 1) -> None:
+                 callback: Optional[Callback] = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(env)
         self._ok = True
-        self._value = value
+        self._value = None
         if callback is not None:
             self._push_callback(callback)
-        env._schedule(self, delay=delay, priority=priority)
+        env._schedule(self, delay=delay)
 
     def cancel(self) -> bool:
         """Revoke the timer; returns False if it already fired."""

@@ -80,11 +80,11 @@ class ProtocolRegistry:
 def default_registry(env: Environment, network: Network,
                      bittorrent_mode: str = "auto") -> ProtocolRegistry:
     """The registry the paper's prototype ships: HTTP, FTP and BitTorrent."""
-    registry = ProtocolRegistry(env, network)
-    registry.register("ftp", lambda e, n: FTPProtocol(e, n))
-    registry.register("http", lambda e, n: HTTPProtocol(e, n))
-    registry.register(
+    protocols = ProtocolRegistry(env, network)
+    protocols.register("ftp", lambda e, n: FTPProtocol(e, n))
+    protocols.register("http", lambda e, n: HTTPProtocol(e, n))
+    protocols.register(
         "bittorrent",
         lambda e, n: BitTorrentProtocol(e, n, mode=bittorrent_mode),
     )
-    return registry
+    return protocols

@@ -161,17 +161,40 @@ class TestCatalog:
                 f"docs/EXPERIMENTS.md misses a CLI command for "
                 f"{definition.name!r}")
 
-    def test_bench_entry_points_dispatch_through_registry(self):
-        from repro.bench.blast import run_fig5
-        from repro.bench.fault import run_fig4
-        from repro.bench.micro import run_table3
-        from repro.bench.scale import run_scale_grid
-        from repro.bench.transfer import run_fig3a
-        for func, name in ((run_fig4, "fig4"), (run_fig3a, "fig3a"),
-                           (run_fig5, "fig5"), (run_table3, "table3"),
-                           (run_scale_grid, "scale-grid")):
-            assert func.scenario_name == name
-            assert default_registry().get(name).runner is func.scenario_impl
+    def test_bench_entry_points_dispatch_through_registry(self, monkeypatch):
+        """The name a scenario's function is bound to in its module is the
+        entry point: it runs the catalog entry of its own name, on the
+        function the catalog holds."""
+        import importlib
+        from repro.experiments import runner
+        calls = []
+        monkeypatch.setattr(
+            runner, "run_scenario",
+            lambda name, **params: calls.append((name, params)))
+        definitions = default_registry().definitions()
+        assert len(definitions) == 29
+        for definition in definitions:
+            entry = getattr(importlib.import_module(definition.module),
+                            definition.runner.__name__)
+            assert entry.scenario_name == definition.name
+            assert entry.scenario_impl is definition.runner
+            required = {name: 1 for name, default
+                        in definition.parameters().items()
+                        if default is inspect.Parameter.empty}
+            entry(**required)
+            assert calls.pop() == (definition.name, required)
+
+    def test_second_declaration_of_a_name_fails_naming_both_modules(self):
+        from repro.experiments import scenario
+        default_registry()
+        with pytest.raises(ValueError) as err:
+            @scenario("fig4", title="again")
+            def run_fig4_again():
+                """Never registered."""
+        message = str(err.value)
+        assert "'fig4'" in message
+        assert "repro.bench.fault" in message and __name__ in message
+        assert default_registry().get("fig4").module == "repro.bench.fault"
 
     def test_entry_point_keeps_signature_and_doc(self):
         from repro.bench.fault import run_fig4
@@ -356,6 +379,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "replica" in out and "Figure 4" in out
         assert "python -m repro run fig4" in out
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["list"], "repro_list.txt"),
+        (["describe", "fig4"], "repro_describe_fig4.txt"),
+    ])
+    def test_catalog_output_is_pinned(self, argv, golden, capsys):
+        """Where a scenario's metadata is declared is not observable."""
+        import os
+        assert cli_main(argv) == 0
+        path = os.path.join(os.path.dirname(__file__), "golden", golden)
+        with open(path, encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
 
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli_main(["describe", "nope"]) == 2

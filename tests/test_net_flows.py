@@ -128,6 +128,17 @@ class TestSharing:
         env.run(until=flow2.done)
         assert flow2.duration == pytest.approx(1.0, rel=1e-2)
 
+    @pytest.mark.parametrize("method", ["add_background_load",
+                                        "remove_background_load"])
+    def test_background_load_rejects_unknown_direction(
+            self, env, simple_network, method):
+        """A typo must not silently release the *downlink* reservation."""
+        network, server, _workers = simple_network
+        network.add_background_load(server, "down", 50.0)
+        with pytest.raises(ValueError, match="'up' or 'down'"):
+            getattr(network, method)(server, "upload", 50.0)
+        assert network._background[("host-down", server.uid)] == 50.0
+
     def test_cluster_gateway_caps_intercluster_traffic(self, env):
         network = Network(env, default_latency_s=0.0, wan_latency_s=0.0)
         src = network.add_host(Host("src", cluster="A",
