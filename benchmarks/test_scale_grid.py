@@ -21,7 +21,6 @@ from repro.bench.scale import (
     run_scale_grid_300k,
     run_sync_storm,
 )
-from repro.bench.sweep import run_sweep_parallel
 from repro.services.heartbeat import FailureDetector
 from repro.sim.kernel import Environment
 
@@ -62,15 +61,13 @@ class TestSyncStormAllocator:
         checks.is_true(
             "coalescing bounds allocation passes",
             incremental["allocation_passes"] <= 4 * rounds + 2)
-        # The dense path runs one global recompute per flow event.  (The
-        # wall clocks are printed below, never asserted.)
+        # The dense path runs one global recompute per flow event.
         checks.ratio_at_least(
             "allocation passes eliminated",
             dense["allocation_passes"] / incremental["allocation_passes"], 5.0)
         emit("Sync storm (%d workers, %d rounds)" % (n_workers, rounds),
              format_table([
                  {"allocator": d["allocator"], "coalesce": d["coalesce"],
-                  "wall_s": d["wall_s"],
                   "allocation_passes": d["allocation_passes"],
                   "sim_completion_s": d["sim_completion_s"]}
                  for d in (dense, incremental)]))
@@ -117,7 +114,7 @@ class TestScaleGrid:
                                  sync_rounds=3)
         emit("Scale grid", format_table([
             {k: metrics[k] for k in (
-                "n_hosts", "n_data", "placed", "downloaded", "wall_s",
+                "n_hosts", "n_data", "placed", "downloaded",
                 "entries_examined", "allocation_passes", "processed_events")}
         ]))
 
@@ -155,8 +152,7 @@ class TestScaleGrid100k:
         emit("Scale grid 100k", format_table([
             {k: metrics[k] for k in (
                 "n_hosts", "n_data", "placed", "downloaded",
-                "heartbeats", "processed_events", "events_per_sec",
-                "wall_s")}
+                "heartbeats", "processed_events")}
         ]))
 
         checks = shape_check("scale grid 100k")
@@ -171,7 +167,7 @@ class TestScaleGrid100k:
         checks.is_true("timer-heavy event mix",
                        metrics["heartbeats"]
                        >= metrics["processed_events"] * 0.5)
-        # events/s is printed, not asserted: this run is perfbench's
+        # How fast it goes is not asked here: this run is perfbench's
         # ``storm-100k`` workload, judged there against its bound.
         checks.verify()
 
@@ -187,8 +183,7 @@ class TestScaleGrid300k:
         emit("Scale grid 300k", format_table([
             {k: metrics[k] for k in (
                 "n_hosts", "n_data", "placed", "downloaded",
-                "heartbeats", "processed_events", "events_per_sec",
-                "wall_s")}
+                "heartbeats", "processed_events")}
         ]))
 
         checks = shape_check("scale grid 300k")
@@ -260,36 +255,3 @@ class TestFailureDetectorSweepCost:
             "reduction_x": naive_examinations
             / max(detector.sweep_examined, 1),
         }]))
-
-
-class TestSweepParallel:
-    def test_parallel_sweep_identical_and_cached(self):
-        """The sweep executor on an 8-point Figure-3-style grid.
-
-        The invariants are hardware-independent and always asserted: the
-        parallel merged JSON is byte-identical to serial, and the warm-cache
-        pass hits on every point without executing anything.  The measured
-        walls, speedups and the core count are printed, never asserted.
-        """
-        if quick_scale():
-            metrics = run_sweep_parallel(sizes_mb=(2.0, 4.0),
-                                         node_counts=(10, 20), jobs=2)
-        else:
-            metrics = run_sweep_parallel()          # 8 points, jobs=4
-        emit("Parallel sweep (%d points, %d jobs, %s cpus)"
-             % (metrics["points"], metrics["jobs"], metrics["cpus"]),
-             format_table([
-                 {k: metrics[k] for k in (
-                     "serial_wall_s", "parallel_wall_s", "warm_wall_s",
-                     "speedup", "warm_speedup")}
-             ]))
-
-        checks = shape_check("parallel sweep")
-        checks.is_true("parallel output byte-identical to serial",
-                       metrics["identical"])
-        checks.is_true("no point failed", metrics["failed"] == 0)
-        checks.is_true("warm pass hits every point",
-                       metrics["warm_cache_hits"] == metrics["points"])
-        checks.is_true("warm pass executes nothing",
-                       metrics["warm_executed"] == 0)
-        checks.verify()

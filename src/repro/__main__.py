@@ -5,18 +5,21 @@ Subcommands:
 * ``list`` — every registered scenario with its paper reference.
 * ``describe NAME`` — parameters, defaults and provenance of one scenario.
 * ``run NAME [--set k=v ...] [--seed N] [--out results.json]`` — run one
-  scenario; the JSON written by ``--out`` is deterministic (same seed →
-  byte-identical bytes).  Every run prints a ``# stats:`` perf line
-  (wall clock, and when the scenario reports them, ``processed_events``
-  and ``events_per_sec``) to stderr.  For where the time goes, layer by
-  layer, use ``python3 -m perfbench run --trace-out DIR``.
+  scenario; ``--out`` writes exactly what the scenario returned, a pure
+  function of (spec, seed): same seed → byte-identical bytes.  Host time is
+  read here and nowhere below: every executed run prints a ``# stats:``
+  perf line (wall clock, and when the scenario counts
+  ``processed_events``, that and the derived ``events_per_sec``) to
+  stderr.  ``--cache`` / ``--cache-dir`` reuse a stored result instead of
+  executing.  For where the time goes, layer by layer, use
+  ``python3 -m perfbench run --trace-out DIR``.
 * ``sweep NAME --grid k=v1,v2 [--grid ...] [--set k=v ...] [--out f.json]``
   — the cartesian product of one or more parameter axes, executed by the
   parallel sweep engine: ``--jobs N`` runs points on a process pool
   (byte-identical output to ``--jobs 1``), a content-addressed result cache
   (on by default; ``--cache-dir``/``--no-cache``) skips already-computed
-  points, ``--retries K`` re-runs crashing points, and a point that still
-  fails becomes a structured failure entry in the JSON (exit code 1).
+  points, and a point that raises becomes a structured failure entry in
+  the JSON (exit code 1) instead of ending the sweep.
 * ``cache ls|stats|clear`` — inspect or empty the sweep result cache.
 * ``lint [PATH] [--format json] [--rules IDS] [--baseline f.json]`` —
   run detlint, the determinism & architecture linter (``repro.analysis``)
@@ -35,7 +38,7 @@ Examples::
     python -m repro run fig4 --out fig4.json
     python -m repro run distribution --set protocol=bittorrent --set size_mb=100
     python -m repro sweep fig4 --grid replica=3,5 --grid crash_interval_s=10,20
-    python -m repro sweep fig3a --grid "sizes_mb=[[10],[100]]" --jobs 4 --retries 1
+    python -m repro sweep fig3a --grid "sizes_mb=[[10],[100]]" --jobs 4
     python -m repro cache stats
 """
 
@@ -52,13 +55,12 @@ from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.bench.reporting import format_table
 from repro.experiments import (
     ResultCache,
-    ScenarioSpec,
     UnknownScenarioError,
     default_registry,
     execute_sweep,
     run_spec,
 )
-from repro.experiments.cache import default_cache_dir
+from repro.experiments.cache import default_cache_dir, point_key
 
 __all__ = ["main"]
 
@@ -188,9 +190,9 @@ def _sweep_cache(args: argparse.Namespace) -> Optional[ResultCache]:
 def _run_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     """The result cache for ``run``: off unless ``--cache``/``--cache-dir``.
 
-    A single ``run`` is usually *meant* to execute (its summary shows live,
-    volatile quantities like wall-clock), so caching is opt-in there —
-    unlike ``sweep``, whose product is the deterministic merged JSON.
+    A single ``run`` is usually *meant* to execute (its ``# stats:`` line
+    is the reading), so caching is opt-in there — unlike ``sweep``, whose
+    product is the merged JSON.
     """
     if args.no_cache:
         return None
@@ -240,49 +242,31 @@ def _print_run_stats(results: object, wall_s: float) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    params = _collect_params(args.set, args.seed)
+    spec = default_registry().get(args.scenario).spec(
+        **_collect_params(args.set, args.seed))
     cache = _run_cache(args)
-    if cache is None and args.retries == 0:
-        # The plain path: run in-process, keep the raw results (including
-        # volatile keys like wall-clock) for the summary.
-        spec = ScenarioSpec(scenario=args.scenario, params=params)
+    key = point_key(spec.scenario, spec.params) if cache is not None else None
+    run = cache.get(key) if cache is not None else None
+    cached = run is not None
+    if not cached:
         wall_start = time.perf_counter()
         result = run_spec(spec)
         wall_s = time.perf_counter() - wall_start
         if not args.quiet:
             _print_run_stats(result.results, wall_s)
-        if args.out is not None:
-            _write_output(result.to_json(), args.out)
-        # With '--out -' the JSON owns stdout; the summary would corrupt it.
-        if not args.quiet and args.out != "-":
-            ref = (f" [{result.definition.paper_ref}]"
-                   if result.definition.paper_ref else "")
-            print(f"# scenario {result.spec.scenario}{ref}"
-                  + (f" -> {args.out}" if args.out not in (None, "-") else ""))
-            print(_summarise(result.results))
-        return 0
-
-    # Cache and/or retries requested: a run is a one-point sweep.
-    outcome = execute_sweep(args.scenario, {}, base_params=params,
-                            cache=cache, retries=args.retries,
-                            progress=_progress_printer(args))
-    point = outcome.points[0]
-    if not point.ok:
-        failure = point.failure
-        print(failure.traceback, file=sys.stderr, end="")
-        print(f"error: scenario {args.scenario!r} failed after "
-              f"{failure.attempts} attempt{'s' if failure.attempts != 1 else ''}"
-              f": {failure.error}: {failure.message}", file=sys.stderr)
-        return 1
-    text = json.dumps(point.run, indent=2, sort_keys=True) + "\n"
+        run = result.to_dict()
+    # Serialised before it is stored: what JSON cannot hold is not cached.
+    text = json.dumps(run, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if cache is not None and not cached:
+        cache.put(key, spec.scenario, run)
     if args.out is not None:
         _write_output(text, args.out)
+    # With '--out -' the JSON owns stdout; the summary would corrupt it.
     if not args.quiet and args.out != "-":
-        ref = f" [{outcome.paper_ref}]" if outcome.paper_ref else ""
-        cached = " (cached)" if point.cached else ""
-        print(f"# scenario {outcome.scenario}{ref}{cached}"
+        ref = f" [{run['paper_ref']}]" if run["paper_ref"] else ""
+        print(f"# scenario {spec.scenario}{ref}{' (cached)' if cached else ''}"
               + (f" -> {args.out}" if args.out not in (None, "-") else ""))
-        print(_summarise(point.run["results"]))
+        print(_summarise(run["results"]))
     return 0
 
 
@@ -298,8 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _collect_params(args.set, args.seed)
     outcome = execute_sweep(
         args.scenario, grid, base_params=base, jobs=args.jobs,
-        cache=_sweep_cache(args), retries=args.retries,
-        progress=_progress_printer(args),
+        cache=_sweep_cache(args), progress=_progress_printer(args),
         derive_seeds=args.seed_per_point)
     text = outcome.to_json()
     if args.out is not None:
@@ -368,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write deterministic JSON results ('-' = stdout)")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
-    p_run.add_argument("--retries", type=int, default=0, metavar="K",
-                       help="re-run a crashing scenario up to K extra times")
     p_run.add_argument("--cache", action="store_true",
                        help="reuse/store this run in the result cache")
     p_run.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -395,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="run points on an N-process pool "
                               "(output byte-identical to --jobs 1)")
-    p_sweep.add_argument("--retries", type=int, default=0, metavar="K",
-                         help="re-run a crashing point up to K extra times")
     p_sweep.add_argument("--cache-dir", metavar="DIR", default=None,
                          help=f"result cache directory "
                               f"(default {default_cache_dir()})")
@@ -434,8 +413,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # Malformed --set/--grid values, unknown or missing parameter names:
         # a clean one-line diagnostic, never a traceback.  (Deliberately not
-        # TypeError — that would misclassify genuine scenario crashes on the
-        # plain `run` path as malformed CLI input.)
+        # TypeError — that would misclassify genuine scenario crashes under
+        # `run` as malformed CLI input.)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

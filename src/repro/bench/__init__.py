@@ -25,7 +25,6 @@ from repro.bench.scale import (
     run_scale_grid,
     run_sync_storm,
 )
-from repro.bench.sweep import run_sweep_parallel
 
 __all__ = [
     "format_table",
@@ -40,7 +39,6 @@ __all__ = [
     "run_fig6",
     "run_ftp_alone",
     "run_scale_grid",
-    "run_sweep_parallel",
     "run_sync_storm",
     "run_table2",
     "run_table2_cell",

@@ -35,7 +35,7 @@ __all__ = ["run_blast_once", "run_fig5", "run_fig6"]
     "blast",
     title="One BLAST master/worker run",
     paper_ref="Figures 5-6 building block (§5)",
-    tags=("apps",), volatile_keys=("report",))
+    tags=("apps",))
 def run_blast_once(
     n_workers: int,
     transfer_protocol: str,
@@ -49,7 +49,7 @@ def run_blast_once(
     bittorrent_mode: str = "fluid",
     seed: int = 0,
 ) -> Dict[str, object]:
-    """One BLAST master/worker run; returns the report plus derived metrics."""
+    """One BLAST master/worker run: the metrics derived from its report."""
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
     env = Environment()
@@ -88,7 +88,6 @@ def run_blast_once(
         "mean_unzip_s": breakdown["unzip_s"],
         "mean_execution_s": breakdown["execution_s"],
         "breakdown_by_cluster": report.breakdown_by_cluster(),
-        "report": report,
     }
 
 
@@ -96,7 +95,7 @@ def run_blast_once(
     "fig5",
     title="BLAST total execution time vs worker count, per protocol",
     paper_ref="Figure 5 (§5)",
-    tags=("apps",), volatile_keys=("report",))
+    tags=("apps",))
 def run_fig5(
     worker_counts: Sequence[int] = (10, 50, 150),
     protocols: Sequence[str] = ("ftp", "bittorrent"),
@@ -116,7 +115,7 @@ def run_fig5(
     "fig6",
     title="BLAST per-cluster breakdown (transfer/unzip/execution)",
     paper_ref="Figure 6 (§5)",
-    tags=("apps",), volatile_keys=("report",))
+    tags=("apps",))
 def run_fig6(
     total_nodes: int = 100,
     protocols: Sequence[str] = ("ftp", "bittorrent"),

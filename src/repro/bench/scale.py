@@ -10,7 +10,7 @@ two hot paths the O(active)-work refactor targets:
   selectable allocator (``dense`` = the reference full-recompute
   implementation, ``incremental`` = coalesced incremental allocation) so the
   two can be compared on identical scenarios: simulated completion times
-  must match exactly, wall-clock must not.
+  must match exactly, allocation passes must not.
 
 * :func:`run_completion_curve` — the Fig. 3a FTP shape at scale: with the
   server uplink as the bottleneck, completion time must keep growing
@@ -29,17 +29,16 @@ two hot paths the O(active)-work refactor targets:
 
 * :func:`run_scale_grid_300k` — the same grid at 3× the sizes.
 
-Each function returns a plain metrics dict; ``benchmarks/test_scale_grid.py``
-asserts the curve shapes.  Every dict carries ``processed_events`` and the
-wall-clock-derived ``events_per_sec`` (volatile, scrubbed from serialised
-output) so perf work always starts from data.
+Each function returns a plain dict of simulated quantities and counts
+(``processed_events`` among them); ``benchmarks/test_scale_grid.py`` asserts
+the curve shapes.  None reads the host clock: how fast a run goes is
+``perfbench``'s question, and the CLI's ``# stats:`` line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import time
 from typing import Dict, Iterator, List, Sequence
 
 from repro.core.attributes import Attribute
@@ -61,28 +60,18 @@ __all__ = ["run_completion_curve", "run_scale_grid", "run_scale_grid_100k",
            "run_scale_grid_300k", "run_sync_storm"]
 
 
-#: wall-clock result keys: real, not simulated, time (``events_per_sec`` is
-#: wall-clock-derived throughput, equally volatile) — scrubbed from ``--out``.
-_WALL_KEYS = ("wall_s", "setup_wall_s", "storm_walls_s", "events_per_sec")
-
-
-def _events_per_sec(processed_events: int, wall_s: float) -> float:
-    return processed_events / wall_s if wall_s > 0 else 0.0
-
-
 @contextlib.contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector around a timed kernel section.
+    """Pause the cyclic collector while the kernel loop runs: a speed measure.
 
     The kernel's hot loop churns acyclic garbage (events, flows, sync
     results) that CPython's reference counting reclaims immediately; the
     cyclic collector only re-traverses it.  At 100k-host scale the gen-0
-    sweeps alone cost ~20% of the run wall-clock — and they fire *more*
-    often on the batched placement path (each cohort's thousand results
-    are alive at once), inverting A/B comparisons.  Pausing the collector
-    affects wall-clock only, never simulated results; the deferred cycles
-    (process ↔ generator frames, a few hundred per run) are collected
-    right after the timed section.
+    sweeps alone cost ~20% of ``env.run()`` (perfbench ``storm-100k``
+    ``run_s``), more on the batched placement path, where each cohort's
+    thousand results are alive at once.  Simulated results do not depend
+    on it; the deferred cycles (process ↔ generator frames, a few hundred
+    per run) are collected on exit.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -98,7 +87,7 @@ def _gc_paused() -> Iterator[None]:
     "sync-storm",
     title="N simultaneous downloads from one server, repeated rounds",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+    group="scale", tags=("bench",))
 def run_sync_storm(
     n_workers: int = 500,
     rounds: int = 2,
@@ -141,9 +130,7 @@ def run_sync_storm(
         env.timeout(r * round_gap).add_callback(
             lambda evt, r=r: start_round(evt, r))
 
-    wall_start = time.perf_counter()
     env.run()
-    wall_s = time.perf_counter() - wall_start
     end_times = [flow.end_time for flow in flows]
     return {
         "scenario": "sync-storm",
@@ -152,14 +139,12 @@ def run_sync_storm(
         "size_mb": size_mb,
         "allocator": allocator,
         "coalesce": coalesce,
-        "wall_s": wall_s,
         "sim_completion_s": max(end_times),
         "end_times": end_times,
         "completed_flows": network.completed_flows,
         "allocation_passes": network.allocation_passes,
         "recompute_requests": network.recompute_requests,
         "processed_events": env.processed_events,
-        "events_per_sec": _events_per_sec(env.processed_events, wall_s),
     }
 
 
@@ -167,7 +152,7 @@ def run_sync_storm(
     "completion-curve",
     title="Completion time vs worker count past the paper's grid",
     paper_ref="beyond the paper (Figure 3a shape at scale)",
-    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+    group="scale", tags=("bench",))
 def run_completion_curve(
     worker_counts: Sequence[int] = (250, 500, 1000),
     size_mb: float = 2.0,
@@ -183,7 +168,6 @@ def run_completion_curve(
         rows.append({
             "n_workers": n_workers,
             "sim_completion_s": metrics["sim_completion_s"],
-            "wall_s": metrics["wall_s"],
             "allocation_passes": metrics["allocation_passes"],
         })
     return rows
@@ -193,7 +177,7 @@ def run_completion_curve(
     "scale-grid",
     title="Full runtime at ≥1000 hosts × ≥5000 data items",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench",), volatile_keys=_WALL_KEYS)
+    group="scale", tags=("bench",))
 def run_scale_grid(
     n_hosts: int = 1000,
     n_data: int = 5000,
@@ -212,7 +196,6 @@ def run_scale_grid(
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
-    wall_start = time.perf_counter()
     env = Environment()
     topo = cluster_topology(env, n_workers=n_hosts,
                             server_link_mbps=1000.0, node_link_mbps=125.0)
@@ -237,16 +220,12 @@ def run_scale_grid(
         catalog.add_locator_now(locator)
         scheduler.schedule(data, attribute)
         datas.append(data)
-    setup_wall_s = time.perf_counter() - wall_start
 
     runtime.attach_all(auto_sync=False)
     examined_before = scheduler.entries_examined
-    storm_walls: List[float] = []
     for _round in range(sync_rounds):
-        storm_start = time.perf_counter()
         done = runtime.kick_sync()
         env.run(until=done)
-        storm_walls.append(time.perf_counter() - storm_start)
 
     placed = sum(
         1 for data in datas
@@ -255,7 +234,6 @@ def run_scale_grid(
         1 for agent in runtime.agents.values()
         for uid in agent.cached_uids()
         if agent.has_content(uid))
-    wall_s = time.perf_counter() - wall_start
     network = topo.network
     return {
         "scenario": "scale-grid",
@@ -267,9 +245,6 @@ def run_scale_grid(
         "placed": placed,
         "downloaded": downloaded,
         "sim_time_s": env.now,
-        "wall_s": wall_s,
-        "setup_wall_s": setup_wall_s,
-        "storm_walls_s": storm_walls,
         "sync_count": scheduler.sync_count,
         "assignments": scheduler.assignments,
         "entries_examined": scheduler.entries_examined - examined_before,
@@ -278,7 +253,6 @@ def run_scale_grid(
         "recompute_requests": network.recompute_requests,
         "completed_flows": network.completed_flows,
         "processed_events": env.processed_events,
-        "events_per_sec": _events_per_sec(env.processed_events, wall_s),
     }
 
 
@@ -286,8 +260,7 @@ def run_scale_grid(
     "scale-grid-100k",
     title="Cohort-batched placement storm at ≥100k hosts",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench", "kernel"),
-    volatile_keys=_WALL_KEYS + ("run_wall_s",))
+    group="scale", tags=("bench", "kernel"))
 def run_scale_grid_100k(
     n_hosts: int = 100_000,
     n_data: int = 25_000,
@@ -316,7 +289,6 @@ def run_scale_grid_100k(
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
-    wall_start = time.perf_counter()
     env = Environment()
     network = Network(env, default_latency_s=0.0002)
     server = network.add_host(Host(
@@ -355,19 +327,13 @@ def run_scale_grid_100k(
         env.process(cohort_heartbeat_process(
             env, cohort, period_s=heartbeat_period_s,
             duration_s=heartbeat_duration_s))
-    setup_wall_s = time.perf_counter() - wall_start
 
-    run_start = time.perf_counter()
     with _gc_paused():
         env.run()
-        # Inside the pause: the timed section is the kernel loop, not the
-        # post-run catch-up collection over the still-alive 100k-host grid.
-        run_wall_s = time.perf_counter() - run_start
 
     placed = sum(
         1 for data in datas
         if len(ds.owners_of(data.uid)) >= min(replica, n_hosts))
-    wall_s = time.perf_counter() - wall_start
     return {
         "scenario": "scale-grid-100k",
         "n_hosts": n_hosts,
@@ -391,10 +357,6 @@ def run_scale_grid_100k(
         "recompute_requests": network.recompute_requests,
         "completed_flows": network.completed_flows,
         "processed_events": env.processed_events,
-        "wall_s": wall_s,
-        "setup_wall_s": setup_wall_s,
-        "run_wall_s": run_wall_s,
-        "events_per_sec": _events_per_sec(env.processed_events, run_wall_s),
     }
 
 
@@ -402,8 +364,7 @@ def run_scale_grid_100k(
     "scale-grid-300k",
     title="Batched-placement storm at 300k hosts",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench", "kernel"),
-    volatile_keys=_WALL_KEYS + ("run_wall_s",))
+    group="scale", tags=("bench", "kernel"))
 def run_scale_grid_300k(
     n_hosts: int = 300_000,
     n_data: int = 75_000,

@@ -24,8 +24,8 @@ Layers:
   (same seed → byte-identical output).
 * :mod:`repro.experiments.executor` — the sweep engine: process-pool
   execution (``--jobs N`` byte-identical to serial), content-derived
-  per-point seeds, crash isolation with structured failure entries and
-  retries, progress reporting.
+  per-point seeds, crash isolation with structured failure entries,
+  progress reporting.
 * :mod:`repro.experiments.cache` — the content-addressed result cache
   (scenario + resolved params + code-version salt) that lets a re-run
   sweep skip every already-computed point.

@@ -20,9 +20,9 @@ locks: the worst case is two processes writing byte-identical content.
 
 The stored envelope is ``{"format", "key", "scenario", "run"}`` where
 ``run`` is exactly the serialised run document
-(:meth:`repro.experiments.runner.ScenarioResult.to_dict`), already scrubbed
-of volatile keys — so a cache hit reproduces the run entry byte-for-byte in
-the merged sweep JSON.
+(:meth:`repro.experiments.runner.ScenarioResult.to_dict`): the spec echo
+and what the scenario returned, nothing host-dependent — so a cache hit
+reproduces the run entry byte-for-byte in the merged sweep JSON.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ the sweep engine behind ``sweep --jobs N``:
   finished sweep completes without executing anything.
 * **Crash isolation** — a point that raises is captured *inside*
   :func:`_execute_point` (in the worker) and recorded as a structured
-  failure entry (exception type, message, traceback, attempt count) instead
-  of tearing down the sweep; ``retries=K`` re-executes a failing point up
-  to K extra times.  Failed points are never cached.
+  failure entry (exception type, message, traceback) instead of tearing
+  down the sweep.  A run is a pure function of its spec, so a raising point
+  is not re-run; failed points are never cached.
 * **Progress** — an optional callback receives one human line per settled
   point (``[12/48] fig4 replica=3 … 4.1s``, ``… cached``, ``… FAILED``).
 
@@ -118,16 +118,15 @@ def _exception_message(exc: BaseException) -> str:
 
 @dataclass
 class PointFailure:
-    """A structured record of one point that kept raising."""
+    """A structured record of one point that raised."""
 
     error: str          # exception type name
     message: str
     traceback: str
-    attempts: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {"attempts": self.attempts, "error": self.error,
-                "message": self.message, "traceback": self.traceback}
+        return {"error": self.error, "message": self.message,
+                "traceback": self.traceback}
 
 
 @dataclass
@@ -163,10 +162,9 @@ class SweepStats:
     """Execution accounting of one sweep."""
 
     points: int = 0
-    executed: int = 0       # points that actually ran (at least one attempt)
+    executed: int = 0       # points that actually ran
     cache_hits: int = 0
     failed: int = 0
-    retries_used: int = 0   # extra attempts beyond the first, across points
 
 
 @dataclass
@@ -197,7 +195,8 @@ class SweepOutcome:
 
     def to_json(self) -> str:
         """Deterministic JSON: sorted keys, fixed indent, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
 
 def _format_overrides(spec: ScenarioSpec, axes: Sequence[str]) -> str:
@@ -230,115 +229,70 @@ class _Progress:
             tail = f"{outcome.elapsed_s:.1f}s"
         else:
             failure = outcome.failure
-            tail = (f"FAILED after {failure.attempts} attempt"
-                    f"{'s' if failure.attempts != 1 else ''} "
-                    f"({failure.error}: {failure.message})")
+            tail = f"FAILED ({failure.error}: {failure.message})"
         self.emit(f"{prefix} … {tail}")
 
 
-def _settle(outcome: PointOutcome, outcomes: Dict[int, PointOutcome],
-            stats: SweepStats, cache: Optional[ResultCache],
-            keys: Sequence[Optional[str]], progress: _Progress) -> None:
-    outcomes[outcome.index] = outcome
-    if not outcome.cached:
-        stats.executed += 1
-    if outcome.ok and not outcome.cached and cache is not None:
-        cache.put(keys[outcome.index], outcome.spec.scenario, outcome.run)
-    if not outcome.ok:
+def _settle(index: int, spec: ScenarioSpec, executed: tuple,
+            outcomes: Dict[int, PointOutcome], stats: SweepStats,
+            cache: Optional[ResultCache], keys: Sequence[Optional[str]],
+            progress: _Progress) -> None:
+    """Record what :func:`_execute_point` returned for point *index*."""
+    status, payload, elapsed_s = executed
+    stats.executed += 1
+    if status == "ok":
+        outcome = PointOutcome(index=index, spec=spec, run=payload,
+                               elapsed_s=elapsed_s)
+        if cache is not None:
+            cache.put(keys[index], spec.scenario, payload)
+    else:
+        outcome = PointOutcome(index=index, spec=spec,
+                               failure=PointFailure(**payload),
+                               elapsed_s=elapsed_s)
         stats.failed += 1
+    outcomes[index] = outcome
     progress.report(outcome)
 
 
-def _attempt_point(index: int, spec: ScenarioSpec, retries: int,
-                   stats: SweepStats,
-                   registry: Optional[ScenarioRegistry] = None,
-                   first_attempt: int = 1) -> PointOutcome:
-    """Execute one point in this process until success or retries exhaust.
-
-    ``first_attempt`` > 1 continues the attempt count of executions that
-    already happened elsewhere (the pooled path falls back here when its
-    pool breaks mid-retry).
-    """
-    attempts = first_attempt - 1
-    while True:
-        attempts += 1
-        status, payload, elapsed_s = _execute_point(
-            spec.scenario, dict(spec.params), registry)
-        if status == "ok":
-            return PointOutcome(index=index, spec=spec, run=payload,
-                                elapsed_s=elapsed_s)
-        if attempts > retries:
-            return PointOutcome(
-                index=index, spec=spec,
-                failure=PointFailure(attempts=attempts, **payload),
-                elapsed_s=elapsed_s)
-        stats.retries_used += 1
-
-
 def _run_inline(pending: Sequence[int], specs: Sequence[ScenarioSpec],
-                retries: int, outcomes: Dict[int, PointOutcome],
-                stats: SweepStats, cache: Optional[ResultCache],
-                keys: Sequence[Optional[str]], progress: _Progress,
+                outcomes: Dict[int, PointOutcome], stats: SweepStats,
+                cache: Optional[ResultCache], keys: Sequence[Optional[str]],
+                progress: _Progress,
                 registry: Optional[ScenarioRegistry] = None) -> None:
     for index in pending:
-        outcome = _attempt_point(index, specs[index], retries, stats,
-                                 registry)
-        _settle(outcome, outcomes, stats, cache, keys, progress)
+        spec = specs[index]
+        _settle(index, spec,
+                _execute_point(spec.scenario, dict(spec.params), registry),
+                outcomes, stats, cache, keys, progress)
 
 
 def _run_pooled(pending: Sequence[int], specs: Sequence[ScenarioSpec],
-                jobs: int, retries: int,
-                outcomes: Dict[int, PointOutcome], stats: SweepStats,
-                cache: Optional[ResultCache], keys: Sequence[Optional[str]],
-                progress: _Progress) -> None:
+                jobs: int, outcomes: Dict[int, PointOutcome],
+                stats: SweepStats, cache: Optional[ResultCache],
+                keys: Sequence[Optional[str]], progress: _Progress) -> None:
     max_workers = min(jobs, len(pending))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        inflight = {}
-        for index in pending:
-            future = pool.submit(_execute_point, specs[index].scenario,
-                                 dict(specs[index].params))
-            inflight[future] = (index, 1)
+        inflight = {
+            pool.submit(_execute_point, specs[index].scenario,
+                        dict(specs[index].params)): index
+            for index in pending}
         while inflight:
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
             for future in done:
-                index, attempt = inflight.pop(future)
+                index = inflight.pop(future)
                 spec = specs[index]
                 try:
-                    status, payload, elapsed_s = future.result()
+                    executed = future.result()
                 except BaseException:
                     # A worker died hard (signal/OOM): _execute_point catches
                     # ordinary exceptions in-worker, so this future — and
                     # every other in-flight future of the now-broken pool —
                     # raises without its point having completed.  Finish the
-                    # point in-process (same attempt number: the dead attempt
-                    # never produced a result) instead of recording spurious
+                    # point in-process instead of recording spurious
                     # BrokenProcessPool failures for collateral points.
-                    _settle(_attempt_point(index, spec, retries, stats,
-                                           first_attempt=attempt),
-                            outcomes, stats, cache, keys, progress)
-                    continue
-                if status == "ok":
-                    _settle(PointOutcome(index=index, spec=spec, run=payload,
-                                         elapsed_s=elapsed_s),
-                            outcomes, stats, cache, keys, progress)
-                elif attempt <= retries:
-                    stats.retries_used += 1
-                    try:
-                        retry = pool.submit(_execute_point, spec.scenario,
-                                            dict(spec.params))
-                        inflight[retry] = (index, attempt + 1)
-                    except BaseException:
-                        # The pool broke (hard worker death above): finish
-                        # this point's remaining attempts in-process so the
-                        # sweep still ends with structured failure entries.
-                        _settle(_attempt_point(index, spec, retries, stats,
-                                               first_attempt=attempt + 1),
-                                outcomes, stats, cache, keys, progress)
-                else:
-                    _settle(PointOutcome(
-                        index=index, spec=spec,
-                        failure=PointFailure(attempts=attempt, **payload),
-                        elapsed_s=elapsed_s),
+                    executed = _execute_point(spec.scenario,
+                                              dict(spec.params))
+                _settle(index, spec, executed,
                         outcomes, stats, cache, keys, progress)
 
 
@@ -349,19 +303,20 @@ def execute_sweep(
     registry: Optional[ScenarioRegistry] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    retries: int = 0,
     progress: Optional[ProgressFn] = None,
     derive_seeds: bool = False,
 ) -> SweepOutcome:
     """Run the cartesian product of *grid* over scenario *name*.
 
-    ``jobs`` > 1 executes points on a process pool; ``cache`` skips points
-    whose content-addressed key already holds a result; ``retries`` re-runs
-    a raising point up to that many extra times; ``derive_seeds`` gives every
-    point a deterministic content-derived seed (see
+    ``jobs`` > 1 executes points on a process pool (``jobs`` < 1 is a
+    ``ValueError``, raised before any point runs); ``cache`` skips points
+    whose content-addressed key already holds a result; ``derive_seeds``
+    gives every point a deterministic content-derived seed (see
     :func:`derive_point_seed`).  Output is byte-identical across ``jobs``
     values and across cache states.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     from repro.experiments import runner as runner_module
     if registry is None:
         registry = runner_module.default_registry()
@@ -409,10 +364,10 @@ def execute_sweep(
         use_pool = (jobs > 1 and len(pending) > 1
                     and registry is runner_module.default_registry())
         if use_pool:
-            _run_pooled(pending, specs, jobs, retries, outcomes, stats,
+            _run_pooled(pending, specs, jobs, outcomes, stats,
                         cache, keys, progress_state)
         else:
-            _run_inline(pending, specs, retries, outcomes, stats,
+            _run_inline(pending, specs, outcomes, stats,
                         cache, keys, progress_state, registry)
 
     return SweepOutcome(

@@ -49,9 +49,6 @@ class ScenarioDefinition:
     paper_ref: str = ""                  # e.g. "Figure 4 (§4.4)" or "beyond the paper"
     group: str = "paper"                 # "paper" | "scale" | "extra"
     tags: Tuple[str, ...] = ()
-    #: result keys scrubbed (recursively) from serialised output: wall-clock
-    #: measurements and non-JSON objects; the in-memory result keeps them.
-    volatile_keys: Tuple[str, ...] = ()
 
     @property
     def module(self) -> str:
@@ -138,13 +135,12 @@ class ScenarioRegistry:
         paper_ref: str = "",
         group: str = "paper",
         tags: Iterable[str] = (),
-        volatile_keys: Iterable[str] = (),
         replace: bool = False,
     ) -> ScenarioDefinition:
         key = name.lower()
         definition = ScenarioDefinition(
             name=key, runner=runner, title=title, paper_ref=paper_ref,
-            group=group, tags=tuple(tags), volatile_keys=tuple(volatile_keys),
+            group=group, tags=tuple(tags),
         )
         existing = self._definitions.get(key)
         if existing is not None and not replace:
@@ -188,7 +184,6 @@ def scenario(
     paper_ref: str = "",
     group: str = "paper",
     tags: Iterable[str] = (),
-    volatile_keys: Iterable[str] = (),
 ) -> Callable[[Callable[..., object]], Callable[..., object]]:
     """Declare the decorated function as scenario *name*.
 
@@ -199,7 +194,7 @@ def scenario(
     """
     def declare(impl: Callable[..., object]) -> Callable[..., object]:
         _CATALOG.register(name, impl, title=title, paper_ref=paper_ref,
-                          group=group, tags=tags, volatile_keys=volatile_keys)
+                          group=group, tags=tags)
         signature = inspect.signature(impl)
 
         @functools.wraps(impl)

@@ -7,18 +7,16 @@ deterministic serialisation of the outcome (same spec, same seed →
 byte-identical JSON).  Cartesian parameter sweeps are
 :func:`repro.experiments.executor.execute_sweep`.
 
-Serialisation scrubs each definition's ``volatile_keys`` — wall-clock
-timings and non-JSON report objects — recursively from the results, so that
-the JSON written by ``python -m repro run --out`` only contains simulated,
-seed-reproducible quantities.
+What a scenario returns is its simulated outcome, and it is exactly what
+``python -m repro run --out`` writes: serialisation drops nothing, and a
+value JSON cannot represent is an error, not a ``repr``.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from repro.experiments.registry import (
     _CATALOG,
@@ -47,27 +45,25 @@ def default_registry() -> ScenarioRegistry:
     return _CATALOG
 
 
-def json_safe(value, scrub: Sequence[str] = ()):
+def json_safe(value, path: str = "value"):
     """Recursively shape *value* for deterministic JSON serialisation.
 
-    Dict keys named in *scrub* are dropped at any depth; tuples/sets become
-    lists (sets sorted); anything JSON cannot represent is replaced by its
-    ``repr`` — with memory addresses (``at 0x...``) scrubbed, so the
-    byte-identical-output contract survives even an object a scenario forgot
-    to declare in its ``volatile_keys``.
+    Tuples and sets become lists (sets sorted).  Anything JSON cannot
+    represent raises ``TypeError`` naming where it sits under *path*
+    (``results/rows[3]/report: MasterWorkerReport``).
     """
     if isinstance(value, Mapping):
-        return {str(key): json_safe(item, scrub)
-                for key, item in value.items() if str(key) not in scrub}
+        return {str(key): json_safe(item, f"{path}/{key}")
+                for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [json_safe(item, scrub) for item in value]
+        return [json_safe(item, f"{path}[{index}]")
+                for index, item in enumerate(value)]
     if isinstance(value, (set, frozenset)):
-        return sorted(json_safe(item, scrub) for item in value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return sorted(json_safe(item, path) for item in value)
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, float):
-        return value
-    return re.sub(r" at 0x[0-9a-fA-F]+", "", repr(value))
+    raise TypeError(
+        f"{path}: {type(value).__name__} is not JSON-serialisable")
 
 
 @dataclass
@@ -79,17 +75,18 @@ class ScenarioResult:
     definition: ScenarioDefinition
 
     def to_dict(self) -> Dict[str, object]:
-        """The serialisable form: spec echo + scrubbed results."""
+        """The serialisable form: spec echo + results."""
         return {
-            "spec": json_safe(self.spec.to_dict()),
+            "spec": json_safe(self.spec.to_dict(), "spec"),
             "scenario": self.spec.scenario,
             "paper_ref": self.definition.paper_ref,
-            "results": json_safe(self.results, self.definition.volatile_keys),
+            "results": json_safe(self.results, "results"),
         }
 
     def to_json(self) -> str:
         """Deterministic JSON: sorted keys, fixed indent, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
 
 def run_spec(spec: ScenarioSpec,
@@ -99,9 +96,7 @@ def run_spec(spec: ScenarioSpec,
     definition = registry.get(spec.scenario)
     resolved = definition.spec(**spec.params)
     # Every run numbers its hosts, flows, transfers and AUIDs from the same
-    # state, whatever ran before it in this process.  Rewind on entry only:
-    # a scenario that itself calls run_spec (sweep-parallel) keeps going on
-    # the ids its last inner run left behind, in every process alike.
+    # state, whatever ran before it in this process.
     ids.rewind()
     results = definition.runner(**resolved.params)
     return ScenarioResult(spec=resolved, results=results, definition=definition)

@@ -17,6 +17,5 @@ import repro.bench.fault
 import repro.bench.federation
 import repro.bench.micro
 import repro.bench.scale
-import repro.bench.sweep
 import repro.bench.transfer
 import repro.experiments.extra

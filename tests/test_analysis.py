@@ -16,6 +16,7 @@ Covers, per ISSUE 9:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,31 @@ def test_det006_flags_a_counter_re_added_to_the_real_tree(tmp_path: Path) -> Non
     report = run_checks(tmp_path, config=default_config())
     assert [(f.rule, f.path) for f in report.findings] \
         == [("DET006", "net/flows.py")], report.findings
+
+
+def test_det001_a_scenario_reading_the_host_clock_is_a_finding(
+        tmp_path: Path) -> None:
+    """``bench/`` is not on the wall-clock allowlist: scenarios do not time
+    themselves."""
+    harness = tmp_path / "bench" / "x.py"
+    harness.parent.mkdir()
+    harness.write_text("import time\nstarted = time.perf_counter()\n")
+    report = run_checks(tmp_path, config=default_config())
+    assert [(f.rule, f.path, f.line) for f in report.findings] \
+        == [("DET001", "bench/x.py", 2)], report.findings
+
+
+def test_wallclock_allowlist_has_no_dead_rows() -> None:
+    """Every row forgives a clock read that exists: without it, DET001."""
+    rows = default_config().wallclock_allowlist
+    assert sorted(rows) == ["__main__.py", "experiments/executor.py"]
+    for prefix in rows:
+        kept = {row: why for row, why in rows.items() if row != prefix}
+        report = run_checks(rules=["DET001"], config=replace(
+            default_config(), wallclock_allowlist=kept))
+        reads = [f.path for f in report.findings if f.rule == "DET001"]
+        assert reads and all(path.startswith(prefix) for path in reads), \
+            (prefix, reads)
 
 
 def test_det004_only_applies_to_hot_modules(tmp_path: Path) -> None:

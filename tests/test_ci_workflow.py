@@ -60,7 +60,7 @@ def test_every_scenario_the_workflow_names_is_registered(workflow):
 
 
 def test_determinism_is_one_gate(workflow):
-    """All 29 scenarios are double-run by ``census.py outputs``; no other
+    """All 28 scenarios are double-run by ``census.py outputs``; no other
     job compares two ``repro run`` outputs of its own (the serial-vs-
     ``--jobs`` sweep pairs are a different check and stay)."""
     jobs = workflow["jobs"]

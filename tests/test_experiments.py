@@ -172,7 +172,7 @@ class TestCatalog:
             runner, "run_scenario",
             lambda name, **params: calls.append((name, params)))
         definitions = default_registry().definitions()
-        assert len(definitions) == 29
+        assert len(definitions) == 28
         for definition in definitions:
             entry = getattr(importlib.import_module(definition.module),
                             definition.runner.__name__)
@@ -217,28 +217,26 @@ class TestRunner:
         assert result.spec.params["engine"] == "hsqldb"
         assert isinstance(result.results, float)
 
-    def test_json_safe_object_fallback_is_deterministic(self):
-        first, second = json_safe(object()), json_safe(object())
-        assert first == second                 # no memory addresses leak
-        assert "0x" not in first
+    @pytest.mark.parametrize("results, error, message", [
+        pytest.param({"rows": [0, {"report": object()}]}, TypeError,
+                     r"results/rows\[1\]/report: object", id="object"),
+        pytest.param({"mean_s": float("nan")}, ValueError,
+                     "not JSON compliant", id="nan"),
+    ])
+    def test_unrepresentable_result_fails_loudly(self, results, error,
+                                                 message):
+        """Neither a ``repr`` string nor a bare ``NaN`` reaches ``--out``."""
+        registry = ScenarioRegistry()
+        registry.register("toy", lambda: results, title="toy")
+        result = run_spec(ScenarioSpec("toy"), registry=registry)
+        with pytest.raises(error, match=message):
+            result.to_json()
 
     def test_json_safe_scrubs_and_converts(self):
-        doc = {"keep": 1, "wall_s": 2.0,
-               "nested": [{"wall_s": 3, "ok": (1, 2)}],
-               "set": {2, 1}, "obj": object()}
-        safe = json_safe(doc, scrub=("wall_s",))
-        assert safe["keep"] == 1 and "wall_s" not in safe
-        assert safe["nested"][0] == {"ok": [1, 2]}
-        assert safe["set"] == [1, 2]
-        assert isinstance(safe["obj"], str)
+        doc = {"keep": 1, "nested": [{"ok": (1, 2)}], "set": {2, 1}}
+        safe = json_safe(doc)
+        assert safe == {"keep": 1, "nested": [{"ok": [1, 2]}], "set": [1, 2]}
         json.dumps(safe)                                  # round-trips
-
-    def test_volatile_keys_scrubbed_from_serialised_results(self):
-        result = run_spec(ScenarioSpec("sync-storm", {
-            "n_workers": 5, "rounds": 1, "size_mb": 0.5}))
-        assert "wall_s" in result.results                  # raw keeps it
-        doc = json.loads(result.to_json())
-        assert "wall_s" not in doc["results"]
 
     def test_same_seed_identical_json(self):
         params = {"size_mb": 1.0, "n_initial": 3, "n_spare": 2, "replica": 3,

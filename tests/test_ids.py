@@ -1,15 +1,18 @@
-"""The run-scoped id space: a run is a pure function of (spec, seed).
+"""A run is a pure function of (spec, seed): ids, clock and bytes.
 
 ``repro.sim.ids`` owns the host / flow / transfer / handle / AUID
 sequences and ``run_spec`` rewinds them on entry, so a scenario gives the
 same bytes whether it runs first in a fresh interpreter, after other runs
-in this process, or on a reused pool worker.
+in this process, or on a reused pool worker.  No scenario reads the host
+clock, and what one returns is exactly what ``--out`` writes.
 """
 
 import inspect
+import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -39,17 +42,27 @@ REDUCED = {
     "scale-grid": {"n_hosts": 40, "n_data": 120},
     "scale-grid-100k": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250},
     "scale-grid-300k": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250},
-    "sweep-parallel": {"sizes_mb": [1.0], "node_counts": [2, 3], "jobs": 1},
     "table2": {"n_creations": 200},
     "table3": {"n_nodes": 6, "pairs_per_node": 20},
 }
 
 SCENARIOS = [d.name for d in default_registry().definitions()]
 
+HOST_CLOCKS = [clock + suffix for suffix in ("", "_ns") for clock in
+               ("time", "monotonic", "perf_counter", "process_time")]
+
+
+def _run(name, **overrides):
+    params = dict(REDUCED.get(name, {}), **overrides)
+    return run_spec(ScenarioSpec(name, params))
+
 
 def _json(name, **overrides):
-    params = dict(REDUCED.get(name, {}), **overrides)
-    return run_spec(ScenarioSpec(name, params)).to_json()
+    return _run(name, **overrides).to_json()
+
+
+def _host_clock_read(*_args):
+    raise AssertionError("a scenario read the host clock")
 
 
 def _fresh_interpreter(code):
@@ -67,8 +80,14 @@ def test_table_covers_every_scenario_without_an_all_defaults_form():
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_second_in_process_run_is_byte_identical(name):
-    assert _json(name) == _json(name)
+def test_second_in_process_run_is_byte_identical(name, monkeypatch):
+    with monkeypatch.context() as patch:
+        for clock in HOST_CLOCKS:
+            patch.setattr(time, clock, _host_clock_read)
+        first, second = _run(name), _run(name)
+    assert first.to_json() == second.to_json()
+    # Returned == written: serialisation drops nothing and converts nothing.
+    assert json.loads(first.to_json())["results"] == first.results
 
 
 @pytest.mark.parametrize("name", ["fig5", "fabric-rebalance", "fig4"])

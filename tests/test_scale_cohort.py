@@ -195,7 +195,6 @@ class TestScaleGrid100k:
         assert results["heartbeats"] == 1000  # 1000 hosts x 5s / 5s period
         assert results["processed_events"] > results["heartbeats"]
         assert results["sim_time_s"] > 0.0
-        assert "events_per_sec" in results
 
     def test_batched_placement_does_not_change_the_simulation(self):
         """One ``compute_schedule_batch`` call per cohort round simulates

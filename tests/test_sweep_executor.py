@@ -1,6 +1,7 @@
 """Tests for the parallel sweep executor, the result cache and their CLI."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from repro.experiments import (
     ResultCache,
     ScenarioRegistry,
     ScenarioSpec,
+    default_registry,
     derive_point_seed,
     execute_sweep,
     run_spec,
@@ -203,7 +205,7 @@ class TestExecutorCache:
 
 
 # ---------------------------------------------------------------------------
-# Crash isolation, retries
+# Crash isolation
 # ---------------------------------------------------------------------------
 
 class TestFailureIsolation:
@@ -214,7 +216,6 @@ class TestFailureIsolation:
         good, bad = outcome.points
         assert good.ok and bad.failure is not None
         assert bad.failure.error == "UnknownProtocolError"
-        assert bad.failure.attempts == 1
         assert "UnknownProtocolError" in bad.failure.traceback
         # KeyError subclasses must not leak repr()-quoted messages.
         assert bad.failure.message.startswith("no transfer protocol")
@@ -229,11 +230,29 @@ class TestFailureIsolation:
         assert outcome.points[0].ok
         assert outcome.points[1].failure.error == "UnknownProtocolError"
 
-    def test_retries_recounted(self):
-        outcome = execute_sweep("distribution", {"protocol": ["nope"]},
-                                base_params=FAILING_BASE, retries=2)
-        assert outcome.points[0].failure.attempts == 3
-        assert outcome.stats.retries_used == 2
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the toy scenario reaches workers by fork")
+    def test_hard_worker_death_finishes_the_point_in_process(self):
+        """A pool worker killed mid-point (signal, OOM) breaks the pool for
+        every in-flight point; each is finished in-process, none is recorded
+        as a spurious ``BrokenProcessPool`` failure."""
+        registry = default_registry()
+
+        def dies_in_a_worker(parent_pid: int, x: int = 0):
+            """Toy."""
+            if os.getpid() != parent_pid:
+                os._exit(1)
+            return {"x": x}
+
+        registry.register("dies-in-a-worker", dies_in_a_worker, title="toy")
+        try:
+            outcome = execute_sweep(
+                "dies-in-a-worker", {"x": [1, 2, 3]},
+                base_params={"parent_pid": os.getpid()}, jobs=2)
+        finally:
+            del registry._definitions["dies-in-a-worker"]
+        assert outcome.ok and outcome.stats.executed == 3
+        assert [p.run["results"]["x"] for p in outcome.points] == [1, 2, 3]
 
     def test_custom_registry_falls_back_inline(self):
         registry = ScenarioRegistry()
@@ -256,13 +275,13 @@ class TestFailureIsolation:
                       progress=lines.append)
         assert len(lines) == 2
         assert lines[0].startswith("[1/2] distribution protocol=ftp")
-        assert "FAILED after 1 attempt" in lines[1]
+        assert "… FAILED (UnknownProtocolError: no transfer protocol" \
+            in lines[1]
 
     def test_point_failure_to_dict(self):
-        failure = PointFailure(error="E", message="m", traceback="tb",
-                               attempts=2)
+        failure = PointFailure(error="E", message="m", traceback="tb")
         assert failure.to_dict() == {
-            "attempts": 2, "error": "E", "message": "m", "traceback": "tb"}
+            "error": "E", "message": "m", "traceback": "tb"}
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +347,17 @@ class TestSweepCLI:
         err = capsys.readouterr().err
         assert "no parameter" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_clean_error(self, jobs, capsys):
+        progress = []
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            execute_sweep("ftp-alone", GRID, base_params=BASE,
+                          jobs=int(jobs), progress=progress.append)
+        assert progress == []                      # before any point ran
+        assert cli_main(self.ARGS + ["--no-cache", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: jobs must be at least 1\n"
+
     def test_unknown_set_parameter_is_a_clean_error(self, capsys):
         assert cli_main(["sweep", "ftp-alone", "--grid", "n_nodes=2",
                          "--set", "bogus=1", "--quiet"]) == 2
@@ -346,21 +376,6 @@ class TestRunCLI:
         assert cli_main(args + ["--out", str(second)]) == 0
         assert "(cached)" in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
-
-    def test_run_without_cache_flags_stays_plain(self, tmp_path, capsys):
-        # The default `run` path keeps raw results (volatile keys included).
-        assert cli_main(["run", "sync-storm", "--set", "n_workers=3",
-                         "--set", "rounds=1", "--set", "size_mb=0.5"]) == 0
-        assert "wall_s" in capsys.readouterr().out
-
-    def test_run_failure_with_retries_exits_1(self, capsys):
-        code = cli_main(["run", "distribution", "--set", "protocol=nope",
-                         "--set", "size_mb=1.0", "--set", "n_nodes=2",
-                         "--retries", "1", "--no-cache", "--quiet"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "failed after 2 attempts" in err
-        assert "UnknownProtocolError" in err
 
 
 class TestCacheCLI:
