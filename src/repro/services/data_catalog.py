@@ -13,7 +13,9 @@ round-trip and a database write to serialise the object).  Cost-free
 ``*_now`` variants back the unit tests and internal bookkeeping; each
 generator is its ``*_now`` body under one ``Database.execute``.
 
-Each of the three collections is stored under the key its readers ask by
+Each of the three collections is stored under the key its readers ask by; an
+immutable record (frozen locators, a key's ``frozenset`` of values) is written
+and read in place, only the mutable ``Data`` row is snapshotted
 (``docs/ARCHITECTURE.md``, "What the catalog stores").
 """
 
@@ -135,15 +137,17 @@ class DataCatalogService:
         return list(record.values())
 
     # ------------------------------------------------------------------ key/value
+    # One ``dc.keyvalue`` record per published key: the ``frozenset`` of its
+    # values, its own snapshot like the locator record.  Callers get a ``set``.
+
     def publish_pair(self, key: str, value):
         """Generator: the centralized counterpart of the DDC publish (Table 3)."""
         self.requests += 1
 
         def _insert():
-            values = self.lookup_pair_now(key)
-            values.add(value)
-            self.database.raw_upsert(_KV, key, values)
-            return values
+            table = self.database.collection(_KV)
+            stored = table[key] = table.get(key, frozenset()) | {value}
+            return set(stored)
 
         result = yield from self.database.execute(_insert)
         return result
@@ -156,7 +160,7 @@ class DataCatalogService:
         return values
 
     def lookup_pair_now(self, key: str) -> set:
-        return self.database.raw_get(_KV, key) or set()
+        return set(self.database.collection(_KV).get(key, ()))
 
     # ------------------------------------------------------------------ migration
     # The elastic fabric (services/rebalance.py) moves catalog state between
@@ -176,7 +180,7 @@ class DataCatalogService:
             "data": self.database.raw_get(_DATA, key),
             "locators": sorted(self.locators_for_now(key),
                                key=lambda l: l.uid),
-            "kv": self.database.raw_get(_KV, key),
+            "kv": self.database.collection(_KV).get(key),
         }
 
     def export_key(self, key: str):
@@ -194,7 +198,7 @@ class DataCatalogService:
         for locator in snapshot.get("locators", ()):
             self.add_locator_now(locator)
         if snapshot.get("kv") is not None:
-            self.database.raw_upsert(_KV, key, snapshot["kv"])
+            self.database.collection(_KV)[key] = frozenset(snapshot["kv"])
 
     def import_key(self, key: str, snapshot: dict):
         """Generator: install one routing key's state (one admin-connection statement)."""

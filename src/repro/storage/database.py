@@ -103,9 +103,10 @@ class ConnectionPool:
 class Database:
     """A functional object store with simulated access costs.
 
-    Collections map string keys to deep-copied object snapshots, which keeps
-    the store honest about persistence semantics (mutating an object after
-    it was stored, or one read back, does not silently change the database).
+    The ``raw_*`` operations store and return deep-copied snapshots, which
+    keeps the store honest about persistence semantics (mutating an object
+    after it was stored, or one read back, does not silently change the
+    database); immutable records need no copy and go through ``collection``.
     """
 
     def __init__(

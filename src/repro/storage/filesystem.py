@@ -77,18 +77,17 @@ class LocalFileSystem:
         self.capacity_mb = float(capacity_mb)
         self.owner = owner
         self._files: Dict[str, FileContent] = {}
+        #: running total of the stored sizes; exactly 0.0 when empty
+        self._used_mb = 0.0
 
     # -- capacity ----------------------------------------------------------
     @property
     def used_mb(self) -> float:
-        return sum(f.size_mb for f in self._files.values())
+        return self._used_mb
 
     @property
     def free_mb(self) -> float:
         return self.capacity_mb - self.used_mb
-
-    def fits(self, content: FileContent) -> bool:
-        return content.size_mb <= self.free_mb
 
     # -- file operations ------------------------------------------------------
     def write(self, path: str, content: FileContent) -> FileContent:
@@ -101,6 +100,7 @@ class LocalFileSystem:
                 f"only {self.free_mb:.1f} MB free"
             )
         self._files[path] = content
+        self._used_mb += needed
         return content
 
     def read(self, path: str) -> FileContent:
@@ -113,7 +113,10 @@ class LocalFileSystem:
         return path in self._files
 
     def delete(self, path: str) -> bool:
-        return self._files.pop(path, None) is not None
+        removed = self._files.pop(path, None)
+        if removed is not None:
+            self._used_mb = self._used_mb - removed.size_mb if self._files else 0.0
+        return removed is not None
 
     def list_paths(self) -> List[str]:
         return sorted(self._files)
@@ -122,6 +125,7 @@ class LocalFileSystem:
         """Delete everything; returns the number of files removed."""
         count = len(self._files)
         self._files.clear()
+        self._used_mb = 0.0
         return count
 
     def __len__(self) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.sim.kernel import Environment
@@ -46,3 +48,22 @@ def run_process(env: Environment, generator):
 @pytest.fixture
 def drive():
     return run_process
+
+
+def count_calls(action, matches):
+    """Run *action* under ``sys.setprofile``; returns its result and how many
+    Python calls (and generator resumptions) entered a code object *matches*
+    accepts — the count pins' measure: host work by number, never by the
+    clock."""
+    entered = 0
+
+    def on_event(frame, event, _arg):
+        nonlocal entered
+        entered += event == "call" and matches(frame.f_code)
+
+    sys.setprofile(on_event)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(None)
+    return result, entered

@@ -10,11 +10,13 @@ Covers, per ISSUE 9:
 * the self-hosting gate: ``src/repro`` lints clean with zero
   unsuppressed findings;
 * the CLI surface (exit codes, JSON format, --list-rules);
-* the sibling write-only-state gate, ``tests/census.py state``.
+* the sibling write-only-state gate, ``tests/census.py state``;
+* the one-copy contract: ``deepcopy`` has exactly one site in ``src/repro``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -351,3 +353,22 @@ def test_state_census_fails_on_a_stored_never_loaded_attribute(
     assert "Meter.total" not in out
     # The tree itself carries no write-only state off the kept list.
     assert census.main(["census.py", "state"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# One copy (docs/ARCHITECTURE.md, "What the catalog stores")
+# ---------------------------------------------------------------------------
+
+def test_deepcopy_is_referenced_at_exactly_one_site() -> None:
+    """Immutable records are stored in place and the one mutable row type goes
+    through ``Database._snapshot``: a defensive ``deepcopy`` reappearing
+    anywhere else in ``src/repro`` fails here."""
+    root = default_scan_root()
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # ``copy.deepcopy``, a bare ``deepcopy``, ``from copy import deepcopy``
+            if "deepcopy" in {getattr(node, field, None)
+                              for field in ("attr", "id", "name")}:
+                sites.append(path.relative_to(root).as_posix())
+    assert sites == ["storage/database.py"]

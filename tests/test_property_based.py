@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -313,3 +314,43 @@ def test_filesystem_never_exceeds_capacity(capacity, sizes):
     assert len(fs) == stored
     fs.purge()
     assert fs.used_mb == 0.0
+
+
+#: Sizes and capacities are tenths of a MB: the true ``needed - free`` of any
+#: step is then a multiple of 0.1, far from ``write``'s 1e-12 slack, so the
+#: running total and the re-sum cannot disagree on a borderline write.
+_FS_STEPS = st.lists(
+    st.tuples(st.sampled_from(["write"] * 4 + ["delete"] * 2 + ["purge"]),
+              st.sampled_from("abcde"),
+              st.integers(min_value=0, max_value=40)),  # read by "write" only
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity_tenths=st.integers(min_value=1, max_value=120), steps=_FS_STEPS)
+def test_filesystem_running_total_matches_the_re_sum(capacity_tenths, steps):
+    """``used_mb`` is a running total; the reference re-sums a plain dict and
+    applies ``write``'s capacity rule to that sum."""
+    capacity = capacity_tenths / 10
+    fs = LocalFileSystem(capacity_mb=capacity)
+    reference = {}
+    for op, path, tenths in steps:
+        if op == "write":
+            size = tenths / 10
+            needed = size - reference.get(path, 0.0)
+            refused = needed > capacity - sum(reference.values()) + 1e-12
+            try:
+                fs.write(path, FileContent.from_seed(path, size))
+                assert not refused, (op, path, size)
+                reference[path] = size
+            except StorageFullError:
+                assert refused, (op, path, size)
+        elif op == "delete":
+            assert fs.delete(path) == (reference.pop(path, None) is not None)
+        else:
+            assert fs.purge() == len(reference)
+            reference.clear()
+        assert fs.list_paths() == sorted(reference)
+        assert fs.used_mb == pytest.approx(sum(reference.values()), abs=1e-9)
+        if not reference:
+            assert fs.used_mb == 0.0

@@ -5,10 +5,12 @@ replaced: ``dc.locators`` stored under ``locator.uid`` and every reader of it
 a full scan.  A hypothesis state machine drives a pair of each (the second
 pair is the shard a routing key migrates to) through the same operations and,
 after every one, requires the same *ordered* locators of every datum, the
-same ``export_key_now``, ``migration_keys`` and ``data_count``.
+same ``export_key_now``, ``migration_keys`` and ``data_count``.  It checks
+isolation the same way: whatever mutable object a compared call returns, or an
+import was handed, is mutated before the next step.
 """
 
-import sys
+import copy
 
 import pytest
 from hypothesis import Phase, settings, strategies as st
@@ -25,7 +27,7 @@ from repro.sim.kernel import Environment
 from repro.storage.database import Database, EmbeddedSQLEngine
 from repro.storage.filesystem import FileContent, LocalFileSystem
 
-from tests.conftest import run_process
+from tests.conftest import count_calls, run_process
 
 
 @pytest.fixture
@@ -119,21 +121,31 @@ class TestDataCatalog:
         for uid in uids:
             catalog.add_locator_now(Locator(data_uid=uid, host_name="h",
                                             reference="p"))
-        lambdas = 0
-
-        def on_event(frame, event, _arg):
-            nonlocal lambdas
-            code = frame.f_code
-            lambdas += (event == "call" and code.co_name == "<lambda>"
-                        and code.co_filename == data_catalog.__file__)
-
-        sys.setprofile(on_event)
-        try:
-            found = catalog.locators_for_now(uids[250])
-        finally:
-            sys.setprofile(None)
+        found, lambdas = count_calls(
+            lambda: catalog.locators_for_now(uids[250]),
+            lambda code: (code.co_name == "<lambda>"
+                          and code.co_filename == data_catalog.__file__))
         assert [l.data_uid for l in found] == [uids[250]]
         assert lambdas == 0
+
+    def test_pair_request_enters_no_copy_function(self, env, catalog, drive):
+        """A count, not a timing: with 500 values under one key, a publish,
+        a lookup and an export enter no function of ``copy.py`` (three
+        ``deepcopy`` walks of the whole set when the record was a ``set``
+        behind ``Database._snapshot``)."""
+        for i in range(500):
+            drive(env, catalog.publish_pair("k", f"host{i}"))
+
+        def request():
+            return (drive(env, catalog.publish_pair("k", "late")),
+                    drive(env, catalog.lookup_pair("k")),
+                    catalog.export_key_now("k")["kv"])
+
+        (published, looked_up, exported), copies = count_calls(
+            request, lambda code: code.co_filename == copy.__file__)
+        assert len(published) == 501
+        assert published == looked_up == exported
+        assert copies == 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,8 @@ LOCATORS = [Locator(data_uid=key, host_name=host, reference="p",
 
 SIDE = st.sampled_from([0, 1])
 KEY = st.sampled_from(KEYS)
+#: Enough values that a key's record grows over a run.
+VALUE = st.sampled_from([f"host{c}" for c in "ABCDEF"])
 
 
 class CatalogMachine(RuleBasedStateMachine):
@@ -247,23 +261,35 @@ class CatalogMachine(RuleBasedStateMachine):
         assert run_process(self.env, self.fast[side].delete_data(key)) \
             == self.reference[side].delete_data(key)
 
-    @rule(side=SIDE, key=KEY, value=st.sampled_from(["hostA", "hostB"]))
+    @rule(side=SIDE, key=KEY, value=VALUE)
     def publish_pair(self, side, key, value):
-        assert run_process(self.env, self.fast[side].publish_pair(key, value)) \
-            == self.reference[side].publish_pair(key, value)
+        published = run_process(self.env,
+                                self.fast[side].publish_pair(key, value))
+        assert published == self.reference[side].publish_pair(key, value)
+        published.add("intruder")
 
     @rule(side=SIDE, key=KEY)
     def lookup_pair(self, side, key):
-        assert run_process(self.env, self.fast[side].lookup_pair(key)) \
-            == self.reference[side].lookup_pair(key)
+        found = run_process(self.env, self.fast[side].lookup_pair(key))
+        assert found == self.reference[side].lookup_pair(key)
+        found.add("intruder")
 
     @rule(src=SIDE, key=KEY)
     def copy_key(self, src, key):
         """The rebalance coordinator's export → import onto the other shard."""
-        self.fast[1 - src].import_key_now(
-            key, self.fast[src].export_key_now(key))
+        exported = self.fast[src].export_key_now(key)
+        assert exported["kv"] is None or isinstance(exported["kv"], frozenset)
+        self.fast[1 - src].import_key_now(key, exported)
         self.reference[1 - src].import_key_now(
             key, self.reference[src].export_key_now(key))
+
+    @rule(side=SIDE, key=KEY, values=st.sets(VALUE))
+    def import_callers_set(self, side, key, values):
+        """A snapshot whose ``"kv"`` is the caller's own mutable set."""
+        for catalog in (self.fast[side], self.reference[side]):
+            mine = set(values)
+            catalog.import_key_now(key, {"kv": mine})
+            mine.add("intruder")
 
     @rule(side=SIDE, key=KEY)
     def drop_key(self, side, key):

@@ -9,8 +9,11 @@ from repro.storage.database import (
     EmbeddedSQLEngine,
     NetworkedSQLEngine,
 )
+from repro.storage import filesystem
 from repro.storage.filesystem import FileContent, LocalFileSystem, StorageFullError
 from repro.storage.persistence import new_auid
+
+from tests.conftest import count_calls
 
 
 class TestEngines:
@@ -167,6 +170,24 @@ class TestLocalFileSystem:
             fs.write("b", FileContent.from_seed("b", 6))
         assert fs.used_mb == pytest.approx(6)
         assert fs.free_mb == pytest.approx(4)
+        # Exactly the free space fits.
+        fs.write("c", FileContent.from_seed("c", 4))
+        assert fs.free_mb == pytest.approx(0)
+
+    def test_write_does_not_re_sum_the_files(self):
+        """A count, not a timing: the 500th write enters no generator
+        expression of ``filesystem.py`` (one step per stored file when
+        ``used_mb`` re-summed them on each capacity check)."""
+        fs = LocalFileSystem(capacity_mb=1000)
+        for i in range(499):
+            fs.write(f"f{i}", FileContent.from_seed(f"f{i}", 1))
+        last = FileContent.from_seed("f499", 1)
+        _, steps = count_calls(
+            lambda: fs.write("f499", last),
+            lambda code: (code.co_name == "<genexpr>"
+                          and code.co_filename == filesystem.__file__))
+        assert len(fs) == 500 and fs.used_mb == pytest.approx(500)
+        assert steps == 0
 
     def test_overwrite_counts_delta(self):
         fs = LocalFileSystem(capacity_mb=10)
@@ -192,8 +213,3 @@ class TestLocalFileSystem:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             LocalFileSystem(capacity_mb=0)
-
-    def test_fits(self):
-        fs = LocalFileSystem(capacity_mb=5)
-        assert fs.fits(FileContent.from_seed("x", 5))
-        assert not fs.fits(FileContent.from_seed("x", 6))
