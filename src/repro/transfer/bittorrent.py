@@ -18,6 +18,10 @@ Two swarm models are provided (this is the ablation called out in
     repeatedly selects its rarest missing piece, picks a peer that has it
     and a free upload slot, and downloads the piece as a network flow.
     Completed peers keep seeding.  Faithful but O(nodes x pieces) flows.
+    The swarm indexes who holds what (``_Swarm.holders``), so one selection
+    costs a sort of the peer's missing pieces by ``len(holders[piece])``
+    plus a walk over the holders of the pieces it tries (usually one) --
+    never a scan of the swarm.
 
 ``fluid``
     A calibrated analytic model of swarm makespan (seed-constrained start-up,
@@ -33,8 +37,8 @@ Two swarm models are provided (this is the ablation called out in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RandomStreams
@@ -72,7 +76,8 @@ class _Peer:
         self.piece_count = piece_count
         self.active_uploads = 0
         self.active_downloads = 0
-        self.failed = False
+        #: position in the swarm's join order, assigned by ``_Swarm.add_peer``
+        self.rank = -1
 
     @property
     def complete(self) -> bool:
@@ -91,7 +96,12 @@ class _Swarm:
         #: initial seeders: hosts that have the full content (the service node)
         self.seed_hosts: List[Host] = []
         self.seed_active_uploads: Dict[int, int] = {}
+        #: members by join rank (two transfers on one host are two peers)
         self.peers: Dict[int, _Peer] = {}
+        #: ``holders[piece]``: the member peers that hold *piece*, in the
+        #: order they got it (the seeds hold every piece and are not listed)
+        self.holders: List[List[_Peer]] = [[] for _ in range(piece_count)]
+        self._watched_hosts: Set[int] = set()
         self.stats = SwarmStats(infohash=infohash, piece_count=piece_count)
         self._changed = env.event()
         #: background-load reservation flag for the fluid model
@@ -108,43 +118,44 @@ class _Swarm:
     def changed(self) -> Event:
         return self._changed
 
+    def _watch(self, host: Host) -> None:
+        """A member's host going down or coming back changes what the parked
+        leechers can download (and fails the one parked on that host)."""
+        if host.uid not in self._watched_hosts:
+            self._watched_hosts.add(host.uid)
+            host.on_failure(self._host_changed)
+            host.on_recovery(self._host_changed)
+
+    def _host_changed(self, _host: Host) -> None:
+        self.notify()
+
     # -- membership ---------------------------------------------------------------
     def add_seed(self, host: Host) -> None:
         if host.uid not in self.seed_active_uploads:
             self.seed_hosts.append(host)
             self.seed_active_uploads[host.uid] = 0
+            self._watch(host)
             self.notify()
 
     def add_peer(self, peer: _Peer) -> None:
-        self.peers[peer.host.uid] = peer
+        # peers_joined only grows, so it numbers the joins.
+        peer.rank = self.stats.peers_joined
+        self.peers[peer.rank] = peer
         self.stats.peers_joined += 1
         if self.stats.first_join_time is None:
             self.stats.first_join_time = self.env.now
+        self._watch(peer.host)
         self.notify()
+
+    def add_piece(self, peer: _Peer, piece: int) -> None:
+        peer.pieces.add(piece)
+        self.holders[piece].append(peer)
 
     def remove_peer(self, peer: _Peer) -> None:
-        self.peers.pop(peer.host.uid, None)
+        del self.peers[peer.rank]
+        for piece in peer.pieces:
+            self.holders[piece].remove(peer)
         self.notify()
-
-    # -- piece availability ----------------------------------------------------------
-    def piece_availability(self, piece: int) -> int:
-        count = len(self.seed_hosts)
-        for peer in self.peers.values():
-            if piece in peer.pieces:
-                count += 1
-        return count
-
-    def holders_of(self, piece: int, max_uploads: int) -> List[object]:
-        """Peers/seeds that have *piece* and a free upload slot (online only)."""
-        holders: List[object] = []
-        for host in self.seed_hosts:
-            if host.online and self.seed_active_uploads[host.uid] < max_uploads:
-                holders.append(("seed", host))
-        for peer in self.peers.values():
-            if (piece in peer.pieces and peer.host.online
-                    and peer.active_uploads < max_uploads):
-                holders.append(("peer", peer))
-        return holders
 
 
 class BitTorrentProtocol(NonBlockingOOBTransfer):
@@ -259,7 +270,6 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
     def _run_piece_level(self, handle: TransferHandle, swarm: _Swarm):
         peer = _Peer(handle, swarm.piece_count)
         swarm.add_peer(peer)
-        downloads_done = 0
         try:
             while not peer.complete:
                 if not peer.host.online:
@@ -271,7 +281,6 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
                     continue
                 piece, kind, source = choice
                 yield from self._download_piece(swarm, peer, piece, kind, source)
-                downloads_done += 1
             # Full file assembled locally.
             handle.transferred_mb = handle.content.size_mb
             handle.destination.write(handle.source.read())
@@ -279,13 +288,18 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
             # The peer keeps seeding (its pieces stay available to others).
             swarm.notify()
         except TransferError:
-            peer.failed = True
             swarm.remove_peer(peer)
             raise
         return handle
 
-    def _select_piece_and_source(self, swarm: _Swarm, peer: _Peer):
-        """Rarest-first piece selection + least-busy source selection."""
+    def _select_piece_and_source(
+            self, swarm: _Swarm, peer: _Peer) -> Optional[Tuple[int, str, Any]]:
+        """Rarest-first piece selection + least-busy source selection.
+
+        Among the online holders of a piece with a free upload slot the
+        source is the minimum of ``(active_uploads, join order)``, the seeds
+        ordered before every peer.
+        """
         if peer.active_downloads >= self.max_parallel_piece_downloads:
             return None
         missing = [p for p in range(swarm.piece_count) if p not in peer.pieces]
@@ -293,23 +307,31 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
             return None
         # Order by availability (rarest first); shuffle ties via the RNG.
         missing = self.rng.shuffle(f"pieces-{peer.host.uid}", missing)
-        missing.sort(key=swarm.piece_availability)
+        holders = swarm.holders
+        missing.sort(key=lambda piece: len(holders[piece]))
+        # The seeds hold every piece, so the best of them is the same for all.
+        seed, seed_uploads = None, self.max_uploads_per_peer
+        for host in swarm.seed_hosts:
+            uploads = swarm.seed_active_uploads[host.uid]
+            if uploads < seed_uploads and host.online:
+                seed, seed_uploads = host, uploads
         for piece in missing:
-            holders = swarm.holders_of(piece, self.max_uploads_per_peer)
-            holders = [h for h in holders
-                       if not (h[0] == "peer" and h[1] is peer)]
-            if not holders:
-                continue
-            holders.sort(key=lambda h: (
-                swarm.seed_active_uploads[h[1].uid] if h[0] == "seed"
-                else h[1].active_uploads
-            ))
-            kind, source = holders[0]
-            return piece, kind, source
+            # *peer* misses the piece, so it is not among its holders.
+            source, uploads = None, seed_uploads
+            for holder in holders[piece]:
+                busy = holder.active_uploads
+                if (busy < uploads or (busy == uploads and source is not None
+                                       and holder.rank < source.rank)) \
+                        and holder.host.online:
+                    source, uploads = holder, busy
+            if source is not None:
+                return piece, "peer", source
+            if seed is not None:
+                return piece, "seed", seed
         return None
 
     def _download_piece(self, swarm: _Swarm, peer: _Peer, piece: int,
-                        kind: str, source) -> None:
+                        kind: str, source: Any) -> Generator[Event, Any, None]:
         source_host = source if kind == "seed" else source.host
         peer.active_downloads += 1
         if kind == "seed":
@@ -327,7 +349,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
                 yield flow.done
             except TransferFailed as exc:
                 raise TransferError(str(exc)) from exc
-            peer.pieces.add(piece)
+            swarm.add_piece(peer, piece)
             peer.handle.transferred_mb = len(peer.pieces) * swarm.piece_size_mb
             swarm.stats.pieces_transferred += 1
             swarm.notify()

@@ -59,6 +59,22 @@ def test_every_scenario_the_workflow_names_is_registered(workflow):
     assert named <= set(default_registry().names())
 
 
+def test_piece_level_swarm_is_swept_serial_and_parallel(workflow):
+    """``blast`` pins ``bittorrent_mode="fluid"``; one ``--jobs 1`` /
+    ``--jobs 2`` pair must run the piece model and compare the outputs."""
+    piece = [command for command in _commands(workflow["jobs"]["sweep-cli"])
+             if "bittorrent_mode=piece" in command]
+    assert len(piece) == 1
+    sweeps = re.findall(r"-m repro sweep distribution (.*?)--out (\S+)",
+                        piece[0].replace("\\\n", " "))
+    assert len(sweeps) == 2
+    (serial, serial_out), (parallel, parallel_out) = sweeps
+    assert "--jobs 1 " in serial and "--jobs 2 " in parallel
+    assert serial.replace("--jobs 1", "--jobs 2") == parallel
+    assert "--set protocol=bittorrent" in serial
+    assert f"cmp {serial_out} {parallel_out}" in piece[0]
+
+
 def test_determinism_is_one_gate(workflow):
     """All 28 scenarios are double-run by ``census.py outputs``; no other
     job compares two ``repro run`` outputs of its own (the serial-vs-
