@@ -21,7 +21,7 @@ Subcommands:
   points, and a point that raises becomes a structured failure entry in
   the JSON (exit code 1) instead of ending the sweep.
 * ``cache ls|stats|clear`` — inspect or empty the sweep result cache.
-* ``lint [PATH] [--format json] [--rules IDS] [--baseline f.json]`` —
+* ``lint [PATH] [--format json] [--rules IDS] [--list-rules]`` —
   run detlint, the determinism & architecture linter (``repro.analysis``)
   over ``src/repro``; exit 1 on findings, 2 on usage errors.  See
   "Determinism contract & layer DAG" in ``docs/ARCHITECTURE.md``.

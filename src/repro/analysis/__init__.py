@@ -30,20 +30,18 @@ Findings can be suppressed line-by-line with a *reasoned* pragma::
     t0 = time.perf_counter()  # detlint: ignore[DET001] — progress line only
 
 A pragma without a reason, or one that suppresses nothing, is itself a
-finding (LINT0xx).  A baseline file (``--write-baseline`` /
-``--baseline``) lets CI fail only on regressions while a cleanup is in
-flight; this tree's baseline is empty — ``python -m repro lint`` exits
-0 with zero unsuppressed findings.
+finding (LINT0xx).  The pragma is the one suppression mechanism: the tree
+lints clean — ``python -m repro lint`` exits 0 with zero unsuppressed
+findings.
 """
 
 from __future__ import annotations
 
 from repro.analysis.config import LintConfig, default_config
 from repro.analysis.engine import LintReport, run_checks
-from repro.analysis.findings import Baseline, Finding
+from repro.analysis.findings import Finding
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintReport",

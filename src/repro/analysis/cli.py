@@ -1,7 +1,7 @@
 """Command-line front end for detlint (``python -m repro lint``).
 
-Exit codes: 0 — clean (no unsuppressed, non-baselined findings);
-1 — findings; 2 — usage error (unknown rule id, unreadable baseline).
+Exit codes: 0 — clean (no unsuppressed findings); 1 — findings;
+2 — usage error (unknown rule id, missing path).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import List, Optional, TextIO
 
 from repro.analysis.engine import LintReport, default_scan_root, run_checks
-from repro.analysis.findings import Baseline, write_baseline
 from repro.analysis.rules import all_rules
 
 __all__ = ["add_lint_arguments", "main", "run_lint"]
@@ -31,14 +30,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--rules", metavar="ID[,ID...]", default=None,
         help="run only these rule ids (e.g. DET001,ARCH001)")
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="forgive findings recorded in this baseline file; "
-             "only regressions fail")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="record the current unsuppressed findings as the baseline "
-             "and exit 0")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="describe every registered rule and exit")
 
@@ -55,13 +46,8 @@ def _render_text(report: LintReport, stream: TextIO) -> None:
     summary = (f"detlint: {report.files_scanned} files, "
                f"{len(report.findings)} finding"
                f"{'s' if len(report.findings) != 1 else ''}")
-    extras: List[str] = []
     if report.suppressed:
-        extras.append(f"{len(report.suppressed)} suppressed by pragma")
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(report.suppressed)} suppressed by pragma)"
     stream.write(summary + "\n")
 
 
@@ -78,14 +64,6 @@ def run_lint(args: argparse.Namespace,
     if args.rules:
         rules = [part.strip() for part in args.rules.split(",")
                  if part.strip()]
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            err.write(f"error: cannot read baseline {args.baseline}: "
-                      f"{exc}\n")
-            return 2
 
     roots = [Path(p) for p in args.paths] if args.paths \
         else [default_scan_root()]
@@ -95,25 +73,17 @@ def run_lint(args: argparse.Namespace,
             if not root.exists():
                 err.write(f"error: no such path: {root}\n")
                 return 2
-            report = run_checks(root, rules=rules, baseline=baseline)
+            report = run_checks(root, rules=rules)
             if merged is None:
                 merged = report
             else:
                 merged.findings.extend(report.findings)
                 merged.suppressed.extend(report.suppressed)
-                merged.baselined.extend(report.baselined)
                 merged.files_scanned += report.files_scanned
     except ValueError as exc:  # unknown rule ids
         err.write(f"error: {exc}\n")
         return 2
     assert merged is not None
-
-    if args.write_baseline is not None:
-        write_baseline(Path(args.write_baseline), merged.findings)
-        err.write(f"wrote {len(merged.findings)} finding"
-                  f"{'s' if len(merged.findings) != 1 else ''} to "
-                  f"{args.write_baseline}\n")
-        return 0
 
     if args.format == "json":
         out.write(json.dumps(merged.to_dict(), indent=2, sort_keys=True)

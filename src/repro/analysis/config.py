@@ -95,9 +95,10 @@ SIM_IMPORT_SURFACE: Dict[str, FrozenSet[str]] = {
 
 
 #: The Environment attributes non-sim code may touch.  Everything else —
-#: peek/step (loop driving), _schedule/_scheduler/_counter (internals) —
-#: is owned by the sim backend.  This list + SIM_IMPORT_SURFACE is the
-#: clock/transport interface both backends must implement.
+#: peek/scheduler (queue introspection), _schedule/_call_soon/_scheduler/
+#: _counter (internals) — is owned by the sim backend.  This list +
+#: SIM_IMPORT_SURFACE is the clock/transport interface both backends must
+#: implement.
 ENV_SURFACE: FrozenSet[str] = frozenset({
     "all_of", "call_later", "event", "now", "process",
     "processed_events", "run", "settle", "timeout",

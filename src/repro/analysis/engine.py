@@ -1,4 +1,4 @@
-"""The detlint engine: walk files, run rules, apply pragmas and baseline.
+"""The detlint engine: walk files, run rules, apply pragmas.
 
 :func:`run_checks` is the library entry point (the CLI in
 :mod:`repro.analysis.cli` is a thin wrapper).  The engine itself obeys
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.config import LintConfig, default_config
-from repro.analysis.findings import Baseline, Finding, sort_findings
+from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.module import ParsedModule, parse_module
 from repro.analysis.rules import Rule, make_rules
 
@@ -26,12 +26,10 @@ class LintReport:
     """The outcome of one lint run."""
 
     root: Path
-    #: violations not covered by a pragma or the baseline — these fail CI.
+    #: violations not covered by a pragma — these fail CI.
     findings: List[Finding] = field(default_factory=list)
     #: violations suppressed by a well-formed pragma on their line.
     suppressed: List[Finding] = field(default_factory=list)
-    #: violations matched (and forgiven) by the baseline file.
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
@@ -45,7 +43,6 @@ class LintReport:
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
         }
 
 
@@ -103,13 +100,11 @@ def _apply_pragmas(module: ParsedModule, raw: List[Finding]
 
 def run_checks(root: Optional[Path] = None, *,
                config: Optional[LintConfig] = None,
-               rules: Optional[Sequence[str]] = None,
-               baseline: Optional[Baseline] = None) -> LintReport:
+               rules: Optional[Sequence[str]] = None) -> LintReport:
     """Lint every ``.py`` file under *root* (default: the repro package).
 
     Returns a :class:`LintReport`; ``report.ok`` is the CI gate.  Pass
-    ``rules=["DET001", ...]`` to restrict the rule set and *baseline* to
-    forgive previously recorded findings (regressions still fail).
+    ``rules=["DET001", ...]`` to restrict the rule set.
     """
     scan_root = Path(root) if root is not None else default_scan_root()
     active_config = config if config is not None else default_config()
@@ -138,7 +133,4 @@ def run_checks(root: Optional[Path] = None, *,
 
     report.findings = sort_findings(report.findings)
     report.suppressed = sort_findings(report.suppressed)
-    if baseline is not None:
-        report.findings, report.baselined = baseline.partition(
-            report.findings)
     return report

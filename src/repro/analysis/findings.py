@@ -1,39 +1,15 @@
-"""Finding and baseline primitives for the detlint engine.
+"""The finding primitive of the detlint engine.
 
-A :class:`Finding` pins one rule violation to a file and line.  Its
-*fingerprint* hashes the rule id, the file's path and the normalised
-source line text — not the line *number* — so a baseline survives code
-moving up and down a file and only "new" violations count as
-regressions.
+A :class:`Finding` pins one rule violation to a file and line.  Reasoned
+line pragmas are the one way to suppress one (:mod:`repro.analysis.engine`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["Baseline", "Finding", "sort_findings", "write_baseline"]
-
-
-def write_baseline(path: Path, findings: "Iterable[Finding]") -> None:
-    """Record *findings* as the accepted baseline at *path*.
-
-    Full per-finding context (line, snippet) is written — not just the
-    matching multiset — so a baseline file is reviewable in a diff.
-    """
-    payload = {
-        "version": 1,
-        "tool": "detlint",
-        "findings": [
-            {"rule": f.rule, "path": f.path, "line": f.line,
-             "snippet": f.snippet, "fingerprint": f.fingerprint}
-            for f in sort_findings(findings)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+__all__ = ["Finding", "sort_findings"]
 
 
 @dataclass(frozen=True)
@@ -47,12 +23,6 @@ class Finding:
     message: str           #: human-readable description of the violation
     snippet: str = ""      #: the stripped source line the finding points at
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number independent)."""
-        body = f"{self.rule}|{self.path}|{self.snippet.strip()}"
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
@@ -61,7 +31,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -75,50 +44,3 @@ def _sort_key(finding: Finding) -> Tuple[str, int, int, str]:
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
     """Deterministic report order: path, then line, then column, then rule."""
     return sorted(findings, key=_sort_key)
-
-
-@dataclass
-class Baseline:
-    """A recorded set of accepted findings: CI fails only on regressions.
-
-    Matching is by ``(rule, path, fingerprint)`` *multiset*: two identical
-    violations on different lines of the same file need two baseline
-    entries, and fixing one of them removes exactly one credit.
-    """
-
-    entries: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        baseline = cls()
-        for finding in findings:
-            key = (finding.rule, finding.path, finding.fingerprint)
-            baseline.entries[key] = baseline.entries.get(key, 0) + 1
-        return baseline
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict) or "findings" not in data:
-            raise ValueError(f"{path}: not a detlint baseline file")
-        baseline = cls()
-        for entry in data["findings"]:
-            key = (str(entry["rule"]), str(entry["path"]),
-                   str(entry["fingerprint"]))
-            baseline.entries[key] = baseline.entries.get(key, 0) + 1
-        return baseline
-
-    def partition(self, findings: Iterable[Finding]
-                  ) -> Tuple[List[Finding], List[Finding]]:
-        """Split *findings* into (new, baselined) against this baseline."""
-        credit = dict(self.entries)
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in sort_findings(findings):
-            key = (finding.rule, finding.path, finding.fingerprint)
-            if credit.get(key, 0) > 0:
-                credit[key] -= 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old

@@ -48,8 +48,7 @@ class SimulationError(RuntimeError):
     """Raised for kernel usage errors (double trigger, bad yield, ...)."""
 
 
-#: Sentinel priority classes: normal events before process-bootstrap events is
-#: not needed; a single FIFO ordering per timestamp is sufficient and simpler.
+#: The value of an event that has not been triggered yet.
 _PENDING = object()
 
 
@@ -58,8 +57,8 @@ class Event:
 
     An event starts *pending*.  ``succeed(value)`` or ``fail(exception)``
     triggers it; the environment then schedules its callbacks.  Waiting on an
-    already-processed event is allowed and resumes the waiter immediately
-    (on the next scheduling step).
+    already-processed event is allowed and resumes the waiter at the current
+    instant.
     """
 
     #: Set by :meth:`Timer.cancel`; cancelled events are skipped (and lazily
@@ -145,12 +144,8 @@ class Event:
 
     def add_callback(self, callback: Callback) -> None:
         if self.callbacks is None:
-            # Already processed: run on next scheduling step via a proxy event.
-            proxy = Event(self.env)
-            proxy._push_callback(callback)
-            proxy._ok = self._ok
-            proxy._value = self._value
-            self.env._schedule(proxy)
+            # Already processed: run at this instant with the same outcome.
+            self.env._call_soon(callback, ok=self._ok, value=self._value)
         else:
             self.callbacks.append(callback)
 
@@ -219,17 +214,6 @@ class Timer(Event):
         return True
 
 
-class Initialize(Event):
-    """Internal event used to start a process on the next step."""
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self._push_callback(process._resume_cb)
-        env._schedule(self)
-
-
 class Process(Event):
     """Wraps a generator so it can be driven by the event loop.
 
@@ -246,7 +230,7 @@ class Process(Event):
         #: The resume callback, bound once: it is registered on every event
         #: the process waits for, and binding it per yield is pure overhead.
         self._resume_cb: Callback = self._resume
-        Initialize(env, self)    # schedules itself: the first resume
+        env._call_soon(self._resume_cb)    # the first resume
 
     @property
     def is_alive(self) -> bool:
@@ -351,7 +335,7 @@ class Environment:
         #: Event creation counter, separate from the scheduling counter so
         #: repr identities never perturb the (time, priority, seq) order.
         self._event_ids = itertools.count(1)
-        #: Number of events processed by :meth:`step` (benchmark metric).
+        #: Number of events processed by :meth:`run` (benchmark metric).
         self.processed_events = 0
 
     # -- clock --------------------------------------------------------------
@@ -390,12 +374,7 @@ class Environment:
         same-time changes (e.g. hundreds of flow arrivals during a
         synchronisation storm) and settle its derived state exactly once.
         """
-        proxy = Event(self)
-        proxy._ok = True
-        proxy._value = None
-        proxy._push_callback(callback)
-        self._schedule(proxy, priority=self.SETTLE_PRIORITY)
-        return proxy
+        return self._call_soon(callback, priority=self.SETTLE_PRIORITY)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
@@ -403,78 +382,63 @@ class Environment:
             (self._now + delay, priority, next(self._counter), event)
         )
 
+    def _call_soon(self, callback: Callback, priority: int = 1,
+                   ok: Optional[bool] = True, value: Any = None) -> Event:
+        """Run *callback* at the current instant, carried by an
+        already-triggered event with outcome (*ok*, *value*)."""
+        event = Event(self)
+        event._ok = ok
+        event._value = value
+        event._push_callback(callback)
+        self._schedule(event, priority=priority)
+        return event
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         entry = self._scheduler.peek()
         return entry[0] if entry is not None else float("inf")
 
-    def step(self) -> None:
-        """Process the next event; raise if the queue is empty."""
-        try:
-            when, _prio, _count, event = self._scheduler.pop()
-        except IndexError:
-            raise SimulationError("no more events to process") from None
-        self._now = when
-        self.processed_events += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks or ():
-            callback(event)
-        if event._ok is False and not event.defused:
-            # An untended failure (no one waited): surface it.
-            raise event._value
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
         ``until`` may be ``None`` (run to exhaustion), a number (run until that
-        simulated time), or an :class:`Event` (run until it is processed, and
-        return its value / raise its exception).
+        simulated time: events at exactly ``until`` run, a later one stays
+        queued, and ``now == until`` afterwards), or an :class:`Event` (run
+        until it is processed, and return its value / raise its exception).
         """
         stop_event: Optional[Event] = None
-        stop_time: Optional[float] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
+        stop_time = float("inf")
+        if isinstance(until, Event):
             stop_event = until
-        else:
+        elif until is not None:
             stop_time = float(until)
             if stop_time < self._now:
                 raise ValueError(
                     f"until={stop_time!r} is in the past (now={self._now!r})"
                 )
 
-        if stop_time is None:
-            # Hot path (run-to-exhaustion / run-until-event): no deadline to
-            # check, so the per-event peek() is pure overhead — pop() skips
-            # cancelled timers itself and signals exhaustion via IndexError.
-            # The step() body is inlined: at 100k-host scale the extra
-            # method call and the doubled head-purging work are measurable.
-            # Keep this block in lockstep with step().
-            scheduler_pop = self._scheduler.pop
-            while True:
-                if stop_event is not None and stop_event.callbacks is None:
-                    break
-                try:
-                    when, _prio, _count, event = scheduler_pop()
-                except IndexError:
-                    break
-                self._now = when
-                self.processed_events += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks or ():
-                    callback(event)
-                if event._ok is False and not event.defused:
-                    # An untended failure (no one waited): surface it.
-                    raise event._value
-        else:
-            while len(self._scheduler):
-                next_time = self.peek()   # also purges cancelled timers
-                if next_time == float("inf"):
-                    break
-                if next_time > stop_time:
-                    self._now = stop_time
-                    break
-                self.step()
+        # One loop for all three modes.  pop() skips cancelled timers itself
+        # and signals exhaustion via IndexError; an entry due after the
+        # deadline goes back unchanged — its seq is unique, so it returns to
+        # exactly its place in the (time, priority, seq) order.
+        scheduler = self._scheduler
+        scheduler_pop = scheduler.pop
+        while stop_event is None or stop_event.callbacks is not None:
+            try:
+                when, prio, seq, event = scheduler_pop()
+            except IndexError:
+                break
+            if when > stop_time:
+                scheduler.push((when, prio, seq, event))
+                break
+            self._now = when
+            self.processed_events += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks or ():
+                callback(event)
+            if event._ok is False and not event.defused:
+                # An untended failure (no one waited): surface it.
+                raise event._value
 
         if stop_event is not None:
             if not stop_event.triggered:
@@ -485,7 +449,6 @@ class Environment:
                 return stop_event._value
             stop_event.defused = True
             raise stop_event._value
-        if stop_time is not None and self._now < stop_time \
-                and not len(self._scheduler):
+        if until is not None:   # nothing is due before the deadline
             self._now = stop_time
         return None

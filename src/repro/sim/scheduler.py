@@ -1,8 +1,8 @@
 """The event queue of the simulation kernel.
 
 The kernel's queue discipline is a total order over ``(time, priority,
-seq)`` — FIFO within a timestamp, priorities only for the settle hook and
-interrupts.  :class:`HeapScheduler` realises it with one global binary
+seq)`` — FIFO within a timestamp, a priority only for the settle hook.
+:class:`HeapScheduler` realises it with one global binary
 heap (`heapq`): O(log n) per operation with n the queue size.  Cohort
 multiplexing keeps that queue shallow — the peak depth is ~2.5k entries
 even on the 100k-host storm — so C ``heapq`` at log2(n) ≈ 11 comparisons

@@ -63,7 +63,6 @@ class SwarmStats:
     peers_joined: int = 0
     peers_completed: int = 0
     pieces_transferred: int = 0
-    first_join_time: Optional[float] = None
 
 
 class _Peer:
@@ -142,8 +141,6 @@ class _Swarm:
         peer.rank = self.stats.peers_joined
         self.peers[peer.rank] = peer
         self.stats.peers_joined += 1
-        if self.stats.first_join_time is None:
-            self.stats.first_join_time = self.env.now
         self._watch(peer.host)
         self.notify()
 
@@ -390,8 +387,6 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
 
     def _run_fluid(self, handle: TransferHandle, swarm: _Swarm):
         swarm.stats.peers_joined += 1
-        if swarm.stats.first_join_time is None:
-            swarm.stats.first_join_time = self.env.now
         swarm.fluid_active += 1
         seed_host = handle.source.host
         if not swarm.background_reserved:

@@ -183,8 +183,6 @@ class OOBTransfer(abc.ABC):
     def __init__(self, env: Environment, network: Network):
         self.env = env
         self.network = network
-        #: all handles ever created through this protocol instance
-        self.handles: list[TransferHandle] = []
 
     # -- the 7 methods ---------------------------------------------------------
     @abc.abstractmethod
@@ -222,9 +220,7 @@ class OOBTransfer(abc.ABC):
     # -- handle creation ---------------------------------------------------------
     def create_handle(self, content: FileContent, source: TransferEndpoint,
                       destination: TransferEndpoint) -> TransferHandle:
-        handle = TransferHandle(self.env, content, source, destination, self.name)
-        self.handles.append(handle)
-        return handle
+        return TransferHandle(self.env, content, source, destination, self.name)
 
     # -- protocol driver ----------------------------------------------------------
     def _drive(self, handle: TransferHandle):

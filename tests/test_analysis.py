@@ -6,7 +6,6 @@ Covers, per ISSUE 9:
   test asserts the exact rule id *and* line number of the seed;
 * pragma handling: suppression round-trip, reason-required (LINT001),
   unused-pragma (LINT002);
-* baseline round-trip: record → forgive → regressions still fail;
 * the self-hosting gate: ``src/repro`` lints clean with zero
   unsuppressed findings;
 * the CLI surface (exit codes, JSON format, --list-rules);
@@ -23,11 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, default_config, run_checks
+from repro.analysis import default_config, run_checks
 from repro.analysis.cli import main as lint_main
 from repro.analysis.config import permissive_config
 from repro.analysis.engine import default_scan_root
-from repro.analysis.findings import write_baseline
 from tests import census
 
 FIXTURES = Path(__file__).parent / "detlint_fixtures"
@@ -61,7 +59,7 @@ def test_det_fixture_flags_exactly_its_seed(fixture: str, rule: str) -> None:
     report = lint_fixture(fixture)
     assert [f.rule for f in report.findings] == [rule], report.findings
     assert report.findings[0].line == seed_line(FIXTURES / fixture, rule)
-    assert not report.suppressed and not report.baselined
+    assert not report.suppressed
 
 
 def test_det003_sorted_wrapping_is_clean(tmp_path: Path) -> None:
@@ -237,44 +235,6 @@ def test_unused_pragma_is_flagged() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Baseline round-trip
-# ---------------------------------------------------------------------------
-
-def test_baseline_roundtrip_forgives_then_catches_regressions(
-        tmp_path: Path) -> None:
-    first = lint_fixture("det001_wallclock.py")
-    assert len(first.findings) == 1
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, first.findings)
-
-    baseline = Baseline.load(baseline_file)
-    forgiven = lint_fixture("det001_wallclock.py", baseline=baseline)
-    assert forgiven.ok
-    assert [f.rule for f in forgiven.baselined] == ["DET001"]
-
-    # A different violation is a regression: the baseline must not mask it.
-    regression = lint_fixture("det002_rng.py", baseline=Baseline.load(
-        baseline_file))
-    assert [f.rule for f in regression.findings] == ["DET002"]
-
-
-def test_baseline_survives_line_shifts(tmp_path: Path) -> None:
-    original = tmp_path / "module.py"
-    original.write_text("import time\n\nt = time.time()\n")
-    config = permissive_config()
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file,
-                   run_checks(original, config=config).findings)
-    # Insert lines above the finding: same code, different line numbers.
-    original.write_text("import time\n\n# padding\n# padding\n\n"
-                        "t = time.time()\n")
-    shifted = run_checks(original, config=config,
-                         baseline=Baseline.load(baseline_file))
-    assert shifted.ok, shifted.findings
-    assert len(shifted.baselined) == 1
-
-
-# ---------------------------------------------------------------------------
 # Self-hosting: this repository lints clean
 # ---------------------------------------------------------------------------
 
@@ -312,15 +272,6 @@ def test_cli_exit_codes_and_json(tmp_path: Path, capsys) -> None:
 
     assert lint_main([str(dirty), "--rules", "NOPE999"]) == 2
     assert lint_main([str(tmp_path / "missing.py")]) == 2
-
-
-def test_cli_write_and_use_baseline(tmp_path: Path, capsys) -> None:
-    dirty = FIXTURES / "det001_wallclock.py"
-    baseline = tmp_path / "base.json"
-    assert lint_main([str(dirty), "--write-baseline", str(baseline)]) == 0
-    assert baseline.is_file()
-    assert lint_main([str(dirty), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
 
 
 def test_cli_list_rules(capsys) -> None:

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import (
     AllOf,
@@ -10,6 +12,8 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
+from repro.sim.scheduler import HeapScheduler
+from tests.conftest import count_calls
 
 
 class TestClockAndTimeout:
@@ -85,9 +89,144 @@ class TestClockAndTimeout:
     def test_peek_empty_queue(self, env):
         assert env.peek() == float("inf")
 
-    def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
+    def test_run_until_on_an_empty_queue_moves_the_clock(self, env):
+        env.run(until=7.5)
+        assert env.now == 7.5
+        assert env.processed_events == 0
+
+
+class TestRunUntilTime:
+    """``run(until=t)``: events at exactly ``t`` run, a later one stays
+    queued in place, and the clock ends on ``t``."""
+
+    def test_an_event_at_exactly_the_deadline_runs(self, env):
+        fired = []
+        env.timeout(5.0).add_callback(lambda evt: fired.append(env.now))
+        env.run(until=5.0)
+        assert fired == [5.0]
+        assert env.now == 5.0
+        assert env.peek() == float("inf")
+
+    def test_same_time_events_after_the_deadline_keep_fifo_order(self, env):
+        order = []
+        for tag in "ab":
+            env.timeout(2.0).add_callback(
+                lambda evt, tag=tag: order.append((env.now, tag)))
+        env.run(until=1.0)
+        assert order == [] and env.now == 1.0
+        env.run()
+        assert order == [(2.0, "a"), (2.0, "b")]
+
+    def test_untended_failure_stops_the_clock_at_the_failing_event(self, env):
+        def doomed():
+            yield env.timeout(2.0)
+            raise RuntimeError("untended")
+
+        env.process(doomed())
+        env.timeout(7.0)
+        with pytest.raises(RuntimeError, match="untended"):
+            env.run(until=10.0)
+        assert env.now == 2.0
+
+    def test_a_deadline_run_never_peeks_or_measures_the_queue(self):
+        """A count, not a timing: the loop pops, and pushes back the one
+        entry due after the deadline (the two-loop kernel called
+        ``HeapScheduler.peek`` and ``__len__`` once per event, plus one)."""
+        for probe in (HeapScheduler.peek, HeapScheduler.__len__):
+            env = Environment()
+            for i in range(1000):
+                env.timeout(i / 10)
+            _, entered = count_calls(lambda: env.run(until=50.0),
+                                     lambda code: code is probe.__code__)
+            assert entered == 0, probe
+            assert env.processed_events == 501 and env.now == 50.0
+            assert len(env.scheduler) == 499
+
+    def test_starting_a_process_creates_one_start_event(self, env):
+        """Process.__init__, its Event.__init__ and the one event carrying
+        the first resume: three constructors per process."""
+        def body():
+            yield env.timeout(1.0)
+
+        _, inits = count_calls(
+            lambda: [env.process(body()) for _ in range(100)],
+            lambda code: code.co_name == "__init__")
+        assert inits == 300
+        env.run()
+        assert env.processed_events == 300
+
+
+# A world of events on a quarter-second grid, so that same-time ties, drawn
+# deadlines at exactly an event's time and deadlines past the last event are
+# all common.
+_quarter = st.integers(min_value=0, max_value=12).map(lambda q: q / 4)
+world_strategy = st.fixed_dictionaries({
+    # (delay, whether its callback also asks for a settle pass)
+    "timeouts": st.lists(st.tuples(_quarter, st.booleans()), max_size=8),
+    # (delay, fate, delay of the in-run cancellation)
+    "timers": st.lists(st.tuples(
+        _quarter, st.sampled_from(["fire", "cancel-now", "cancel-in-run"]),
+        _quarter), max_size=6),
+    # (the delays a process waits, how many generations it spawns)
+    "processes": st.lists(st.tuples(
+        st.lists(_quarter, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2)), max_size=4),
+})
+deadlines_strategy = st.lists(
+    st.integers(min_value=0, max_value=80).map(lambda q: q / 4),
+    max_size=6).map(sorted)
+
+
+def _replay(world, deadlines):
+    """Build *world* in a fresh environment, run it through ``run(until=t)``
+    for each of *deadlines*, then ``run()``; returns the ``(now, tag)`` log
+    and ``processed_events``."""
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda _evt: log.append((env.now, tag))
+
+    for i, (delay, settles) in enumerate(world["timeouts"]):
+        timeout = env.timeout(delay)
+        timeout.add_callback(note(f"timeout{i}"))
+        if settles:
+            timeout.add_callback(
+                lambda _evt, i=i: env.settle(note(f"settle{i}")))
+    for i, (delay, fate, cancel_delay) in enumerate(world["timers"]):
+        timer = env.call_later(delay, note(f"timer{i}"))
+        if fate == "cancel-now":
+            timer.cancel()
+        elif fate == "cancel-in-run":
+            env.call_later(cancel_delay, lambda _evt, t=timer: t.cancel())
+
+    def body(tag, delays, generations):
+        for step, delay in enumerate(delays):
+            done = env.timeout(delay)
+            yield done
+            log.append((env.now, f"{tag}.{step}"))
+            done.add_callback(note(f"{tag}.{step}.after"))   # processed
+            if generations and step == 0:
+                env.process(body(f"{tag}/child", delays, generations - 1))
+
+    for i, (delays, generations) in enumerate(world["processes"]):
+        env.process(body(f"p{i}", delays, generations))
+
+    for deadline in deadlines:
+        env.run(until=deadline)
+        assert env.now == deadline
+    env.run()
+    return log, env.processed_events
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(world=world_strategy, deadlines=deadlines_strategy)
+def test_chunked_runs_replay_the_single_run(world, deadlines):
+    """The oracle of the one run loop: cutting a run at any deadlines —
+    exact event times included — changes neither what runs, nor when, nor
+    in which order."""
+    assert _replay(world, deadlines) == _replay(world, [])
 
 
 class TestEvents:
