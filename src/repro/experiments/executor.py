@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -270,6 +269,10 @@ def _run_pooled(pending: Sequence[int], specs: Sequence[ScenarioSpec],
                 jobs: int, outcomes: Dict[int, PointOutcome],
                 stats: SweepStats, cache: Optional[ResultCache],
                 keys: Sequence[Optional[str]], progress: _Progress) -> None:
+    # Imported here, not at module load: concurrent.futures pulls in
+    # multiprocessing, subprocess, socket, selectors and logging, which
+    # only a pooled sweep uses.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     max_workers = min(jobs, len(pending))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         inflight = {

@@ -16,8 +16,12 @@ runtime path and the reference the tests hold it to:
   incrementally as flows arrive and depart, so an allocation pass touches
   only existing :class:`Constraint` objects; bottleneck selection uses a
   lazy min-heap keyed by the current fair share, making one pass
-  O((F + C)·log C) for F active flows crossing C constraints.  The
-  default, and the only allocator scenarios run.
+  O((F + C)·log C) for F active flows crossing C constraints.  The pass
+  keeps its state (remaining capacity, unfixed-member count) on the
+  constraints themselves and each flow's membership lists the constraint
+  objects, so the inner loop does attribute reads instead of tuple-keyed
+  dict lookups and enters no other Python function.  The default, and the
+  only allocator scenarios run.
 
 Both compute the *unique* max-min fair allocation subject to the same
 constraints (per-flow rate caps, host uplink/downlink, WAN cluster
@@ -45,7 +49,8 @@ __all__ = [
 class Constraint:
     """A capacity constraint over a set of flows (one link direction)."""
 
-    __slots__ = ("key", "capacity", "reserved", "members", "provider")
+    __slots__ = ("key", "capacity", "reserved", "members", "provider",
+                 "remaining", "count")
 
     def __init__(self, key: Tuple, capacity: float):
         self.key = key
@@ -58,6 +63,10 @@ class Constraint:
         #: mid-simulation change to a host's link speed takes effect on the
         #: next pass — matching the dense allocator's per-pass rebuild.
         self.provider: Optional[Tuple[str, object]] = None
+        #: Pass state of the incremental allocator, reset at the start of
+        #: every pass: capacity left and members not yet fixed.
+        self.remaining = 0.0
+        self.count = 0
 
     @property
     def effective_capacity(self) -> float:
@@ -173,14 +182,14 @@ class IncrementalAllocator:
     def __init__(self) -> None:
         self.gateways: Dict[str, Tuple[float, float]] = {}
         self._constraints: Dict[Tuple, Constraint] = {}
-        #: fid -> constraint keys, in canonical order
-        self._membership: Dict[int, List[Tuple]] = {}
+        #: fid -> the flow's constraints, in canonical key order
+        self._membership: Dict[int, List[Constraint]] = {}
         self._push_seq = itertools.count()
 
     # -- membership maintenance -------------------------------------------
     def flow_added(self, flow) -> None:
-        keys = constraint_keys(flow, self.gateways)
-        for key in keys:
+        crossed: List[Constraint] = []
+        for key in constraint_keys(flow, self.gateways):
             con = self._constraints.get(key)
             if con is None:
                 con = Constraint(key, _constraint_capacity(key, flow,
@@ -196,31 +205,19 @@ class IncrementalAllocator:
                     con.provider = (kind, key[1])
                 self._constraints[key] = con
             con.members.add(flow.fid)
-        self._membership[flow.fid] = keys
-
-    def _live_capacity(self, con: Constraint) -> float:
-        kind, obj = con.provider
-        if kind == "flow-cap":
-            return obj.rate_cap_mbps
-        if kind == "host-up":
-            return obj.uplink_mbps
-        if kind == "host-down":
-            return obj.downlink_mbps
-        if kind == "wan-egress":
-            return self.gateways[obj][0]
-        return self.gateways[obj][1]   # wan-ingress
+            crossed.append(con)
+        self._membership[flow.fid] = crossed
 
     def flow_removed(self, flow) -> None:
-        keys = self._membership.pop(flow.fid, None)
-        if keys is None:
+        # A constraint is dropped only once it has no members, so every
+        # constraint a live flow lists is still the one in ``_constraints``.
+        crossed = self._membership.pop(flow.fid, None)
+        if crossed is None:
             return
-        for key in keys:
-            con = self._constraints.get(key)
-            if con is None:
-                continue
+        for con in crossed:
             con.members.discard(flow.fid)
             if not con.members:
-                del self._constraints[key]
+                del self._constraints[con.key]
 
     def rebuild(self, active: Iterable) -> None:
         """Recompute membership from scratch (topology changed mid-flight)."""
@@ -233,50 +230,71 @@ class IncrementalAllocator:
     def allocate(self, active: List, background: Dict[Tuple, float]) -> Dict[int, float]:
         """One progressive-filling pass over the maintained constraints.
 
-        Bottlenecks are found with a lazy min-heap: each constraint is keyed
-        by ``remaining / unfixed_count``; a popped entry whose share is stale
-        (its constraint lost members or capacity since the push) is re-pushed
-        with the current value.  Progressive filling fixes at least one flow
-        per genuine pop, so the pass does O(F + C) pushes overall.
+        Bottlenecks are found with a lazy min-heap of ``(share, push seq,
+        constraint)`` entries, keyed by ``remaining / count``; a popped
+        entry whose share is stale (its constraint lost members or capacity
+        since the push) is re-pushed with the current value.  The pass state
+        lives on the constraints: the seeding loop resets every
+        constraint's ``remaining`` (live capacity minus background load,
+        floored at zero) and ``count`` (its member total), and fixing a flow
+        walks the flow's constraint objects to subtract its share.
+
+        Cost: one seeding visit per constraint, one heap pop per genuine
+        bottleneck or stale entry, and per fixed flow one dict store plus
+        one attribute update per constraint it crosses — O((F + C)·log C)
+        with no call into any other Python function.  Progressive filling
+        fixes at least one flow per genuine pop, so the pass does O(F + C)
+        pushes overall.
         """
         if not active:
             return {}
-        constraints = self._constraints
-        remaining: Dict[Tuple, float] = {}
-        counts: Dict[Tuple, int] = {}
-        heap: List[Tuple[float, int, Tuple]] = []
+        gateways = self.gateways
+        heap: List[Tuple[float, int, Constraint]] = []
         seq = self._push_seq
-        for key, con in constraints.items():  # detlint: ignore[DET004] — heap seeded in maintained constraint order; ties broken by the explicit push seq, mirroring the dense reference bit-for-bit
-            cap = max(0.0, self._live_capacity(con) - background.get(key, 0.0))
-            remaining[key] = cap
-            counts[key] = len(con.members)
-            heap.append((cap / len(con.members), next(seq), key))
+        for con in self._constraints.values():  # detlint: ignore[DET004] — heap seeded in maintained constraint order; ties broken by the explicit push seq, mirroring the dense reference bit-for-bit
+            kind, obj = con.provider
+            if kind == "host-down":
+                cap = obj.downlink_mbps
+            elif kind == "host-up":
+                cap = obj.uplink_mbps
+            elif kind == "flow-cap":
+                cap = obj.rate_cap_mbps
+            elif kind == "wan-egress":
+                cap = gateways[obj][0]
+            else:   # wan-ingress
+                cap = gateways[obj][1]
+            if background:
+                cap -= background.get(con.key, 0.0)
+            if not cap > 0.0:
+                cap = 0.0
+            con.remaining = cap
+            count = con.count = len(con.members)
+            heap.append((cap / count, next(seq), con))
         heapq.heapify(heap)
 
         rates: Dict[int, float] = {}
         membership = self._membership
+        heappop = heapq.heappop
         n_unfixed = len(active)
         while heap and n_unfixed > 0:
-            share, _, key = heapq.heappop(heap)
-            count = counts[key]
+            share, _, con = heappop(heap)
+            count = con.count
             if count <= 0:
                 continue   # all members already fixed through other constraints
-            current = remaining[key] / count
+            current = con.remaining / count
             if current > share:
                 # Stale entry: members were fixed elsewhere since the push.
-                heapq.heappush(heap, (current, next(seq), key))
+                heapq.heappush(heap, (current, next(seq), con))
                 continue
-            share = max(0.0, current)
-            fixed_now = sorted(
-                fid for fid in constraints[key].members if fid not in rates
-            )
-            for fid in fixed_now:
+            share = current if current > 0.0 else 0.0
+            for fid in sorted(con.members.difference(rates)):
                 rates[fid] = share
                 n_unfixed -= 1
                 for other in membership[fid]:
-                    remaining[other] = max(0.0, remaining[other] - share)
-                    counts[other] -= 1
-            counts[key] = 0
+                    left = other.remaining - share
+                    other.remaining = left if left > 0.0 else 0.0
+                    other.count -= 1
+            con.count = 0
         return rates
 
 

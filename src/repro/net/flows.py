@@ -327,40 +327,40 @@ class Network:
         # Bring every flow's remaining volume up to date before re-allocating
         # (idempotent: _advance() is a no-op when already at the current time).
         self._advance()
-        # Complete flows that have (numerically) finished.
-        finished = [f for f in self._active if f.remaining_mb <= 1e-9]
-        for flow in finished:
-            self._active.remove(flow)
-            self._allocator.flow_removed(flow)
-            flow.remaining_mb = 0.0
-            flow.end_time = self.env.now
-            self.completed_flows += 1
-            self.total_mb_delivered += flow.size_mb
-            flow.done.succeed(flow)
+        # Complete flows that have (numerically) finished, in activation
+        # order: that is the order their ``done`` events fire in.
+        active = self._active
+        finished = [f for f in active if f.remaining_mb <= 1e-9]
+        if finished:
+            self._active = active = [f for f in active
+                                     if f.remaining_mb > 1e-9]
+            now = self.env.now
+            for flow in finished:
+                self._allocator.flow_removed(flow)
+                flow.remaining_mb = 0.0
+                flow.end_time = now
+                self.completed_flows += 1
+                self.total_mb_delivered += flow.size_mb
+                flow.done.succeed(flow)
 
         self.allocation_passes += 1
-        rates = self._allocator.allocate(self._active, self._background)
-        for flow in self._active:
-            flow.rate_mbps = rates.get(flow.fid, 0.0)
-        self._reschedule_completion()
-
-    def _reschedule_completion(self) -> None:
-        """Point the (single, cancellable) wake-up timer at the next completion."""
+        rates = self._allocator.allocate(active, self._background)
+        # Assign the rates and find the next completion in the same loop.
+        horizon = math.inf
+        for flow in active:
+            rate = flow.rate_mbps = rates[flow.fid]
+            if rate > _EPSILON:
+                eta = flow.remaining_mb / rate
+                if eta < horizon:
+                    horizon = eta
+        # Re-arm the single, cancellable wake-up timer.  If every active flow
+        # is starved (zero capacity) nothing is scheduled: a topology or
+        # background change will request a new pass.
         if self._completion_timer is not None:
             self._completion_timer.cancel()
-            self._completion_timer = None
-        if not self._active:
-            return
-        horizon = math.inf
-        for flow in self._active:
-            if flow.rate_mbps > _EPSILON:
-                horizon = min(horizon, flow.remaining_mb / flow.rate_mbps)
-        if not math.isfinite(horizon):
-            # All active flows are starved (zero capacity); nothing to schedule —
-            # a topology/background change will trigger a new recompute.
-            return
-        self._completion_timer = self.env.call_later(max(horizon, 0.0),
-                                                     self._on_completion_timer)
+        self._completion_timer = (
+            self.env.call_later(horizon, self._on_completion_timer)
+            if horizon < math.inf else None)
 
     def _on_completion_timer(self, _evt: Event) -> None:
         self._completion_timer = None

@@ -59,20 +59,41 @@ def test_every_scenario_the_workflow_names_is_registered(workflow):
     assert named <= set(default_registry().names())
 
 
+def _serial_parallel_pair(command, scenario):
+    """The ``--jobs 1`` / ``--jobs 2`` sweeps of *scenario* in *command*,
+    checked to differ only in ``--jobs`` and to be ``cmp``-ed; returns the
+    serial one's arguments."""
+    sweeps = re.findall(rf"-m repro sweep {scenario} (.*?)--out (\S+)",
+                        command.replace("\\\n", " "))
+    assert len(sweeps) == 2
+    (serial, serial_out), (parallel, parallel_out) = sweeps
+    assert "--jobs 1 " in serial and "--jobs 2 " in parallel
+    assert serial.replace("--jobs 1", "--jobs 2") == parallel
+    assert f"cmp {serial_out} {parallel_out}" in command
+    return serial
+
+
 def test_piece_level_swarm_is_swept_serial_and_parallel(workflow):
     """``blast`` pins ``bittorrent_mode="fluid"``; one ``--jobs 1`` /
     ``--jobs 2`` pair must run the piece model and compare the outputs."""
     piece = [command for command in _commands(workflow["jobs"]["sweep-cli"])
              if "bittorrent_mode=piece" in command]
     assert len(piece) == 1
-    sweeps = re.findall(r"-m repro sweep distribution (.*?)--out (\S+)",
-                        piece[0].replace("\\\n", " "))
-    assert len(sweeps) == 2
-    (serial, serial_out), (parallel, parallel_out) = sweeps
-    assert "--jobs 1 " in serial and "--jobs 2 " in parallel
-    assert serial.replace("--jobs 1", "--jobs 2") == parallel
+    serial = _serial_parallel_pair(piece[0], "distribution")
     assert "--set protocol=bittorrent" in serial
-    assert f"cmp {serial_out} {parallel_out}" in piece[0]
+
+
+def test_allocation_pass_is_swept_at_runtime_grid_size(workflow):
+    """The determinism job runs REDUCED sizes; one ``--jobs 1`` /
+    ``--jobs 2`` pair runs ``scale-grid`` at the size perfbench's
+    ``runtime-grid`` times, over two seeds, uncached."""
+    grid = [command for command in _commands(workflow["jobs"]["sweep-cli"])
+            if "-m repro sweep scale-grid " in command]
+    assert len(grid) == 1
+    serial = _serial_parallel_pair(grid[0], "scale-grid")
+    for argument in ("--set n_hosts=500 ", "--set n_data=2500 ",
+                     "--grid seed=1,2 ", "--no-cache "):
+        assert argument in serial
 
 
 def test_determinism_is_one_gate(workflow):

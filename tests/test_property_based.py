@@ -176,40 +176,72 @@ host_spec_strategy = st.lists(
               st.floats(min_value=1.0, max_value=500.0)),
     min_size=2, max_size=6)
 
+#: One op: (delay before it, kind, pick a, pick b, amount, optional amount).
+#: ``start`` reads a/b as src/dst, the amount as size_mb and the optional one
+#: as the flow's ``rate_cap_mbps``; ``gateway`` reads a as the cluster and the
+#: amounts as egress/ingress (ingress None = egress); ``load`` / ``speed`` read
+#: a as the host, b's parity as the direction and the amount as the rate.
 flow_op_strategy = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=2.0),          # delay before the op
-        st.sampled_from(["start", "start", "start", "abort", "fail"]),
-        st.integers(min_value=0, max_value=5),            # src / victim pick
-        st.integers(min_value=0, max_value=5),            # dst pick
-        st.floats(min_value=0.5, max_value=50.0),         # size_mb
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from(["start", "start", "start", "abort", "fail",
+                         "recover", "gateway", "load", "unload", "speed"]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=0.5, max_value=50.0),
+        st.one_of(st.none(), st.floats(min_value=0.5, max_value=100.0)),
     ),
     min_size=1, max_size=14)
 
 
-def _replay_schedule(allocator, coalesce, host_specs, ops, probe_times):
-    """Run one random arrival/departure/failure schedule on one allocator."""
+def _replay_schedule(make_network, host_specs, ops, probe_times):
+    """Run one random schedule of arrivals, aborts, host failures and
+    recoveries, WAN gateway changes, background loads and link-speed changes
+    on the network *make_network(env)* builds.  Host *i* sits in cluster
+    ``c{i % 2}``, so every schedule has cross-cluster flows."""
     env = Environment()
-    network = Network(env, default_latency_s=0.001,
-                      allocator=allocator, coalesce=coalesce)
-    hosts = [network.add_host(Host(f"h{i}", uplink_mbps=up, downlink_mbps=down))
+    network = make_network(env)
+    hosts = [network.add_host(Host(f"h{i}", cluster=f"c{i % 2}",
+                                   uplink_mbps=up, downlink_mbps=down))
              for i, (up, down) in enumerate(host_specs)]
     flows = []
+    fired = []
+    loads = []
 
     def driver():
-        for delay, kind, a, b, size in ops:
+        for delay, kind, a, b, amount, extra in ops:
             yield env.timeout(delay)
+            host = hosts[a % len(hosts)]
+            direction = "up" if b % 2 == 0 else "down"
             if kind == "start":
-                src = hosts[a % len(hosts)]
                 dst = hosts[b % len(hosts)]
-                if src is not dst and src.online and dst.online:
-                    flows.append(network.transfer(src, dst, size))
+                if host is not dst and host.online and dst.online:
+                    flow = network.transfer(host, dst, amount,
+                                            rate_cap_mbps=extra)
+                    flow.done.add_callback(
+                        lambda _evt, index=len(flows): fired.append(index))
+                    flows.append(flow)
             elif kind == "abort":
                 if flows:
                     network.abort(flows[a % len(flows)])
-            else:  # fail — never kill host 0 so some flows can still run
-                victim = hosts[1 + a % (len(hosts) - 1)]
-                victim.fail()
+            elif kind == "fail":   # never host 0, so some flows can still run
+                hosts[1 + a % (len(hosts) - 1)].fail()
+            elif kind == "recover":
+                hosts[1 + a % (len(hosts) - 1)].recover()
+            elif kind == "gateway":
+                network.set_cluster_gateway(f"c{a % 2}", amount, extra)
+            elif kind == "load":
+                network.add_background_load(host, direction, amount)
+                loads.append((host, direction, amount))
+            elif kind == "unload":
+                if loads:
+                    network.remove_background_load(*loads.pop(a % len(loads)))
+            else:   # speed: a live link change, then a nudge to re-allocate
+                if direction == "up":
+                    host.uplink_mbps = amount
+                else:
+                    host.downlink_mbps = amount
+                network.add_background_load(host, direction, 0.0)
 
     env.process(driver())
     rate_probes = []
@@ -224,7 +256,12 @@ def _replay_schedule(allocator, coalesce, host_specs, ops, probe_times):
     ]
     stats = (network.completed_flows, network.failed_flows,
              network.total_mb_delivered)
-    return outcome, rate_probes, stats
+    return outcome, rate_probes, stats, fired, network
+
+
+def _network(allocator, coalesce, network_class=Network):
+    return lambda env: network_class(env, default_latency_s=0.001,
+                                     allocator=allocator, coalesce=coalesce)
 
 
 @common_settings
@@ -233,16 +270,26 @@ def _replay_schedule(allocator, coalesce, host_specs, ops, probe_times):
 # the coalesced one does not, so the second (dead) flow used to read 1.0 on
 # one and 0.5 on the other until Network._fail_flow zeroed a dead flow's rate.
 @example(host_specs=[(1.0, 1.0), (1.0, 1.0)],
-         ops=[(0.0, "start", 0, 1, 1.0), (0.0, "start", 0, 1, 1.0),
-              (1.0, "abort", 0, 0, 1.0), (0.0, "abort", 1, 0, 1.0)])
+         ops=[(0.0, "start", 0, 1, 1.0, None), (0.0, "start", 0, 1, 1.0, None),
+              (1.0, "abort", 0, 0, 1.0, None), (0.0, "abort", 1, 0, 1.0, None)])
+# Every capacity source binds in turn on h1 -> h2: its cap (3) under the c0
+# gateway's ingress (5; egress 2 holds the two c0 -> c1 flows), then h1's
+# uplink under a 38.5 background load, then h2's downlink cut to 1.
+@example(host_specs=[(40.0, 40.0), (40.0, 40.0), (40.0, 40.0)],
+         ops=[(0.0, "start", 0, 1, 20.0, None), (0.0, "start", 2, 1, 20.0, None),
+              (0.0, "start", 1, 2, 20.0, 3.0), (0.0, "gateway", 0, 0, 2.0, 5.0),
+              (0.25, "load", 1, 0, 38.5, None), (0.25, "speed", 2, 1, 1.0, None),
+              (1.0, "unload", 0, 0, 1.0, None)])
 def test_incremental_allocator_matches_dense_oracle(host_specs, ops):
-    """Random flow arrival/departure/failure schedules produce identical
-    rates and completion times on the dense (reference) allocator and the
-    coalesced incremental one."""
+    """Random schedules produce identical rates and completion times on the
+    dense (reference) allocator and the coalesced incremental one, whichever
+    capacity binds: a link, a per-flow cap, a WAN gateway, a background load
+    or a link speed changed mid-run."""
     probe_times = [0.5, 1.5, 3.0, 6.0]
-    dense = _replay_schedule("dense", False, host_specs, ops, probe_times)
-    incremental = _replay_schedule("incremental", True, host_specs, ops,
-                                   probe_times)
+    dense = _replay_schedule(_network("dense", False), host_specs, ops,
+                             probe_times)
+    incremental = _replay_schedule(_network("incremental", True), host_specs,
+                                   ops, probe_times)
     assert incremental[0] == dense[0]     # outcome, end time, volume
     assert incremental[1] == dense[1]     # allocated rates at probe times
     assert incremental[2] == dense[2]     # network-level statistics

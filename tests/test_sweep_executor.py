@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -376,6 +378,22 @@ class TestRunCLI:
         assert cli_main(args + ["--out", str(second)]) == 0
         assert "(cached)" in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
+
+    def test_loading_the_registry_leaves_the_process_pool_unimported(self):
+        """Only ``sweep --jobs N>1`` uses a process pool; a plain run must
+        not load ``concurrent.futures`` and the stack behind it."""
+        pool_stack = ["concurrent.futures", "multiprocessing", "subprocess",
+                      "socket", "selectors", "logging"]
+        probe = ("import sys\n"
+                 "from repro.experiments.runner import default_registry\n"
+                 "default_registry()\n"
+                 f"print([m for m in {pool_stack!r} if m in sys.modules])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"
 
 
 class TestCacheCLI:
