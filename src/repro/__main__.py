@@ -61,6 +61,7 @@ from repro.experiments import (
     run_spec,
 )
 from repro.experiments.cache import default_cache_dir, point_key
+from repro.transfer.registry import UnknownProtocolError
 
 __all__ = ["main"]
 
@@ -407,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownScenarioError as exc:
+    except (UnknownScenarioError, UnknownProtocolError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:

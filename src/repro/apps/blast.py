@@ -115,7 +115,6 @@ def build_blast_application(
         task_protocol="http",
         result_protocol="http",
         task_replica=task_replica,
-        task_fault_tolerance=True,
         rng=rng,
         task_attribute_name="Sequence",
         result_attribute_name="Result",

@@ -130,19 +130,17 @@ class MasterWorkerApplication:
         task_protocol: str = "http",
         result_protocol: str = "http",
         task_replica: int = 1,
-        task_fault_tolerance: bool = True,
         rng: Optional[RandomStreams] = None,
         task_attribute_name: str = "Sequence",
         result_attribute_name: str = "Result",
         collector_name: str = "Collector",
-        master_is_reservoir: bool = False,
     ):
         self.runtime = runtime
         # The master is a *client* host: it never receives task inputs through
         # replica placement, only results through affinity to its Collector.
         # It asks the scheduler for large batches so that collecting many small
         # results is not throttled by MaxDataSchedule.
-        self.master = runtime.attach(master_host, reservoir=master_is_reservoir,
+        self.master = runtime.attach(master_host, reservoir=False,
                                      max_data_schedule=64)
         self.shared_inputs = list(shared_inputs)
         self.tasks = list(tasks)
@@ -150,7 +148,6 @@ class MasterWorkerApplication:
         self.task_protocol = task_protocol
         self.result_protocol = result_protocol
         self.task_replica = int(task_replica)
-        self.task_fault_tolerance = bool(task_fault_tolerance)
         self.rng = rng if rng is not None else RandomStreams(23)
         self.task_attribute_name = task_attribute_name
         self.result_attribute_name = result_attribute_name
@@ -182,7 +179,7 @@ class MasterWorkerApplication:
     def _task_attribute(self) -> Attribute:
         return Attribute(
             name=self.task_attribute_name, replica=self.task_replica,
-            fault_tolerance=self.task_fault_tolerance,
+            fault_tolerance=True,
             protocol=self.task_protocol,
             relative_lifetime=self.collector_name,
         )

@@ -82,7 +82,7 @@ def run_fig4(
 
     # The initial owner population.
     for host in initial_hosts:
-        runtime.attach(host, stagger_start=True)
+        runtime.attach(host)
 
     # Let the initial replicas settle before injecting churn.
     env.run(until=env.now + settle_s)

@@ -6,11 +6,10 @@ two hot paths the O(active)-work refactor targets:
 
 * :func:`run_sync_storm` — N workers all starting a download from the same
   file server at the same instant (the worst case for per-event global
-  bandwidth re-allocation), repeated for several rounds.  Runs with a
-  selectable allocator (``dense`` = the reference full-recompute
-  implementation, ``incremental`` = coalesced incremental allocation) so the
-  two can be compared on identical scenarios: simulated completion times
-  must match exactly, allocation passes must not.
+  bandwidth re-allocation), repeated for several rounds.  It reports the
+  allocation passes the network ran against the re-allocations requested:
+  the network settles each timestamp once, where the per-event
+  reference of the tests runs one pass per request.
 
 * :func:`run_completion_curve` — the Fig. 3a FTP shape at scale: with the
   server uplink as the bottleneck, completion time must keep growing
@@ -92,8 +91,6 @@ def run_sync_storm(
     n_workers: int = 500,
     rounds: int = 2,
     size_mb: float = 5.0,
-    allocator: str = "incremental",
-    coalesce: bool = True,
     server_link_mbps: float = 1000.0,
     node_link_mbps: float = 10.0,
     latency_s: float = 0.001,
@@ -107,8 +104,7 @@ def run_sync_storm(
     if n_workers <= 0 or rounds <= 0:
         raise ValueError("n_workers and rounds must be positive")
     env = Environment()
-    network = Network(env, default_latency_s=latency_s,
-                      allocator=allocator, coalesce=coalesce)
+    network = Network(env, default_latency_s=latency_s)
     server = network.add_host(Host(
         "server", uplink_mbps=server_link_mbps,
         downlink_mbps=server_link_mbps, stable=True))
@@ -137,8 +133,6 @@ def run_sync_storm(
         "n_workers": n_workers,
         "rounds": rounds,
         "size_mb": size_mb,
-        "allocator": allocator,
-        "coalesce": coalesce,
         "sim_completion_s": max(end_times),
         "end_times": end_times,
         "completed_flows": network.completed_flows,

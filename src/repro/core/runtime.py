@@ -91,8 +91,6 @@ class HostAgent:
         host: Host,
         channel_kind: Optional[ChannelKind] = None,
         sync_period_s: Optional[float] = None,
-        cache_capacity_mb: Optional[float] = None,
-        max_concurrent_transfers: int = 8,
         reservoir: bool = True,
         max_data_schedule: Optional[int] = None,
     ) -> None:
@@ -114,10 +112,9 @@ class HostAgent:
             float(sync_period_s) if sync_period_s is not None
             else runtime.sync_period_s
         )
-        capacity = cache_capacity_mb if cache_capacity_mb is not None else host.disk_mb
-        self.filesystem = LocalFileSystem(capacity_mb=capacity, owner=host.name)
+        self.filesystem = LocalFileSystem(capacity_mb=host.disk_mb, owner=host.name)
         self.event_bus = EventBus(host.name)
-        self.transfer_manager = TransferManager(self, max_concurrent=max_concurrent_transfers)
+        self.transfer_manager = TransferManager(self)
         self.bitdew = BitDew(self)
         self.active_data = ActiveData(self)
 
@@ -519,7 +516,6 @@ class BitDewEnvironment:
     def attach(self, host: Host, auto_sync: bool = True,
                channel_kind: Optional[ChannelKind] = None,
                sync_period_s: Optional[float] = None,
-               stagger_start: bool = True,
                reservoir: bool = True,
                max_data_schedule: Optional[int] = None) -> HostAgent:
         """Attach a host to the runtime and (optionally) start its pull loop."""
@@ -534,18 +530,15 @@ class BitDewEnvironment:
         except ValueError:
             pass  # re-attachment after a crash: the DHT node may still be known
         if auto_sync:
-            if stagger_start:
-                # Desynchronise the pull loops like real deployments do.
-                delay = self.rng.uniform(f"stagger-{host.name}", 0.0,
-                                         agent.sync_period_s)
-                def _delayed_start(agent: HostAgent = agent,
-                                   delay: float = delay
-                                   ) -> Generator[Event, Any, None]:
-                    yield self.env.timeout(delay)
-                    agent.start()
-                self.env.process(_delayed_start())
-            else:
+            # Desynchronise the pull loops like real deployments do.
+            delay = self.rng.uniform(f"stagger-{host.name}", 0.0,
+                                     agent.sync_period_s)
+            def _delayed_start(agent: HostAgent = agent,
+                               delay: float = delay
+                               ) -> Generator[Event, Any, None]:
+                yield self.env.timeout(delay)
                 agent.start()
+            self.env.process(_delayed_start())
         return agent
 
     def attach_all(self, hosts: Optional[List[Host]] = None,
@@ -568,7 +561,7 @@ class BitDewEnvironment:
         (and the downloads it started) has finished.  This is the batched
         counterpart of the periodic per-host pull loop: all requests hit the
         Data Scheduler at the same simulated instant and the flow network
-        coalesces the resulting transfer storm into single allocation passes.
+        settles the resulting transfer storm once per timestamp.
         """
         if hosts is None:
             agents = list(self.agents.values())

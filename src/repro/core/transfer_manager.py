@@ -34,7 +34,6 @@ class TransferManager:
         self.agent = agent
         self.env: Environment = agent.env
         self._slots = Resource(self.env, capacity=max_concurrent)
-        self._max_concurrent = max_concurrent
         #: data uid -> list of completion events of in-flight transfers
         self._pending: Dict[str, List[Event]] = {}
         #: data uid -> last observed state
@@ -45,16 +44,16 @@ class TransferManager:
     # -- concurrency control -----------------------------------------------------
     @property
     def max_concurrent(self) -> int:
-        return self._max_concurrent
+        return self._slots.capacity
 
     def set_max_concurrent(self, value: int) -> None:
-        """Tune the number of simultaneous transfers this host will run."""
-        if value <= 0:
-            raise ValueError("max_concurrent must be positive")
-        # Resources cannot shrink in place; swap in a new one (in-flight
-        # transfers keep their already-granted slots).
-        self._slots = Resource(self.env, capacity=value)
-        self._max_concurrent = value
+        """Tune the number of simultaneous transfers this host will run.
+
+        In-flight transfers keep their slots and count against the new
+        limit; queued ones are admitted as soon as it allows.  A value
+        below 1 is a ``ValueError``.
+        """
+        self._slots.capacity = value
 
     def acquire_slot(self) -> Generator[Event, Any, Request]:
         """Generator: take one concurrency slot (released with release_slot)."""
@@ -63,9 +62,7 @@ class TransferManager:
         return request
 
     def release_slot(self, request: Request) -> None:
-        # On the request's own resource: set_max_concurrent may have swapped
-        # self._slots since, and waiters queued on the old one still need it.
-        request.resource.release(request)
+        self._slots.release(request)
 
     # -- tracking -------------------------------------------------------------------
     def track(self, data: Data, completion: Event) -> Event:

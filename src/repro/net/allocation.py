@@ -1,76 +1,50 @@
-"""Bandwidth-allocation strategies for the flow-level network model.
+"""Max-min fair bandwidth allocation for the flow-level network model.
 
-The network delegates max-min fair sharing to an *allocator*.  Two
-implementations with identical observable results are provided — one
-runtime path and the reference the tests hold it to:
+:class:`IncrementalAllocator` is the network's one allocator.  Constraint
+membership is maintained incrementally as flows arrive and depart, so an
+allocation pass touches only existing :class:`Constraint` objects;
+bottleneck selection uses a lazy min-heap keyed by the current fair share,
+making one pass O((F + C)·log C) for F active flows crossing C constraints.
+The pass keeps its state (remaining capacity, unfixed-member count) on the
+constraints themselves and each flow's membership lists the constraint
+objects, so the inner loop does attribute reads instead of tuple-keyed dict
+lookups and enters no other Python function.
 
-* :class:`DenseAllocator` — the reference implementation: every allocation
-  pass rebuilds the constraint set from scratch and runs progressive filling
-  with a full scan per bottleneck round.  Per pass this is O(F·R) work with
-  R bottleneck rounds (worst case O(F²)), plus O(F) allocations for the
-  constraint dictionaries.  Kept as the oracle for equivalence tests and as
-  the baseline the scaling benchmark measures against
-  (``Network(allocator="dense", coalesce=False)``).
-
-* :class:`IncrementalAllocator` — constraint membership is maintained
-  incrementally as flows arrive and depart, so an allocation pass touches
-  only existing :class:`Constraint` objects; bottleneck selection uses a
-  lazy min-heap keyed by the current fair share, making one pass
-  O((F + C)·log C) for F active flows crossing C constraints.  The pass
-  keeps its state (remaining capacity, unfixed-member count) on the
-  constraints themselves and each flow's membership lists the constraint
-  objects, so the inner loop does attribute reads instead of tuple-keyed
-  dict lookups and enters no other Python function.  The default, and the
-  only allocator scenarios run.
-
-Both compute the *unique* max-min fair allocation subject to the same
-constraints (per-flow rate caps, host uplink/downlink, WAN cluster
-gateways, minus reserved background rates), so simulated completion times
-are identical whichever is plugged in — a property pinned by the
-hypothesis oracle tests in ``tests/test_property_based.py``.
+It computes the *unique* max-min fair allocation subject to per-flow rate
+caps, host uplink/downlink, WAN cluster gateways, minus reserved background
+rates.  Its reference is a dense allocator that rebuilds every constraint
+and rescans every flow per bottleneck round, run one pass per flow event by
+``DenseNetwork`` in ``tests/test_property_based.py``.
+The hypothesis oracles there and in ``tests/test_net_settle_oracle.py``
+require identical rates and completion times from both.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-__all__ = [
-    "Constraint",
-    "DenseAllocator",
-    "IncrementalAllocator",
-    "constraint_keys",
-    "make_allocator",
-]
+__all__ = ["Constraint", "IncrementalAllocator", "constraint_keys"]
 
 
 class Constraint:
     """A capacity constraint over a set of flows (one link direction)."""
 
-    __slots__ = ("key", "capacity", "reserved", "members", "provider",
-                 "remaining", "count")
+    __slots__ = ("key", "members", "provider", "remaining", "count")
 
-    def __init__(self, key: Tuple, capacity: float):
+    def __init__(self, key: Tuple, provider: Tuple[str, object]):
         self.key = key
-        self.capacity = capacity
-        self.reserved = 0.0
-        #: fids of the active flows crossing this constraint (maintained by
-        #: the incremental allocator; unused by the dense one).
+        #: fids of the active flows crossing this constraint.
         self.members: set = set()
         #: (kind, obj) the capacity is read from at allocation time, so a
         #: mid-simulation change to a host's link speed takes effect on the
-        #: next pass — matching the dense allocator's per-pass rebuild.
-        self.provider: Optional[Tuple[str, object]] = None
+        #: next pass.
+        self.provider = provider
         #: Pass state of the incremental allocator, reset at the start of
         #: every pass: capacity left and members not yet fixed.
         self.remaining = 0.0
         self.count = 0
-
-    @property
-    def effective_capacity(self) -> float:
-        return max(0.0, self.capacity - self.reserved)
 
 
 def constraint_keys(flow, gateways: Dict[str, Tuple[float, float]]) -> List[Tuple]:
@@ -88,96 +62,8 @@ def constraint_keys(flow, gateways: Dict[str, Tuple[float, float]]) -> List[Tupl
     return keys
 
 
-def _constraint_capacity(key: Tuple, flow,
-                         gateways: Dict[str, Tuple[float, float]]) -> float:
-    kind = key[0]
-    if kind == "flow-cap":
-        return flow.rate_cap_mbps
-    if kind == "host-up":
-        return flow.src.uplink_mbps
-    if kind == "host-down":
-        return flow.dst.downlink_mbps
-    if kind == "wan-egress":
-        return gateways[key[1]][0]
-    return gateways[key[1]][1]   # wan-ingress
-
-
-class DenseAllocator:
-    """Reference allocator: full rebuild + full-scan progressive filling."""
-
-    name = "dense"
-
-    def __init__(self) -> None:
-        self.gateways: Dict[str, Tuple[float, float]] = {}
-
-    # The dense allocator is stateless w.r.t. flows.
-    def flow_added(self, flow) -> None:
-        pass
-
-    def flow_removed(self, flow) -> None:
-        pass
-
-    def rebuild(self, active: Iterable) -> None:
-        pass
-
-    def allocate(self, active: List, background: Dict[Tuple, float]) -> Dict[int, float]:
-        """Max-min fair allocation via progressive filling (full scans)."""
-        if not active:
-            return {}
-        constraints: Dict[Tuple, Constraint] = {}
-        membership: Dict[int, List[Tuple]] = {}
-        for flow in active:
-            keys = constraint_keys(flow, self.gateways)
-            for key in keys:
-                if key not in constraints:
-                    con = Constraint(key, _constraint_capacity(key, flow,
-                                                               self.gateways))
-                    con.reserved = background.get(key, 0.0)
-                    constraints[key] = con
-            membership[flow.fid] = keys
-
-        remaining_capacity = {
-            key: con.effective_capacity for key, con in constraints.items()  # detlint: ignore[DET004] — dict→dict rebuild; constraints is filled in deterministic flow order
-        }
-        unfixed = {flow.fid: flow for flow in active}
-        rates: Dict[int, float] = {}
-
-        while unfixed:
-            # For each constraint, the fair share available to its unfixed flows.
-            best_share = math.inf
-            best_key = None
-            counts: Dict[Tuple, int] = {}
-            for fid in unfixed:
-                for key in membership[fid]:
-                    counts[key] = counts.get(key, 0) + 1
-            if not counts:
-                break
-            for key, count in counts.items():  # detlint: ignore[DET004] — first-minimum tie-break over deterministic insertion order IS the pinned reference semantics; sorting would change allocations
-                share = remaining_capacity[key] / count
-                if share < best_share:
-                    best_share = share
-                    best_key = key
-            if best_key is None:  # pragma: no cover - defensive
-                break
-            best_share = max(0.0, best_share)
-            # Fix every unfixed flow crossing the bottleneck constraint.
-            fixed_now = [
-                fid for fid in unfixed if best_key in membership[fid]
-            ]
-            for fid in fixed_now:
-                rates[fid] = best_share
-                for key in membership[fid]:
-                    remaining_capacity[key] = max(
-                        0.0, remaining_capacity[key] - best_share
-                    )
-                del unfixed[fid]
-        return rates
-
-
 class IncrementalAllocator:
     """Incrementally maintained membership + heap-based progressive filling."""
-
-    name = "incremental"
 
     def __init__(self) -> None:
         self.gateways: Dict[str, Tuple[float, float]] = {}
@@ -192,18 +78,16 @@ class IncrementalAllocator:
         for key in constraint_keys(flow, self.gateways):
             con = self._constraints.get(key)
             if con is None:
-                con = Constraint(key, _constraint_capacity(key, flow,
-                                                           self.gateways))
                 kind = key[0]
                 if kind == "flow-cap":
-                    con.provider = ("flow-cap", flow)
+                    provider = flow
                 elif kind == "host-up":
-                    con.provider = ("host-up", flow.src)
+                    provider = flow.src
                 elif kind == "host-down":
-                    con.provider = ("host-down", flow.dst)
-                else:   # wan-egress / wan-ingress
-                    con.provider = (kind, key[1])
-                self._constraints[key] = con
+                    provider = flow.dst
+                else:   # wan-egress / wan-ingress: the cluster name
+                    provider = key[1]
+                con = self._constraints[key] = Constraint(key, (kind, provider))
             con.members.add(flow.fid)
             crossed.append(con)
         self._membership[flow.fid] = crossed
@@ -251,7 +135,7 @@ class IncrementalAllocator:
         gateways = self.gateways
         heap: List[Tuple[float, int, Constraint]] = []
         seq = self._push_seq
-        for con in self._constraints.values():  # detlint: ignore[DET004] — heap seeded in maintained constraint order; ties broken by the explicit push seq, mirroring the dense reference bit-for-bit
+        for con in self._constraints.values():  # detlint: ignore[DET004] — heap seeded in maintained constraint order; ties broken by the explicit push seq, mirroring the dense test reference bit-for-bit
             kind, obj = con.provider
             if kind == "host-down":
                 cap = obj.downlink_mbps
@@ -296,12 +180,3 @@ class IncrementalAllocator:
                     other.count -= 1
             con.count = 0
         return rates
-
-
-def make_allocator(name: str):
-    if name == "dense":
-        return DenseAllocator()
-    if name == "incremental":
-        return IncrementalAllocator()
-    raise ValueError(f"unknown allocator {name!r}; "
-                     f"use 'dense' or 'incremental'")

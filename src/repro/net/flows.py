@@ -23,11 +23,11 @@ proportional to what changed rather than to global state:
   allocation pass instead of one full recompute per flow.  Rates are only
   consumed when simulated time advances, so deferring the pass to the end
   of the timestamp is observationally identical.
-* **Allocator strategies** — the actual max-min computation lives in
-  :mod:`repro.net.allocation`; the default :class:`IncrementalAllocator`
-  maintains constraint membership across events, the reference
-  :class:`DenseAllocator` rebuilds everything per pass (the two are
-  equivalence-tested against each other).
+* **One incremental allocator** — the max-min computation lives in
+  :mod:`repro.net.allocation`; :class:`IncrementalAllocator` maintains
+  constraint membership across events.  The reference it is held to — a
+  dense allocator run one pass per flow event — lives in the tests
+  (``DenseNetwork`` in ``tests/test_property_based.py``).
 
 The next-completion wake-up uses a cancellable kernel :class:`Timer`
 instead of the earlier stale-token pattern, so superseded wake-ups are
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim import ids
 from repro.sim.kernel import Environment, Event, Timer
-from repro.net.allocation import make_allocator
+from repro.net.allocation import IncrementalAllocator
 from repro.net.host import Host
 
 __all__ = ["Flow", "Network", "TransferFailed"]
@@ -123,9 +123,7 @@ class Network:
     """The flow network: registers hosts, runs transfers, shares bandwidth."""
 
     def __init__(self, env: Environment, default_latency_s: float = 0.001,
-                 wan_latency_s: float = 0.01,
-                 allocator: str = "incremental",
-                 coalesce: bool = True):
+                 wan_latency_s: float = 0.01):
         self.env = env
         self.default_latency_s = float(default_latency_s)
         self.wan_latency_s = float(wan_latency_s)
@@ -137,9 +135,8 @@ class Network:
         #: background (reserved) rates per constraint key.
         self._background: Dict[Tuple, float] = {}
         self._last_update = env.now
-        self._allocator = make_allocator(allocator)
+        self._allocator = IncrementalAllocator()
         self._allocator.gateways = self._cluster_gateways
-        self._coalesce = bool(coalesce)
         self._settle_pending = False
         self._completion_timer: Optional[Timer] = None
         #: statistics
@@ -150,10 +147,6 @@ class Network:
         self.allocation_passes = 0
         #: number of events that requested a re-allocation
         self.recompute_requests = 0
-
-    @property
-    def allocator_name(self) -> str:
-        return self._allocator.name
 
     # -- topology ------------------------------------------------------------
     def add_host(self, host: Host) -> Host:
@@ -280,8 +273,8 @@ class Network:
         flow.aborted = True
         flow.end_time = self.env.now
         # A dead flow moves nothing.  Its last allocated rate is not a fact
-        # of the run: it depends on whether the allocator ran a pass per
-        # event (dense) or one per timestamp (coalesced) at this instant.
+        # of the run: it depends on whether a pass ran per event (the dense
+        # test reference) or once per timestamp (this network).
         flow.rate_mbps = 0.0
         if flow in self._active:
             self._active.remove(flow)
@@ -307,15 +300,10 @@ class Network:
     def _recompute(self) -> None:
         """Request a re-allocation of rates.
 
-        With coalescing (the default) the request marks the network dirty
-        and the allocation settles once at the end of the current timestamp;
-        without it, the pass runs immediately (the reference behaviour, one
-        full recompute per flow event).
+        The request marks the network dirty; the allocation settles once at
+        the end of the current timestamp.
         """
         self.recompute_requests += 1
-        if not self._coalesce:
-            self._settle()
-            return
         if self._settle_pending:
             return
         self._settle_pending = True

@@ -43,13 +43,11 @@ class ServiceContainer:
         host: Host,
         network: Network,
         engine: Optional[DatabaseEngine] = None,
-        use_connection_pool: bool = True,
         registry: Optional[ProtocolRegistry] = None,
         heartbeat_period_s: float = 1.0,
         timeout_multiplier: float = 3.0,
         monitor_period_s: float = 0.5,
         max_data_schedule: int = 16,
-        account_monitor_bandwidth: bool = True,
         domain: Optional[str] = None,
     ):
         if not host.stable:
@@ -62,8 +60,8 @@ class ServiceContainer:
         self.domain = domain
 
         engine = engine if engine is not None else EmbeddedSQLEngine()
-        pool = ConnectionPool(env, engine) if use_connection_pool else None
-        self.database = Database(env, engine=engine, pool=pool)
+        self.database = Database(env, engine=engine,
+                                 pool=ConnectionPool(env, engine))
 
         self.registry = registry if registry is not None else default_registry(env, network)
         self.failure_detector = FailureDetector(
@@ -75,8 +73,7 @@ class ServiceContainer:
             env, host, filesystem=LocalFileSystem(owner=f"{host.name}:repository"))
         self.data_transfer = DataTransferService(
             env, host, network, self.registry,
-            monitor_period_s=monitor_period_s,
-            account_monitor_bandwidth=account_monitor_bandwidth)
+            monitor_period_s=monitor_period_s)
         self.data_scheduler = DataSchedulerService(
             env, database=self.database, failure_detector=self.failure_detector,
             max_data_schedule=max_data_schedule)

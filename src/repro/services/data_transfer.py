@@ -78,7 +78,6 @@ class DataTransferService:
         monitor_period_s: float = 0.5,
         monitor_message_kb: float = 8.0,
         max_retries: int = 3,
-        account_monitor_bandwidth: bool = True,
     ):
         self.env = env
         self.host = host
@@ -87,7 +86,6 @@ class DataTransferService:
         self.monitor_period_s = float(monitor_period_s)
         self.monitor_message_kb = float(monitor_message_kb)
         self.max_retries = int(max_retries)
-        self.account_monitor_bandwidth = bool(account_monitor_bandwidth)
         self.transfers: Dict[int, SupervisedTransfer] = {}
         #: statistics used for overhead accounting
         self.requests = 0
@@ -103,14 +101,12 @@ class DataTransferService:
         return 2.0 * (self.monitor_message_kb / 1024.0) / self.monitor_period_s
 
     def _reserve_monitor_bandwidth(self) -> None:
-        if self.account_monitor_bandwidth:
-            self.network.add_background_load(self.host, "up", self._monitor_rate_mbps)
-            self.network.add_background_load(self.host, "down", self._monitor_rate_mbps)
+        self.network.add_background_load(self.host, "up", self._monitor_rate_mbps)
+        self.network.add_background_load(self.host, "down", self._monitor_rate_mbps)
 
     def _release_monitor_bandwidth(self) -> None:
-        if self.account_monitor_bandwidth:
-            self.network.remove_background_load(self.host, "up", self._monitor_rate_mbps)
-            self.network.remove_background_load(self.host, "down", self._monitor_rate_mbps)
+        self.network.remove_background_load(self.host, "up", self._monitor_rate_mbps)
+        self.network.remove_background_load(self.host, "down", self._monitor_rate_mbps)
 
     # -- the service protocol ---------------------------------------------------------
     def register_transfer(self, data: Data, protocol: str,

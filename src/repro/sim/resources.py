@@ -46,12 +46,27 @@ class Resource:
     """A resource with ``capacity`` slots and FIFO admission."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.env = env
-        self.capacity = capacity
         self._queue: Deque[Request] = deque()
         self._users: List[Request] = []
+        self.capacity = capacity
+
+    @property
+    def capacity(self) -> int:
+        """Number of slots; settable in place.
+
+        Raising it admits queued requests at once.  Lowering it grants
+        nothing until the slots in use drop below the new value; requests
+        already granted keep their slots.
+        """
+        return self._capacity
+
+    @capacity.setter
+    def capacity(self, value: int) -> None:
+        if value <= 0:
+            raise ValueError("capacity must be positive")
+        self._capacity = value
+        self._trigger_requests()
 
     @property
     def count(self) -> int:
@@ -76,7 +91,7 @@ class Resource:
         self._trigger_requests()
 
     def _trigger_requests(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
+        while self._queue and len(self._users) < self._capacity:
             request = self._queue.popleft()
             self._users.append(request)
             request.succeed(self)

@@ -2,7 +2,7 @@
 
 HTTP GET from a web server: functionally the same point-to-point pull as
 FTP but with a much lighter connection setup (a single request/response
-exchange, optional keep-alive), which makes it the protocol of choice for
+exchange, connections kept alive), which makes it the protocol of choice for
 the small files of the BLAST application (Sequences and Results, §5).
 """
 
@@ -29,11 +29,9 @@ class HTTPProtocol(BlockingOOBTransfer):
         env: Environment,
         network: Network,
         request_overhead_s: float = 0.005,
-        keep_alive: bool = True,
     ):
         super().__init__(env, network)
         self.request_overhead_s = float(request_overhead_s)
-        self.keep_alive = keep_alive
         #: (client uid, server uid) pairs with an established keep-alive connection
         self._connections: set = set()
 
@@ -45,18 +43,15 @@ class HTTPProtocol(BlockingOOBTransfer):
         latency = self.network.latency_between(handle.source.host,
                                                handle.destination.host)
         key = self._conn_key(handle)
-        if self.keep_alive and key in self._connections:
+        if key in self._connections:
             return True
         # TCP handshake: one round trip.
         yield self.env.timeout(2.0 * latency)
-        if self.keep_alive:
-            self._connections.add(key)
+        self._connections.add(key)
         return True
 
     def disconnect(self, handle: TransferHandle):
-        if not self.keep_alive:
-            self._connections.discard(self._conn_key(handle))
-        # Closing is asynchronous; no simulated cost.
+        # The connection is kept alive for the next request; no simulated cost.
         return True
         yield  # pragma: no cover - makes this a generator
 

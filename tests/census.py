@@ -29,7 +29,21 @@ collection written and never queried — the two largest finds of the PR that
 added this mode were made by reading, not by this pass (see "Its blind
 spot" in ``docs/ARCHITECTURE.md``).
 
-A fifth mode compares behaviour instead of reading code: ``outputs REF``
+A fifth mode, ``knobs``, is the same kind of AST pass over parameters: it
+lists every parameter of a ``src/repro`` function (``@scenario`` entry
+points aside: their parameters are the CLI's ``--set``) whose default is
+``True``, ``False`` or a string literal and that no call under ``src/
+benchmarks/ examples/ perfbench/`` passes by keyword — a behaviour switch
+only tests set, one value in use.  It exits 1 unless each is on
+``KNOBS_KEPT`` below with its reason (CI ``static-analysis`` runs it)::
+
+    python tests/census.py knobs
+
+It matches keywords by bare name too, so a keyword of the same name passed
+to any other function counts as set, and a value passed positionally does
+not.
+
+A sixth mode compares behaviour instead of reading code: ``outputs REF``
 materialises ``src/`` of a git ref in a temp dir (``git archive``: nothing is
 registered under ``.git``, so an interrupted run leaves no worktree to
 prune), runs every registered scenario at the ``REDUCED`` sizes on both
@@ -75,6 +89,23 @@ STATE_KEPT = {
     "sequence": "report field: checkpoint record and signature verdict",
     "stored_at": "report field: checkpoint record",
     "flow": "exception payload: the flow a TransferFailed is about",
+}
+
+
+#: Parameters ``knobs`` finds that no caller outside ``tests/`` sets and that
+#: stay settable, and why.
+KNOBS_KEPT = {
+    "BitDew.get(blocking)": "paper API: the non-blocking get (§3.3)",
+    "ProtocolRegistry.register(replace)":
+        "extension API: a user protocol replaces a built-in one on purpose "
+        "(§3.4), never by accident",
+    "ScenarioRegistry.register(replace)":
+        "registry API: a duplicate scenario name is an error unless asked",
+    "grid5000_testbed(service_cluster)":
+        "topology data, not a switch: the Table 1 cluster of the services",
+    "UpdaterApplication.__init__(update_attribute_name)":
+        "names the §5 updater's attribute, as MasterWorkerApplication's "
+        "names are",
 }
 
 
@@ -221,6 +252,64 @@ def _state(root: str) -> int:
     return 1 if offending else 0
 
 
+def _is_scenario(node) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(func, "id", getattr(func, "attr", None)) == "scenario":
+            return True
+    return False
+
+
+def _knobs(root: str) -> int:
+    """List *root*'s switch parameters no caller outside tests sets; 1 if
+    any is not kept."""
+    switches = []       # (file, line, "Qual.name(param)", param)
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(path, child, prefix + child.name + ".")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(path, child, prefix)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional)
+                                           - len(args.defaults):],
+                                args.defaults))
+            defaults += zip(args.kwonlyargs, args.kw_defaults)
+            if _is_scenario(child):
+                defaults = []       # a scenario's parameters are ``--set``
+            for arg, default in defaults:
+                if (isinstance(default, ast.Constant)
+                        and isinstance(default.value, (bool, str))):
+                    switches.append((path, child.lineno,
+                                     f"{prefix}{child.name}({arg.arg})",
+                                     arg.arg))
+            walk(path, child, prefix + child.name + ".")
+
+    for path in _python_files(root):
+        with open(path) as handle:
+            walk(path, ast.parse(handle.read()), "")
+    passed = set()
+    for folder in ("src", "benchmarks", "examples", "perfbench"):
+        for path in _python_files(os.path.join(REPO, folder)):
+            with open(path) as handle:
+                passed.update(keyword.arg
+                              for node in ast.walk(ast.parse(handle.read()))
+                              if isinstance(node, ast.Call)
+                              for keyword in node.keywords)
+    unset = [switch for switch in switches if switch[3] not in passed]
+    offending = [name for _, _, name, _ in unset if name not in KNOBS_KEPT]
+    for path, line, name, _ in unset:
+        print(f"{'' if name in KNOBS_KEPT else 'NOT KEPT  '}"
+              f"{os.path.relpath(path, REPO)}:{line}  {name}")
+    print(f"switches no caller outside tests sets: {len(unset)} "
+          f"({len(offending)} not on the kept list)")
+    return 1 if offending else 0
+
+
 def _outputs(ref: str) -> int:
     """Byte-compare every scenario's JSON on *ref* and on this tree."""
     sys.path[:0] = [REPO, os.path.join(REPO, "src")]
@@ -262,6 +351,8 @@ def main(argv) -> int:
     mode = argv[1]
     if mode == "state":
         return _state(argv[2] if len(argv) > 2 else ROOT)
+    if mode == "knobs":
+        return _knobs(argv[2] if len(argv) > 2 else ROOT)
     if mode == "outputs":
         return _outputs(argv[2])
     if mode == "report":

@@ -9,7 +9,8 @@ Covers, per ISSUE 9:
 * the self-hosting gate: ``src/repro`` lints clean with zero
   unsuppressed findings;
 * the CLI surface (exit codes, JSON format, --list-rules);
-* the sibling write-only-state gate, ``tests/census.py state``;
+* the sibling AST gates, ``tests/census.py state`` (write-only state) and
+  ``tests/census.py knobs`` (switches only tests set);
 * the one-copy contract: ``deepcopy`` has exactly one site in ``src/repro``.
 """
 
@@ -283,7 +284,8 @@ def test_cli_list_rules(capsys) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Write-only state (tests/census.py state, the CI static-analysis gate)
+# Write-only state and unset switches (tests/census.py state / knobs, the CI
+# static-analysis gates)
 # ---------------------------------------------------------------------------
 
 def test_state_census_fails_on_a_stored_never_loaded_attribute(
@@ -304,6 +306,28 @@ def test_state_census_fails_on_a_stored_never_loaded_attribute(
     assert "Meter.total" not in out
     # The tree itself carries no write-only state off the kept list.
     assert census.main(["census.py", "state"]) == 0
+
+
+def test_knobs_census_fails_on_a_switch_no_caller_sets(
+        tmp_path: Path, capsys) -> None:
+    (tmp_path / "fixture.py").write_text(
+        "from repro.experiments.registry import scenario\n"
+        "class Pump:\n"
+        "    def __init__(self, rate=1.0, never_flipped=True, mode='fast'):\n"
+        "        pass\n"
+        "@scenario('pump')\n"
+        "def run_pump(coalesce=True):\n"
+        "    pass\n")
+    assert census.main(["census.py", "knobs", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "NOT KEPT  " in out
+    assert "fixture.py:3  Pump.__init__(never_flipped)" in out
+    # A number is no switch, some call under src/ passes ``mode=``, and a
+    # scenario's parameters are what ``--set`` sets.
+    for name in ("(rate)", "(mode)", "(coalesce)"):
+        assert name not in out
+    # The tree itself has no such switch off the kept list.
+    assert census.main(["census.py", "knobs"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,7 @@ class TestMasterWorkerFramework:
 
     def test_worker_crash_reschedules_fault_tolerant_task(self, env):
         topo, runtime, app = self._build(env, n_workers=3, n_tasks=1,
-                                         reference_compute_s=200.0,
-                                         task_fault_tolerance=True)
+                                         reference_compute_s=200.0)
         env.process(app._master_program())
         env.run(until=40)
         # Find the worker that got the (single) task input and crash it

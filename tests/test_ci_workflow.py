@@ -96,6 +96,14 @@ def test_allocation_pass_is_swept_at_runtime_grid_size(workflow):
         assert argument in serial
 
 
+def test_static_analysis_runs_both_censuses(workflow):
+    """The two AST censuses gate next to detlint: write-only state and
+    switches only tests set."""
+    commands = _commands(workflow["jobs"]["static-analysis"])
+    for mode in ("state", "knobs"):
+        assert f"python tests/census.py {mode}" in commands
+
+
 def test_determinism_is_one_gate(workflow):
     """All 28 scenarios are double-run by ``census.py outputs``; no other
     job compares two ``repro run`` outputs of its own (the serial-vs-

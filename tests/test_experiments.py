@@ -409,14 +409,20 @@ class TestCLI:
         assert cli_main(["run", "fig4", "--set", "bogus=1", "--quiet"]) == 2
         assert "no parameter" in capsys.readouterr().err
 
+    def test_run_unknown_protocol_exit_code(self, capsys):
+        assert cli_main(["run", "distribution", "--set", "protocol=nope",
+                         "--set", "size_mb=1", "--set", "n_nodes=3",
+                         "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no transfer protocol registered under 'nope'" in err
+
     @pytest.mark.parametrize("scenario, knob", [
         (scenario, knob)
         for scenario in ("scale-grid", "scale-grid-100k", "scale-grid-300k",
                          "sync-storm")
         for knob in ("scheduler=calendar", "allocator=vector",
-                     "placement=batch")
-        # sync-storm keeps a real ``allocator`` (incremental | dense)
-        if (scenario, knob) != ("sync-storm", "allocator=vector")])
+                     "placement=batch", "coalesce=false")])
     def test_removed_perf_knobs_fail_loudly(self, scenario, knob, capsys):
         assert cli_main(["run", scenario, "--set", knob, "--quiet"]) == 2
         name = knob.split("=")[0]

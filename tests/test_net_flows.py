@@ -243,20 +243,6 @@ class TestCoalescing:
         # One pass for the arrival burst, one for the completion burst.
         assert network.allocation_passes <= 3
 
-    def test_dense_allocator_option(self, env):
-        network = Network(env, default_latency_s=0.0,
-                          allocator="dense", coalesce=False)
-        assert network.allocator_name == "dense"
-        a = network.add_host(Host("a", uplink_mbps=10, downlink_mbps=10))
-        b = network.add_host(Host("b", uplink_mbps=10, downlink_mbps=10))
-        flow = network.transfer(a, b, 10)
-        env.run(until=flow.done)
-        assert flow.end_time == pytest.approx(1.0, rel=1e-3)
-
-    def test_unknown_allocator_rejected(self, env):
-        with pytest.raises(ValueError):
-            Network(env, allocator="magic")
-
     def test_gateway_added_mid_flight_applies_to_running_flows(self, env):
         """Constraint membership is rebuilt when the topology changes."""
         network = Network(env, default_latency_s=0.0, wan_latency_s=0.0)

@@ -1,14 +1,16 @@
 """Oracle for the flow network's settle loop.
 
-The allocator oracle (``tests/test_property_based.py``) runs both allocators
-through the same ``Network._settle``, so it cannot see a bug in the loop
-around them.  ``ReferenceNetwork`` is that loop as it was before it assigned
+The allocator oracle (``tests/test_property_based.py``) runs the production
+``Network`` and the dense per-event ``DenseNetwork`` through the same
+``Network._settle``, so it cannot see a bug in the loop around the
+allocators.  ``ReferenceNetwork`` is that loop as it was before it assigned
 rates and found the next completion in one pass: finished flows leave the
 active list one ``list.remove`` at a time, rates are assigned in one loop,
 and ``_reschedule_completion`` scans the flows again for the horizon.  The
-same random schedules run on both, per allocator mode, and must agree on
-the order ``done`` events fire in, end times, volumes, rates at probe times
-and the number of allocation passes.
+same random schedules run on both, on the coalesced network and on the
+dense per-event one, and must agree on the order ``done`` events fire in,
+end times, volumes, rates at probe times and the number of allocation
+passes.
 """
 
 from __future__ import annotations
@@ -18,21 +20,21 @@ import math
 import pytest
 from hypothesis import given
 
+from repro.bench import scale
 from repro.net import allocation
-from repro.net.allocation import DenseAllocator
 from repro.net.flows import _EPSILON, Network
 from repro.net.host import Host
 from repro.sim.kernel import Environment
 from tests.conftest import count_calls
 from tests.test_property_based import (
+    DenseAllocator,
+    DenseNetwork,
     _network,
     _replay_schedule,
     common_settings,
     flow_op_strategy,
     host_spec_strategy,
 )
-
-MODES = [("incremental", True), ("dense", False)]
 
 
 class ReferenceNetwork(Network):
@@ -80,16 +82,25 @@ class ReferenceNetwork(Network):
                                                      self._on_completion_timer)
 
 
+class DenseReferenceNetwork(ReferenceNetwork, DenseNetwork):
+    """The replaced settle loop on the dense per-event network."""
+
+
+#: (network under test, its reference), on the coalesced network and on
+#: the dense one that runs a pass per request.
+MODES = [(Network, ReferenceNetwork), (DenseNetwork, DenseReferenceNetwork)]
+
+
 @pytest.mark.parametrize("mode", MODES, ids=["incremental", "dense"])
 @common_settings
 @given(host_specs=host_spec_strategy, ops=flow_op_strategy)
 def test_settle_matches_the_reference(mode, host_specs, ops):
     probe_times = [0.5, 1.5, 3.0, 6.0]
-    *observed, network = _replay_schedule(_network(*mode), host_specs, ops,
-                                          probe_times)
-    *expected, reference = _replay_schedule(
-        _network(*mode, network_class=ReferenceNetwork), host_specs, ops,
-        probe_times)
+    network_class, reference_class = mode
+    *observed, network = _replay_schedule(_network(network_class), host_specs,
+                                          ops, probe_times)
+    *expected, reference = _replay_schedule(_network(reference_class),
+                                            host_specs, ops, probe_times)
     assert observed[0] == expected[0]     # outcome, end time, volume
     assert observed[1] == expected[1]     # allocated rates at probe times
     assert observed[2] == expected[2]     # network-level statistics
@@ -121,6 +132,22 @@ def test_flows_finishing_at_one_instant_fire_in_activation_order(network_class):
     assert [flow.end_time for flow in flows] == [2.25, 2.25, 2.25]
     assert fired == ["near0", "near1", "far"]
     assert network.completed_flows == 3
+
+
+def test_sync_storm_ends_bit_equal_on_the_dense_reference(monkeypatch):
+    """The ``sync-storm`` scenario at 100 workers × 2 rounds, on the network
+    it builds and on the dense per-event reference: every end time is
+    bit-equal.  The reference runs one pass per request (202), the coalesced
+    network a handful."""
+    storm = scale.run_sync_storm.scenario_impl
+    coalesced = storm(n_workers=100, rounds=2)
+    monkeypatch.setattr(scale, "Network", DenseNetwork)
+    dense = storm(n_workers=100, rounds=2)
+    assert coalesced["end_times"] == dense["end_times"]
+    assert coalesced["completed_flows"] == dense["completed_flows"] == 200
+    assert coalesced["recompute_requests"] == dense["recompute_requests"]
+    assert dense["allocation_passes"] == dense["recompute_requests"] == 202
+    assert coalesced["allocation_passes"] == 4
 
 
 def test_one_pass_over_a_star_enters_no_other_allocation_code():

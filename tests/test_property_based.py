@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.attributes import Attribute, parse_attribute
 from repro.core.data import Data
 from repro.dht.chord import ChordRing, chord_hash
+from repro.net.allocation import constraint_keys
 from repro.net.flows import Network
 from repro.net.host import Host
 from repro.services.data_scheduler import DataSchedulerService
@@ -171,6 +172,94 @@ def test_all_flows_eventually_deliver_their_volume(sizes):
 # Allocator equivalence oracle
 # ---------------------------------------------------------------------------
 
+def _capacity(key, flow, gateways):
+    kind = key[0]
+    if kind == "flow-cap":
+        return flow.rate_cap_mbps
+    if kind == "host-up":
+        return flow.src.uplink_mbps
+    if kind == "host-down":
+        return flow.dst.downlink_mbps
+    if kind == "wan-egress":
+        return gateways[key[1]][0]
+    return gateways[key[1]][1]   # wan-ingress
+
+
+class DenseAllocator:
+    """The reference allocator: every pass rebuilds the constraint set from
+    the active flows and runs progressive filling with a full scan per
+    bottleneck round, O(F·R) for R rounds.  It keeps nothing between
+    passes, so membership changes are no-ops."""
+
+    def __init__(self):
+        self.gateways = {}
+
+    def flow_added(self, flow):
+        pass
+
+    def flow_removed(self, flow):
+        pass
+
+    def rebuild(self, active):
+        pass
+
+    def allocate(self, active, background):
+        """Max-min fair allocation via progressive filling (full scans)."""
+        if not active:
+            return {}
+        remaining_capacity = {}
+        membership = {}
+        for flow in active:
+            keys = constraint_keys(flow, self.gateways)
+            for key in keys:
+                if key not in remaining_capacity:
+                    remaining_capacity[key] = max(
+                        0.0, _capacity(key, flow, self.gateways)
+                        - background.get(key, 0.0))
+            membership[flow.fid] = keys
+        unfixed = {flow.fid: flow for flow in active}
+        rates = {}
+        while unfixed:
+            # For each constraint, the fair share available to its unfixed
+            # flows; the first minimum in insertion order is the bottleneck.
+            counts = {}
+            for fid in unfixed:
+                for key in membership[fid]:
+                    counts[key] = counts.get(key, 0) + 1
+            best_share = math.inf
+            best_key = None
+            for key, count in counts.items():
+                share = remaining_capacity[key] / count
+                if share < best_share:
+                    best_share = share
+                    best_key = key
+            if best_key is None:   # every share is infinite
+                break
+            best_share = max(0.0, best_share)
+            # Fix every unfixed flow crossing the bottleneck constraint.
+            for fid in [fid for fid in unfixed if best_key in membership[fid]]:
+                rates[fid] = best_share
+                for key in membership[fid]:
+                    remaining_capacity[key] = max(
+                        0.0, remaining_capacity[key] - best_share)
+                del unfixed[fid]
+        return rates
+
+
+class DenseNetwork(Network):
+    """The reference network: ``DenseAllocator``, and one allocation pass
+    per re-allocation request instead of one per timestamp."""
+
+    def __init__(self, env, **kwargs):
+        super().__init__(env, **kwargs)
+        self._allocator = DenseAllocator()
+        self._allocator.gateways = self._cluster_gateways
+
+    def _recompute(self):
+        self.recompute_requests += 1
+        self._settle()
+
+
 host_spec_strategy = st.lists(
     st.tuples(st.floats(min_value=1.0, max_value=500.0),
               st.floats(min_value=1.0, max_value=500.0)),
@@ -259,15 +348,14 @@ def _replay_schedule(make_network, host_specs, ops, probe_times):
     return outcome, rate_probes, stats, fired, network
 
 
-def _network(allocator, coalesce, network_class=Network):
-    return lambda env: network_class(env, default_latency_s=0.001,
-                                     allocator=allocator, coalesce=coalesce)
+def _network(network_class):
+    return lambda env: network_class(env, default_latency_s=0.001)
 
 
 @common_settings
 @given(host_specs=host_spec_strategy, ops=flow_op_strategy)
-# Two aborts at one instant: the dense allocator re-allocates between them,
-# the coalesced one does not, so the second (dead) flow used to read 1.0 on
+# Two aborts at one instant: the dense reference re-allocates between them,
+# the coalesced network does not, so the second (dead) flow used to read 1.0 on
 # one and 0.5 on the other until Network._fail_flow zeroed a dead flow's rate.
 @example(host_specs=[(1.0, 1.0), (1.0, 1.0)],
          ops=[(0.0, "start", 0, 1, 1.0, None), (0.0, "start", 0, 1, 1.0, None),
@@ -282,14 +370,14 @@ def _network(allocator, coalesce, network_class=Network):
               (1.0, "unload", 0, 0, 1.0, None)])
 def test_incremental_allocator_matches_dense_oracle(host_specs, ops):
     """Random schedules produce identical rates and completion times on the
-    dense (reference) allocator and the coalesced incremental one, whichever
-    capacity binds: a link, a per-flow cap, a WAN gateway, a background load
-    or a link speed changed mid-run."""
+    dense per-event reference and the coalesced incremental ``Network``,
+    whichever capacity binds: a link, a per-flow cap, a WAN gateway, a
+    background load or a link speed changed mid-run."""
     probe_times = [0.5, 1.5, 3.0, 6.0]
-    dense = _replay_schedule(_network("dense", False), host_specs, ops,
+    dense = _replay_schedule(_network(DenseNetwork), host_specs, ops,
                              probe_times)
-    incremental = _replay_schedule(_network("incremental", True), host_specs,
-                                   ops, probe_times)
+    incremental = _replay_schedule(_network(Network), host_specs, ops,
+                                   probe_times)
     assert incremental[0] == dense[0]     # outcome, end time, volume
     assert incremental[1] == dense[1]     # allocated rates at probe times
     assert incremental[2] == dense[2]     # network-level statistics

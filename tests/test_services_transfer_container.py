@@ -87,20 +87,17 @@ class TestDataTransferService:
         assert record.failed
         assert record.attempts <= 2
 
-    def test_monitor_bandwidth_reserved_and_released(self, env, dt_platform, drive):
+    def test_monitor_bandwidth_reserved_and_released(self, env, dt_platform):
         dt, data, source, destination, worker, network = dt_platform
         assert network._background == {}
-        drive(env, dt.submit(data, "ftp", source, destination))
+        process = env.process(dt.submit(data, "ftp", source, destination))
+        env.run(until=0.1)
+        # Monitoring traffic holds both directions of the DT's link.
+        assert network._background == {
+            ("host-up", dt.host.uid): dt._monitor_rate_mbps,
+            ("host-down", dt.host.uid): dt._monitor_rate_mbps}
+        env.run(until=process)
         # All reservations released after completion.
-        assert network._background == {}
-
-    def test_monitor_bandwidth_accounting_disabled(self, env):
-        network = Network(env)
-        server = network.add_host(Host("s", stable=True))
-        registry = default_registry(env, network)
-        dt = DataTransferService(env, server, network, registry,
-                                 account_monitor_bandwidth=False)
-        dt._reserve_monitor_bandwidth()
         assert network._background == {}
 
 
@@ -124,10 +121,9 @@ class TestServiceContainer:
     def test_engine_and_pool_configuration(self, env):
         topo = cluster_topology(env, n_workers=1)
         container = ServiceContainer(env, topo.service_host, topo.network,
-                                     engine=NetworkedSQLEngine(),
-                                     use_connection_pool=False)
+                                     engine=NetworkedSQLEngine())
         assert container.database.engine.name == "mysql"
-        assert container.database.pool is None
+        assert container.database.pool.engine is container.database.engine
 
     def test_channel_factory(self, env):
         topo = cluster_topology(env, n_workers=1)

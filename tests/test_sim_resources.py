@@ -11,6 +11,21 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(env, capacity=0)
 
+    def test_capacity_changes_in_place(self, env):
+        resource = Resource(env, capacity=1)
+        held = resource.request()
+        waiting = [resource.request(), resource.request()]
+        resource.capacity = 2
+        assert held.triggered and waiting[0].triggered
+        assert not waiting[1].triggered
+        resource.capacity = 1
+        resource.release(held)
+        assert not waiting[1].triggered     # one slot still in use
+        resource.release(waiting[0])
+        assert waiting[1].triggered
+        with pytest.raises(ValueError):
+            resource.capacity = 0
+
     def test_serialises_users(self, env):
         resource = Resource(env, capacity=1)
         log = []

@@ -174,6 +174,7 @@ class TestConcurrencyControl:
             manager.set_max_concurrent(0)
 
     def test_resize_does_not_strand_queued_transfers(self, env):
+        """Raising the limit admits a queued transfer at once."""
         manager = TransferManager(FakeAgent(env), max_concurrent=1)
         log = []
 
@@ -189,11 +190,38 @@ class TestConcurrencyControl:
             manager.set_max_concurrent(4)
 
         env.process(transfer("a", 10))
-        env.process(transfer("b", 1))      # queues behind a on the old slots
+        env.process(transfer("b", 1))      # queues behind a
         env.process(retune())
         env.run()
-        assert log == [("a", "running", 0.0), ("a", "released", 10.0),
-                       ("b", "running", 10.0), ("b", "released", 11.0)]
+        assert log == [("a", "running", 0.0), ("b", "running", 5.0),
+                       ("b", "released", 6.0), ("a", "released", 10.0)]
+
+    def test_lowered_limit_counts_the_slots_in_use(self, env, manager):
+        """Limit 2 with two holders, then limit 1 and three new transfers:
+        nothing is granted while one or two slots are still in use, so each
+        new transfer runs alone."""
+        live = []
+        grants = []
+
+        def transfer(hold_s):
+            slot = yield from manager.acquire_slot()
+            live.append(slot)
+            grants.append((env.now, len(live)))
+            yield env.timeout(hold_s)
+            live.remove(slot)
+            manager.release_slot(slot)
+
+        def retune():
+            yield env.timeout(1)
+            manager.set_max_concurrent(1)
+            for _ in range(3):
+                env.process(transfer(1))
+
+        env.process(transfer(2))
+        env.process(transfer(3))
+        env.process(retune())
+        env.run()
+        assert grants == [(0.0, 1), (0.0, 2), (3.0, 1), (4.0, 1), (5.0, 1)]
 
     def test_runtime_agent_exposes_manager(self, env):
         topo = cluster_topology(env, n_workers=1)

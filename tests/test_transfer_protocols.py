@@ -188,7 +188,7 @@ class TestHTTP:
 
     def test_keep_alive_avoids_second_handshake(self, env, platform, drive):
         network, server, source, content, workers = platform
-        http = HTTPProtocol(env, network, keep_alive=True)
+        http = HTTPProtocol(env, network)
         handle1 = make_handle(http, content, source, workers[0])
         drive(env, http.blocking_receive(handle1))
         first = env.now
