@@ -37,8 +37,7 @@ the curve shapes.  None reads the host clock: how fast a run goes is
 from __future__ import annotations
 
 import contextlib
-import gc
-from typing import Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from repro.core.attributes import Attribute
 from repro.experiments.registry import scenario
@@ -60,26 +59,50 @@ __all__ = ["run_completion_curve", "run_scale_grid", "run_scale_grid_100k",
 
 
 @contextlib.contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector while the kernel loop runs: a speed measure.
+def _gc_paused() -> Iterator[Callable[[], None]]:
+    """Pause the cyclic collector over a world's build and run: a speed measure.
 
-    The kernel's hot loop churns acyclic garbage (events, flows, sync
-    results) that CPython's reference counting reclaims immediately; the
-    cyclic collector only re-traverses it.  At 100k-host scale the gen-0
-    sweeps alone cost ~20% of ``env.run()`` (perfbench ``storm-100k``
-    ``run_s``), more on the batched placement path, where each cohort's
-    thousand results are alive at once.  Simulated results do not depend
-    on it; the deferred cycles (process ↔ generator frames, a few hundred
-    per run) are collected on exit.
+    Yields ``freeze_built``, which the body calls once, between building
+    its world and starting it.  Simulated results depend on none of this.
+
+    *Paused:* from entry to exit no collection starts.  The build allocates
+    a ~2M-object world at 100k hosts in which nothing is garbage yet, and
+    the run churns acyclic garbage (events, flows, sync results) that
+    reference counting frees at once; the collector would only re-traverse
+    both.  Paused over the run alone, perfbench ``storm-100k`` ran 815
+    young, 74 middle and 7 full passes outside ``Environment.run``: six
+    full passes during the build (0.03–0.13 s each, 0 objects freed) and
+    the exit collection, which walked the live world (0.45 s).  Unpaused,
+    young passes also cost ~20 % of ``env.run()``.
+
+    *Frozen:* ``freeze_built()`` moves every object alive at that point
+    into the collector's permanent generation (``gc.freeze()``), so the exit
+    collection does not walk the built world.  When a caller has frozen
+    objects itself (``gc.get_freeze_count()`` non-zero at entry) they stay
+    frozen and ``freeze_built`` does nothing.
+
+    *Collected:* on exit, if the collector was enabled at entry, one full
+    ``gc.collect()`` walks what was created after the freeze and frees every
+    cycle the run left: on ``storm-100k`` the 100,000 ``Flow`` ↔
+    ``done``-event cycles and the cohort processes' self-cycles, 200,600
+    objects in the one full pass left.  Then ``gc.unfreeze()`` runs (also on
+    an exception, and with the collector disabled at entry) and the
+    collector is re-enabled if it was.
     """
+    import gc
+
     was_enabled = gc.isenabled()
+    owns_freeze = gc.get_freeze_count() == 0
     gc.disable()
     try:
-        yield
+        yield gc.freeze if owns_freeze else (lambda: None)
     finally:
         if was_enabled:
-            gc.enable()
             gc.collect()
+        if owns_freeze:
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 @scenario(
@@ -283,46 +306,58 @@ def run_scale_grid_100k(
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
-    env = Environment()
-    network = Network(env, default_latency_s=0.0002)
-    server = network.add_host(Host(
-        "grid-service", uplink_mbps=server_link_mbps,
-        downlink_mbps=server_link_mbps, stable=True))
-    hosts = [
-        network.add_host(Host(f"c{i:06d}", uplink_mbps=node_link_mbps,
-                              downlink_mbps=node_link_mbps))
-        for i in range(n_hosts)
-    ]
+    for name, value in (("cohort_size", cohort_size),
+                        ("sync_rounds", sync_rounds),
+                        ("heartbeat_period_s", heartbeat_period_s)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    for name, value in (("stagger_s", stagger_s), ("sync_gap_s", sync_gap_s),
+                        ("heartbeat_duration_s", heartbeat_duration_s)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
+    with _gc_paused() as freeze_built:
+        env = Environment()
+        network = Network(env, default_latency_s=0.0002)
+        server = network.add_host(Host(
+            "grid-service", uplink_mbps=server_link_mbps,
+            downlink_mbps=server_link_mbps, stable=True))
+        hosts = [
+            network.add_host(Host(f"c{i:06d}", uplink_mbps=node_link_mbps,
+                                  downlink_mbps=node_link_mbps))
+            for i in range(n_hosts)
+        ]
 
-    from repro.services.data_scheduler import DataSchedulerService
-    ds = DataSchedulerService(env, max_data_schedule=max_data_schedule)
-    attribute = Attribute(name="grid", replica=replica, protocol="http")
-    size_mb_of: Dict[str, float] = {}
-    datas: List[Data] = []
-    for i in range(n_data):
-        data = Data(name=f"grid-{i:05d}", size_mb=size_mb)
-        ds.schedule(data, attribute)
-        size_mb_of[data.uid] = size_mb
-        datas.append(data)
+        from repro.services.data_scheduler import DataSchedulerService
+        ds = DataSchedulerService(env, max_data_schedule=max_data_schedule)
+        attribute = Attribute(name="grid", replica=replica, protocol="http")
+        size_mb_of: Dict[str, float] = {}
+        datas: List[Data] = []
+        for i in range(n_data):
+            data = Data(name=f"grid-{i:05d}", size_mb=size_mb)
+            ds.schedule(data, attribute)
+            size_mb_of[data.uid] = size_mb
+            datas.append(data)
 
-    cohorts = build_cohorts(hosts, cohort_size)
+        cohorts = build_cohorts(hosts, cohort_size)
 
-    def sync(host_names: List[str], cached_per_host: List[set]):
-        ds.sync_count += len(host_names)
-        return ds.compute_schedule_batch(host_names, cached_per_host)
+        def sync(host_names: List[str], cached_per_host: List[set]):
+            ds.sync_count += len(host_names)
+            return ds.compute_schedule_batch(host_names, cached_per_host)
 
-    def transfer(host: Host, uid: str):
-        return network.transfer(server, host, size_mb_of[uid])
+        def transfer(host: Host, uid: str):
+            return network.transfer(server, host, size_mb_of[uid])
 
-    for cohort in cohorts:
-        env.process(cohort_sync_process(
-            env, cohort, sync, transfer, size_mb_of,
-            rounds=sync_rounds, stagger_s=stagger_s, sync_gap_s=sync_gap_s))
-        env.process(cohort_heartbeat_process(
-            env, cohort, period_s=heartbeat_period_s,
-            duration_s=heartbeat_duration_s))
-
-    with _gc_paused():
+        # The cohort processes stay out of the freeze: their self-cycles
+        # are garbage once the run ends, and the exit collection frees them.
+        freeze_built()
+        for cohort in cohorts:
+            env.process(cohort_sync_process(
+                env, cohort, sync, transfer, size_mb_of,
+                rounds=sync_rounds, stagger_s=stagger_s,
+                sync_gap_s=sync_gap_s))
+            env.process(cohort_heartbeat_process(
+                env, cohort, period_s=heartbeat_period_s,
+                duration_s=heartbeat_duration_s))
         env.run()
 
     placed = sum(

@@ -50,6 +50,22 @@ def drive():
     return run_process
 
 
+@pytest.fixture
+def hypothesis_own_constants(monkeypatch):
+    """Hypothesis mixes literals of every loaded local module into what it
+    draws, so a derandomized search that must find a mutant would otherwise
+    move with any constant edited anywhere in the repository, or with which
+    test files were collected.  Under this fixture it draws on its own
+    constants only, and finds the same examples in any suite."""
+    from hypothesis.internal.conjecture import providers
+    monkeypatch.setattr(providers, "_get_local_constants",
+                        lambda: type(providers._local_constants)())
+    # The per-constraint cache holds what earlier tests drew from.
+    providers.CONSTANTS_CACHE.cache.clear()
+    yield
+    providers.CONSTANTS_CACHE.cache.clear()
+
+
 def count_calls(action, matches):
     """Run *action* under ``sys.setprofile``; returns its result and how many
     Python calls (and generator resumptions) entered a code object *matches*

@@ -11,7 +11,9 @@ Covers, per ISSUE 9:
 * the CLI surface (exit codes, JSON format, --list-rules);
 * the sibling AST gates, ``tests/census.py state`` (write-only state) and
   ``tests/census.py knobs`` (switches only tests set);
-* the one-copy contract: ``deepcopy`` has exactly one site in ``src/repro``.
+* the one-copy contract: ``deepcopy`` has exactly one site in ``src/repro``;
+* the collector's one owner: ``gc`` is imported only by
+  ``bench/scale.py::_gc_paused``.
 """
 
 from __future__ import annotations
@@ -347,3 +349,34 @@ def test_deepcopy_is_referenced_at_exactly_one_site() -> None:
                               for field in ("attr", "id", "name")}:
                 sites.append(path.relative_to(root).as_posix())
     assert sites == ["storage/database.py"]
+
+
+# ---------------------------------------------------------------------------
+# The collector's one owner (docs/ARCHITECTURE.md §5, "The scale tier's
+# collector policy")
+# ---------------------------------------------------------------------------
+
+def test_gc_is_imported_only_by_the_scale_tier_pause() -> None:
+    """How a run's collector time is charged is decided in one place: an
+    ad-hoc ``gc.collect()`` or ``gc.disable()`` anywhere else in
+    ``src/repro`` would need an ``import gc`` and fails here."""
+    root = default_scan_root()
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "gc" in modules:
+                sites.append((path.relative_to(root).as_posix(),
+                              owner.get(node)))
+    assert sites == [("bench/scale.py", "_gc_paused")]

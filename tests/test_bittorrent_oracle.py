@@ -250,7 +250,7 @@ class _AcquisitionOrderProtocol(BitTorrentProtocol):
             and holder.host.online)
 
 
-def test_oracle_fails_a_wrong_swarm():
+def test_oracle_fails_a_wrong_swarm(hypothesis_own_constants):
     machine = type("Mutant", (SwarmMachine,),
                    {"protocol_class": _AcquisitionOrderProtocol})
     with pytest.raises(AssertionError):

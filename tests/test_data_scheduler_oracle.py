@@ -264,7 +264,7 @@ class _NoForwardPassScheduler(DataSchedulerService):
         super()._push_affinity_candidates(provider, heap, pushed, None)
 
 
-def test_oracle_fails_a_wrong_scheduler():
+def test_oracle_fails_a_wrong_scheduler(hypothesis_own_constants):
     machine = type("Mutant", (SchedulerMachine,),
                    {"scheduler_class": _NoForwardPassScheduler})
     with pytest.raises(AssertionError):

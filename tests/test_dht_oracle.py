@@ -443,7 +443,7 @@ class _StaleFingersRing(ChordRing):
 
 
 @pytest.mark.parametrize("mutant", [_NoWrapRing, _StaleFingersRing])
-def test_oracle_fails_a_wrong_ring(mutant):
+def test_oracle_fails_a_wrong_ring(mutant, hypothesis_own_constants):
     machine = type("Mutant", (RingMachine,), {"ring_class": mutant})
     with pytest.raises(AssertionError):
         run_state_machine_as_test(

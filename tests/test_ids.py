@@ -126,7 +126,7 @@ def test_import_consumes_exactly_one_auid():
         "from repro.storage.persistence import _NAMESPACE\n"
         "import uuid\n"
         "assert DEFAULT_ATTRIBUTE.uid == "
-        "str(uuid.uuid5(_NAMESPACE, 'attribute:1'))\n"
+        "str(uuid.uuid5(uuid.UUID(bytes=_NAMESPACE), 'attribute:1'))\n"
         "print([next(s) for s in (ids.hosts, ids.flows, ids.transfers,\n"
         "                         ids.handles, ids.auids)])\n")
     assert out.strip() == str([0, 0, 1, 1, ids.AUID_RUN_BASELINE])

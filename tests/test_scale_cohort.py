@@ -3,14 +3,16 @@
 The cohort-batched scale path only holds if the batching is
 *transparent*: one ``compute_schedule_batch`` call per cohort round must
 simulate exactly what per-host ``compute_schedule`` calls would.  These
-tests pin the cohort bookkeeping itself and that equivalence on a reduced
-grid.
+tests pin the cohort bookkeeping itself, that equivalence on a reduced
+grid, and that the harness refuses impossible sizes before building.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.__main__ import main as cli_main
+from repro.bench import scale
 from repro.core.attributes import Attribute
 from repro.core.data import Data
 from repro.experiments import run_scenario
@@ -217,6 +219,25 @@ class TestScaleGrid100k:
         results = run_scenario("scale-grid-100k",
                                **{**_SMALL, "sync_rounds": 2})
         assert results["placed"] == 200
+
+    @pytest.mark.parametrize("name, value", [
+        ("sync_rounds", "-1"), ("sync_rounds", "0"),
+        ("stagger_s", "-1"), ("sync_gap_s", "-1"),
+        ("heartbeat_period_s", "-5"), ("heartbeat_period_s", "0"),
+        ("heartbeat_duration_s", "-1"), ("cohort_size", "0"),
+    ])
+    def test_impossible_sizes_fail_before_any_host_is_built(
+            self, monkeypatch, capsys, name, value):
+        def unbuildable(*_args, **_kwargs):
+            raise AssertionError(f"a host was built before {name} was checked")
+        monkeypatch.setattr(scale, "Host", unbuildable)
+        code = cli_main(["run", "scale-grid-100k", "--quiet",
+                         "--set", "n_hosts=2000", "--set", "n_data=500",
+                         "--set", f"{name}={value}"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {name} must be ")
 
 
 class TestScaleGrid300k:

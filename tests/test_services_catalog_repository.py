@@ -322,7 +322,7 @@ class _LeakyDeleteCatalog(DataCatalogService):
         return removed
 
 
-def test_oracle_fails_a_wrong_catalog():
+def test_oracle_fails_a_wrong_catalog(hypothesis_own_constants):
     machine = type("Mutant", (CatalogMachine,),
                    {"catalog_class": _LeakyDeleteCatalog})
     with pytest.raises(AssertionError):

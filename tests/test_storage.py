@@ -1,6 +1,10 @@
 """Unit tests for the storage substrate (database, persistence, filesystem)."""
 
+import uuid
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.sim import ids
 from repro.storage.database import (
@@ -113,8 +117,24 @@ class TestDatabaseCosts:
 
 class TestPersistence:
     def test_auid_unique(self):
-        auids = {new_auid() for _ in range(100)}
-        assert len(auids) == 100
+        auids = {new_auid(label) for label in ("data", "locator", "")
+                 for _ in range(100)}
+        assert len(auids) == 300
+
+    @given(label=st.text(), n=st.integers(min_value=0, max_value=2 ** 64))
+    @example(label="", n=0)
+    @example(label="données-データ", n=7)
+    def test_auid_is_the_uuid5_of_label_and_sequence(self, label, n):
+        namespace = uuid.UUID("8c6b7f2e-bd3e-4c5a-9e6d-2b1f0a7c4d5e")
+        with mock.patch.object(ids, "auids", iter([n])):
+            auid = new_auid(label)
+        assert auid == str(uuid.uuid5(namespace, f"{label}:{n}"))
+
+    def test_auid_builds_no_uuid_objects(self):
+        _auid, entered = count_calls(
+            lambda: new_auid("data"),
+            lambda code: code.co_filename == uuid.__file__)
+        assert entered == 0
 
     def test_auid_deterministic_with_label_after_reset(self):
         ids.rewind()
