@@ -71,7 +71,6 @@ def build_blast_application(
     transfer_protocol: str = "bittorrent",
     parameters: Optional[BlastParameters] = None,
     task_replica: int = 1,
-    rng: Optional[RandomStreams] = None,
 ) -> MasterWorkerApplication:
     """Assemble the BLAST master/worker application on an existing runtime.
 
@@ -82,7 +81,7 @@ def build_blast_application(
     if n_tasks <= 0:
         raise ValueError("n_tasks must be positive")
     params = parameters if parameters is not None else BlastParameters()
-    rng = rng if rng is not None else RandomStreams(29)
+    rng = RandomStreams(29)
 
     shared_inputs = [
         SharedInput(name="blast-application", size_mb=params.application_mb,
@@ -112,8 +111,6 @@ def build_blast_application(
         shared_inputs=shared_inputs,
         tasks=tasks,
         shared_protocol=transfer_protocol,
-        task_protocol="http",
-        result_protocol="http",
         task_replica=task_replica,
         rng=rng,
         task_attribute_name="Sequence",

@@ -40,6 +40,9 @@ from repro.storage.filesystem import FileContent
 
 __all__ = ["MapReduceJob", "MapReduceResult", "word_count_map", "word_count_reduce"]
 
+#: Reference compute seconds of one reduce task per 100 distinct keys.
+REDUCE_COST_S_PER_PARTITION = 0.5
+
 MapFunction = Callable[[bytes], Iterable[Tuple[str, int]]]
 ReduceFunction = Callable[[str, List[int]], int]
 
@@ -105,7 +108,6 @@ class MapReduceJob:
         map_function: MapFunction = word_count_map,
         reduce_function: ReduceFunction = word_count_reduce,
         map_cost_s_per_mb: float = 2.0,
-        reduce_cost_s_per_partition: float = 0.5,
         protocol: str = "http",
         straggler_grace_s: Optional[float] = None,
     ):
@@ -123,7 +125,6 @@ class MapReduceJob:
         self.map_function = map_function
         self.reduce_function = reduce_function
         self.map_cost_s_per_mb = map_cost_s_per_mb
-        self.reduce_cost_s_per_partition = reduce_cost_s_per_partition
         self.protocol = protocol
         #: with a grace period set, reducers give up waiting for map tasks
         #: that make no progress (e.g. their host crashed) and reduce what
@@ -296,7 +297,7 @@ class MapReduceJob:
             for key, values in json.loads(content.payload.decode("utf-8")).items():
                 merged.setdefault(key, []).extend(values)
         yield agent.env.timeout(agent.host.compute_time(
-            self.reduce_cost_s_per_partition * max(1, len(merged)) / 100.0))
+            REDUCE_COST_S_PER_PARTITION * max(1, len(merged)) / 100.0))
         reduced = {key: self.reduce_function(key, values)
                    for key, values in merged.items()}
         self._reduce_outputs[partition] = reduced

@@ -38,6 +38,10 @@ from repro.storage.filesystem import FileContent
 
 __all__ = ["MasterWorkerApplication", "SharedInput", "TaskRecord", "TaskSpec"]
 
+#: Tasks and results are small files: HTTP, the paper's choice for them (§5).
+TASK_PROTOCOL = "http"
+RESULT_PROTOCOL = "http"
+
 
 @dataclass(frozen=True)
 class SharedInput:
@@ -127,8 +131,6 @@ class MasterWorkerApplication:
         shared_inputs: Sequence[SharedInput],
         tasks: Sequence[TaskSpec],
         shared_protocol: str = "bittorrent",
-        task_protocol: str = "http",
-        result_protocol: str = "http",
         task_replica: int = 1,
         rng: Optional[RandomStreams] = None,
         task_attribute_name: str = "Sequence",
@@ -145,8 +147,6 @@ class MasterWorkerApplication:
         self.shared_inputs = list(shared_inputs)
         self.tasks = list(tasks)
         self.shared_protocol = shared_protocol
-        self.task_protocol = task_protocol
-        self.result_protocol = result_protocol
         self.task_replica = int(task_replica)
         self.rng = rng if rng is not None else RandomStreams(23)
         self.task_attribute_name = task_attribute_name
@@ -180,14 +180,14 @@ class MasterWorkerApplication:
         return Attribute(
             name=self.task_attribute_name, replica=self.task_replica,
             fault_tolerance=True,
-            protocol=self.task_protocol,
+            protocol=TASK_PROTOCOL,
             relative_lifetime=self.collector_name,
         )
 
     def _result_attribute(self) -> Attribute:
         return Attribute(
             name=self.result_attribute_name, replica=1,
-            protocol=self.result_protocol, affinity=self.collector_name,
+            protocol=RESULT_PROTOCOL, affinity=self.collector_name,
             relative_lifetime=self.collector_name,
         )
 
@@ -220,7 +220,7 @@ class MasterWorkerApplication:
         for task in self.tasks:
             content = FileContent.from_seed(task.input_name, task.input_size_mb)
             data = yield from bitdew.create_data(task.input_name, content=content)
-            yield from bitdew.put(data, content, protocol=self.task_protocol)
+            yield from bitdew.put(data, content, protocol=TASK_PROTOCOL)
             yield from active.schedule(data, attribute)
             self._tasks_by_input_uid[data.uid] = task
         return list(self._tasks_by_input_uid)
@@ -296,7 +296,7 @@ class MasterWorkerApplication:
         result = yield from agent.bitdew.create_data(
             f"result-{task.task_id:05d}", content=result_content)
         yield from agent.bitdew.put(result, result_content,
-                                    protocol=self.result_protocol)
+                                    protocol=RESULT_PROTOCOL)
         yield from agent.active_data.schedule(result, self._result_attribute())
         record.upload_s = env.now - upload_start
         record.completed_at = env.now

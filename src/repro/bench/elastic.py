@@ -256,8 +256,7 @@ def _diurnal_once(
     fabric = runtime.fabric
     router = runtime.router
     channel = fabric.channel(ChannelKind.RMI_REMOTE)
-    tracker = SloTracker(env, target_p99_s=target_p99_s,
-                         window_s=6.0, poll_s=0.5)
+    tracker = SloTracker(env, target_p99_s=target_p99_s, window_s=6.0)
     monitor = HotspotMonitor([channel])
     arrivals = diurnal_arrivals(profile, horizon_s)
     completed = {"count": 0, "errors": 0}
@@ -289,8 +288,7 @@ def _diurnal_once(
     if autoscale:
         scaler = SloAutoscaler(
             fabric, router, tracker, monitor=monitor,
-            interval_s=1.0, cooldown_s=8.0,
-            min_shards=1, max_shards=max_shards)
+            interval_s=1.0, max_shards=max_shards)
         env.process(scaler.run(for_s=horizon_s + 10.0))
     env.run(until=env.timeout(horizon_s + 30.0))
 

@@ -96,7 +96,7 @@ def run_table2_cell(engine: str = "hsqldb", pooled: bool = True,
 
     env = Environment()
     engine_profile = _ENGINES[engine]()
-    pool = ConnectionPool(env, engine_profile, size=8) if pooled else None
+    pool = ConnectionPool(env, engine_profile) if pooled else None
     database = Database(env, engine=engine_profile, pool=pool)
     catalog = DataCatalogService(database)
     endpoint = RpcEndpoint(catalog, name="DataCatalog")
@@ -178,7 +178,7 @@ def run_table3(n_nodes: int = 50, pairs_per_node: int = 500,
     env2 = Environment()
     engine_profile = _ENGINES[engine]()
     database = Database(env2, engine=engine_profile,
-                        pool=ConnectionPool(env2, engine_profile, size=8))
+                        pool=ConnectionPool(env2, engine_profile))
     catalog = DataCatalogService(database)
     endpoint = RpcEndpoint(catalog, name="DataCatalog")
 

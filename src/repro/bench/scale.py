@@ -213,6 +213,8 @@ def run_scale_grid(
     """
     if n_hosts <= 0 or n_data <= 0:
         raise ValueError("n_hosts and n_data must be positive")
+    if not sync_rounds > 0:
+        raise ValueError(f"sync_rounds must be positive, got {sync_rounds!r}")
     env = Environment()
     topo = cluster_topology(env, n_workers=n_hosts,
                             server_link_mbps=1000.0, node_link_mbps=125.0)

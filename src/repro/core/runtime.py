@@ -82,6 +82,12 @@ class DataTransferStats:
         return self.size_mb / duration
 
 
+def _require_positive(name: str, value: float) -> None:
+    """A period of zero or less would stall the pull loop at one instant."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 class HostAgent:
     """One attached host: cache, APIs, pull loop, statistics."""
 
@@ -94,6 +100,8 @@ class HostAgent:
         reservoir: bool = True,
         max_data_schedule: Optional[int] = None,
     ) -> None:
+        if sync_period_s is not None:
+            _require_positive("sync_period_s", sync_period_s)
         self.runtime = runtime
         self.env: Environment = runtime.env
         self.host = host
@@ -446,6 +454,7 @@ class BitDewEnvironment:
         ring_vnodes: int = 16,
         domain: Optional[str] = None,
     ) -> None:
+        _require_positive("sync_period_s", sync_period_s)
         self.topology = topology
         self.env: Environment = topology.env
         self.network: Network = topology.network

@@ -26,14 +26,17 @@ if TYPE_CHECKING:  # typing-only: the runtime import goes runtime -> here
 
 __all__ = ["TransferManager"]
 
+#: Simultaneous transfers a host runs until ``set_max_concurrent`` tunes it.
+MAX_CONCURRENT = 8
+
 
 class TransferManager:
     """Non-blocking transfer control: probe, wait, barrier, concurrency."""
 
-    def __init__(self, agent: "HostAgent", max_concurrent: int = 8) -> None:
+    def __init__(self, agent: "HostAgent") -> None:
         self.agent = agent
         self.env: Environment = agent.env
-        self._slots = Resource(self.env, capacity=max_concurrent)
+        self._slots = Resource(self.env, capacity=MAX_CONCURRENT)
         #: data uid -> list of completion events of in-flight transfers
         self._pending: Dict[str, List[Event]] = {}
         #: data uid -> last observed state

@@ -50,6 +50,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 __all__ = ["ChordNode", "ChordRing", "LookupResult"]
 
+#: Successors a node keeps (at least the ring's replication factor).
+SUCCESSOR_LIST_SIZE = 4
+
 
 def chord_hash(value: str, bits: int = 32) -> int:
     """SHA-1 based identifier on the ``2**bits`` ring."""
@@ -168,8 +171,7 @@ class ChordRing:
     leave or crash — the property Figure 4's storage scenario depends on.
     """
 
-    def __init__(self, bits: int = 32, replication: int = 2,
-                 successor_list_size: int = 4) -> None:
+    def __init__(self, bits: int = 32, replication: int = 2) -> None:
         if bits < 8 or bits > 62:
             raise ValueError("bits must be between 8 and 62")
         if replication < 1:
@@ -177,7 +179,7 @@ class ChordRing:
         self.bits = bits
         self.modulus = 1 << bits
         self.replication = replication
-        self.successor_list_size = max(successor_list_size, replication)
+        self.successor_list_size = max(SUCCESSOR_LIST_SIZE, replication)
         self._nodes: Dict[str, ChordNode] = {}
         #: the index: alive nodes in identifier order, and their identifiers
         self._order: List[ChordNode] = []

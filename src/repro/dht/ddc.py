@@ -10,7 +10,7 @@ key/value pairs").
 Cost model (what Table 3 measures): one publish is an iterative DHT lookup
 (per-hop network latency plus per-node service time, the node's request
 queue being served one request at a time) followed by an atomic registration
-performed in ``registration_rounds`` message rounds on the responsible
+performed in ``REGISTRATION_ROUNDS`` message rounds on the responsible
 replica set — DKS uses an atomic commit for its local operations, which is
 why publishing to the DDC is roughly an order of magnitude slower than a
 single call to the centralized catalog.
@@ -26,6 +26,12 @@ from repro.dht.chord import ChordNode, ChordRing, LookupResult, chord_hash
 
 __all__ = ["DistributedDataCatalog"]
 
+#: Network latency of one routing hop, and one node's service time per request.
+PER_HOP_LATENCY_S = 0.002
+NODE_SERVICE_S = 0.010
+#: Message rounds of the atomic registration on the replica set.
+REGISTRATION_ROUNDS = 2
+
 
 class DistributedDataCatalog:
     """Publish/search of replica locations through a DHT ring.
@@ -40,15 +46,9 @@ class DistributedDataCatalog:
         self,
         env: Environment,
         ring: Optional[ChordRing] = None,
-        per_hop_latency_s: float = 0.002,
-        node_service_s: float = 0.010,
-        registration_rounds: int = 2,
     ) -> None:
         self.env = env
         self.ring = ring if ring is not None else ChordRing()
-        self.per_hop_latency_s = float(per_hop_latency_s)
-        self.node_service_s = float(node_service_s)
-        self.registration_rounds = int(registration_rounds)
         #: one service queue per DHT node: requests are served one at a time
         self._queues: Dict[str, Resource] = {}
         #: statistics
@@ -83,12 +83,12 @@ class DistributedDataCatalog:
             self._queues[node.name] = queue
         with queue.request() as req:
             yield req
-            yield self.env.timeout(self.node_service_s)
+            yield self.env.timeout(NODE_SERVICE_S)
 
     def _route(self, result: LookupResult) -> Generator[Event, Any, None]:
         """Generator: charge the latency and service time of a lookup route."""
         for hop in result.hops:
-            yield self.env.timeout(self.per_hop_latency_s)
+            yield self.env.timeout(PER_HOP_LATENCY_S)
             yield from self._visit(hop)
         self.total_hops += result.hop_count
 
@@ -107,9 +107,9 @@ class DistributedDataCatalog:
         yield from self._route(result)
         # Atomic registration on the replica set (DKS-style commit rounds).
         replicas = self.ring.replicas_for(result.key_id)
-        for _round in range(self.registration_rounds):
+        for _round in range(REGISTRATION_ROUNDS):
             for replica in replicas:
-                yield self.env.timeout(self.per_hop_latency_s)
+                yield self.env.timeout(PER_HOP_LATENCY_S)
                 yield from self._visit(replica)
         for replica in replicas:
             replica.store(key, value)

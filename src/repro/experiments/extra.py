@@ -367,7 +367,7 @@ def run_catalog_load(
     engine_profile = engines[engine]()
     from repro.services.data_catalog import DataCatalogService
     database = Database(env2, engine=engine_profile,
-                        pool=ConnectionPool(env2, engine_profile, size=8))
+                        pool=ConnectionPool(env2, engine_profile))
     catalog = DataCatalogService(database)
     endpoint = RpcEndpoint(catalog, name="DataCatalog")
     dc_published: List[str] = []

@@ -72,8 +72,8 @@ class ScenarioSpec:
             raise TypeError("'params' must be a mapping")
         return cls(scenario=str(doc["scenario"]), params=dict(params))
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

@@ -222,31 +222,26 @@ class Federation:
         return self.links[tuple(sorted((a, b)))]
 
     # ------------------------------------------------------------------ peering
-    def peer(self, a: str, b: str, latency_s: Optional[float] = None,
-             bandwidth_mbps: Optional[float] = None) -> WanLink:
-        """Peer two domains over one symmetric WAN link."""
+    def peer(self, a: str, b: str) -> WanLink:
+        """Peer two domains over one symmetric WAN link with the federation's
+        WAN latency and bandwidth."""
         if a == b:
             raise ValueError("a domain cannot peer with itself")
         key = tuple(sorted((a, b)))
         if key in self.links:
             return self.links[key]
-        link = WanLink(
-            self.env, a, b,
-            latency_s=self.wan_latency_s if latency_s is None else latency_s,
-            bandwidth_mbps=(self.wan_bandwidth_mbps if bandwidth_mbps is None
-                            else bandwidth_mbps))
+        link = WanLink(self.env, a, b, latency_s=self.wan_latency_s,
+                       bandwidth_mbps=self.wan_bandwidth_mbps)
         self.links[key] = link
         self.domains[a].gateway.connect(self.domains[b].gateway, link)
         self.domains[b].gateway.connect(self.domains[a].gateway, link)
         return link
 
-    def peer_all(self, latency_s: Optional[float] = None,
-                 bandwidth_mbps: Optional[float] = None) -> None:
+    def peer_all(self) -> None:
         names = self.domain_names()
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                self.peer(a, b, latency_s=latency_s,
-                          bandwidth_mbps=bandwidth_mbps)
+                self.peer(a, b)
 
     # ------------------------------------------------------------------ faults
     def partition(self, a: str, b: str) -> None:

@@ -42,6 +42,8 @@ from repro.services.router import ShardRing
 
 __all__ = ["FederationReplicator"]
 
+#: rounds ``run_until_drained`` runs before it gives up
+MAX_DRAIN_ROUNDS = 64
 #: the protocol phases, in order (the chaos suite parametrises over these)
 PHASES = ("scan", "offer", "copy", "commit")
 
@@ -199,11 +201,11 @@ class FederationReplicator:
     def stop(self) -> None:
         self._running = False
 
-    def run_until_drained(self, max_rounds: int = 64):
+    def run_until_drained(self):
         """Generator: round after round until the plan is empty (all
         exportable demand met) or the round budget runs out.  Returns True
         when drained."""
-        for _ in range(max_rounds):
+        for _ in range(MAX_DRAIN_ROUNDS):
             if not self.plan_round():
                 return True
             yield from self.run_round()

@@ -47,7 +47,7 @@ class Constraint:
         self.count = 0
 
 
-def constraint_keys(flow, gateways: Dict[str, Tuple[float, float]]) -> List[Tuple]:
+def constraint_keys(flow, gateways: Dict[str, float]) -> List[Tuple]:
     """The constraint keys a flow crosses, in canonical order."""
     keys: List[Tuple] = []
     if flow.rate_cap_mbps is not None:
@@ -66,7 +66,7 @@ class IncrementalAllocator:
     """Incrementally maintained membership + heap-based progressive filling."""
 
     def __init__(self) -> None:
-        self.gateways: Dict[str, Tuple[float, float]] = {}
+        self.gateways: Dict[str, float] = {}
         self._constraints: Dict[Tuple, Constraint] = {}
         #: fid -> the flow's constraints, in canonical key order
         self._membership: Dict[int, List[Constraint]] = {}
@@ -143,10 +143,8 @@ class IncrementalAllocator:
                 cap = obj.uplink_mbps
             elif kind == "flow-cap":
                 cap = obj.rate_cap_mbps
-            elif kind == "wan-egress":
-                cap = gateways[obj][0]
-            else:   # wan-ingress
-                cap = gateways[obj][1]
+            else:   # wan-egress, wan-ingress
+                cap = gateways[obj]
             if background:
                 cap -= background.get(con.key, 0.0)
             if not cap > 0.0:

@@ -7,9 +7,10 @@ capacity constraints:
 
 * the source host's uplink capacity,
 * the destination host's downlink capacity,
-* optionally, per-cluster WAN gateway capacities (egress and ingress) for
-  flows crossing cluster boundaries — this is how the Grid'5000 multi-cluster
-  topology of Table 1 is modelled.
+* optionally, a per-cluster WAN gateway capacity, applied to the cluster's
+  egress and to its ingress separately, for flows crossing cluster
+  boundaries — this is how the Grid'5000 multi-cluster topology of Table 1
+  is modelled.
 
 Whenever the set of active flows changes (a flow starts, finishes, or is
 aborted because a host failed) the allocation must be recomputed and the
@@ -130,8 +131,9 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self._active: List[Flow] = []
         self._pending_latency: Dict[int, Flow] = {}
-        #: cluster name -> (egress MB/s, ingress MB/s); None means unlimited.
-        self._cluster_gateways: Dict[str, Tuple[float, float]] = {}
+        #: cluster name -> gateway MB/s, each way; a cluster without one is
+        #: unlimited.
+        self._cluster_gateways: Dict[str, float] = {}
         #: background (reserved) rates per constraint key.
         self._background: Dict[Tuple, float] = {}
         self._last_update = env.now
@@ -156,15 +158,12 @@ class Network:
         host.on_failure(self._on_host_failure)
         return host
 
-    def set_cluster_gateway(self, cluster: str, egress_mbps: float,
-                            ingress_mbps: Optional[float] = None) -> None:
-        """Cap the aggregate rate of flows leaving/entering a cluster."""
-        if egress_mbps <= 0:
-            raise ValueError("egress capacity must be positive")
-        ingress = egress_mbps if ingress_mbps is None else ingress_mbps
-        if ingress <= 0:
-            raise ValueError("ingress capacity must be positive")
-        self._cluster_gateways[cluster] = (float(egress_mbps), float(ingress))
+    def set_cluster_gateway(self, cluster: str, capacity_mbps: float) -> None:
+        """Cap the aggregate rate of flows leaving a cluster at
+        ``capacity_mbps``, and of flows entering it at the same rate."""
+        if capacity_mbps <= 0:
+            raise ValueError("gateway capacity must be positive")
+        self._cluster_gateways[cluster] = float(capacity_mbps)
         # Gateway changes can alter which constraints existing flows cross.
         self._allocator.rebuild(self._active)
         self._recompute()

@@ -81,6 +81,19 @@ GRID5000_CLUSTERS: Dict[str, dict] = {
 }
 
 
+#: A GigE LAN's latency (GdX, and inside every Grid'5000 cluster), and the
+#: WAN latency between the Grid'5000 sites.
+LAN_LATENCY_S = 0.0002
+GRID5000_WAN_LATENCY_S = 0.01
+#: DSL-Lab's ADSL lines: per-node downstream bandwidth drawn uniformly in
+#: [MIN_DOWN_MBPS, MAX_DOWN_MBPS] (Figure 4 reports 53-492 KB/s), upstream a
+#: fixed fraction of it, and the WAN latency of a consumer line.
+MIN_DOWN_MBPS = 0.05
+MAX_DOWN_MBPS = 0.50
+UPLINK_FRACTION = 0.25
+ADSL_LATENCY_S = 0.03
+
+
 @dataclass
 class Topology:
     """A built platform: the network plus its host roles."""
@@ -112,8 +125,6 @@ def cluster_topology(
     cluster: str = "gdx",
     node_link_mbps: float = 125.0,
     server_link_mbps: float = 125.0,
-    cpu_factor: float = 1.0,
-    lan_latency_s: float = 0.0002,
     n_service_hosts: int = 1,
 ) -> Topology:
     """A single LAN cluster: stable service/file-server node(s) + workers.
@@ -131,14 +142,14 @@ def cluster_topology(
         raise ValueError("n_workers must be non-negative")
     if n_service_hosts < 1:
         raise ValueError("n_service_hosts must be at least 1")
-    network = Network(env, default_latency_s=lan_latency_s)
+    network = Network(env, default_latency_s=LAN_LATENCY_S)
     servers = []
     for i in range(n_service_hosts):
         name = f"{cluster}-service" if i == 0 else f"{cluster}-service{i + 1}"
         server = Host(
             name, cluster=cluster,
             uplink_mbps=server_link_mbps, downlink_mbps=server_link_mbps,
-            cpu_factor=cpu_factor, stable=True,
+            stable=True,
         )
         network.add_host(server)
         servers.append(server)
@@ -148,7 +159,6 @@ def cluster_topology(
         worker = Host(
             f"{cluster}-node{i:03d}", cluster=cluster,
             uplink_mbps=node_link_mbps, downlink_mbps=node_link_mbps,
-            cpu_factor=cpu_factor,
         )
         network.add_host(worker)
         workers.append(worker)
@@ -161,7 +171,6 @@ def grid5000_testbed(
     nodes_per_cluster: Optional[Dict[str, int]] = None,
     total_nodes: Optional[int] = None,
     service_cluster: str = "gdx",
-    wan_latency_s: float = 0.01,
 ) -> Topology:
     """The 4-cluster Grid'5000 testbed of Table 1.
 
@@ -183,7 +192,8 @@ def grid5000_testbed(
     if unknown:
         raise ValueError(f"unknown clusters: {sorted(unknown)}")
 
-    network = Network(env, default_latency_s=0.0002, wan_latency_s=wan_latency_s)
+    network = Network(env, default_latency_s=LAN_LATENCY_S,
+                      wan_latency_s=GRID5000_WAN_LATENCY_S)
     spec0 = GRID5000_CLUSTERS[service_cluster]
     server = Host(
         f"{service_cluster}-service", cluster=service_cluster,
@@ -214,10 +224,6 @@ def dsl_lab_topology(
     env: Environment,
     n_workers: int = 12,
     rng: Optional[RandomStreams] = None,
-    min_down_mbps: float = 0.05,
-    max_down_mbps: float = 0.50,
-    uplink_fraction: float = 0.25,
-    adsl_latency_s: float = 0.03,
 ) -> Topology:
     """The DSL-Lab broadband platform (§4.1, §4.4).
 
@@ -230,8 +236,8 @@ def dsl_lab_topology(
     """
     if rng is None:
         rng = RandomStreams(42)
-    network = Network(env, default_latency_s=adsl_latency_s,
-                      wan_latency_s=adsl_latency_s)
+    network = Network(env, default_latency_s=ADSL_LATENCY_S,
+                      wan_latency_s=ADSL_LATENCY_S)
     server = Host(
         "dsl-service", cluster="dsl-server",
         uplink_mbps=5.0, downlink_mbps=5.0, cpu_factor=1.0, stable=True,
@@ -239,8 +245,8 @@ def dsl_lab_topology(
     network.add_host(server)
     workers = []
     for i in range(n_workers):
-        down = rng.uniform(f"dsl-down-{i}", min_down_mbps, max_down_mbps)
-        up = down * uplink_fraction
+        down = rng.uniform(f"dsl-down-{i}", MIN_DOWN_MBPS, MAX_DOWN_MBPS)
+        up = down * UPLINK_FRACTION
         worker = Host(
             f"DSL{i + 1:02d}", cluster="dsl-lab",
             uplink_mbps=up, downlink_mbps=down,

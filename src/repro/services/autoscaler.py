@@ -18,10 +18,10 @@ count a *runtime* knob; this module decides when to turn it.  Three pieces:
   *hot* shard over the last interval, not over all history.
 
 * :class:`SloAutoscaler` — the control loop.  Every ``interval_s`` it reads
-  the windowed p99 and, outside the post-action ``cooldown_s``, asks the
+  the windowed p99 and, outside the post-action ``COOLDOWN_S``, asks the
   rebalance coordinator for a live split (p99 above target, below
-  ``max_shards``) or a live merge (p99 under ``merge_below`` × target,
-  above ``min_shards``).  The asymmetric thresholds are the hysteresis
+  ``max_shards``) or a live merge (p99 under ``MERGE_BELOW`` × target,
+  above ``MIN_SHARDS``).  The asymmetric thresholds are the hysteresis
   band that keeps the loop from flapping around the target; the cooldown
   gives a fresh shard time to absorb load before the next measurement is
   trusted.  Every tick appends a :class:`ScaleDecision`, so a bench run
@@ -42,6 +42,16 @@ __all__ = [
     "SloTracker",
 ]
 
+#: The SLO tracker's polling step.
+POLL_S = 0.5
+#: Seconds after a rebalance completes during which the loop only holds.
+COOLDOWN_S = 8.0
+#: The fabric never merges below this many shards.
+MIN_SHARDS = 1
+#: Merge when p99 is under this share of the target: the hysteresis band
+#: under the split threshold.
+MERGE_BELOW = 0.4
+
 
 class SloTracker:
     """Sliding-window latency percentiles and the SLO-violation integral.
@@ -49,21 +59,19 @@ class SloTracker:
     ``observe`` is O(1); the percentile sorts the window on demand.  The
     violation integral advances in :meth:`run`'s polling steps: a poll that
     sees the windowed p99 above ``target_p99_s`` charges the whole
-    ``poll_s`` step to ``violation_seconds`` (rectangle rule — identical
+    ``POLL_S`` step to ``violation_seconds`` (rectangle rule — identical
     for every deployment compared on the same trace, which is all the
     with/without comparison needs).
     """
 
-    def __init__(self, env, target_p99_s: float, window_s: float = 10.0,
-                 poll_s: float = 0.5):
+    def __init__(self, env, target_p99_s: float, window_s: float = 10.0):
         if target_p99_s <= 0:
             raise ValueError("target_p99_s must be positive")
-        if window_s <= 0 or poll_s <= 0:
-            raise ValueError("window_s and poll_s must be positive")
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
         self.env = env
         self.target_p99_s = float(target_p99_s)
         self.window_s = float(window_s)
-        self.poll_s = float(poll_s)
         #: (completion time, latency) pairs inside the sliding window
         self._samples: Deque[Tuple[float, float]] = deque()
         self.observed = 0
@@ -112,14 +120,14 @@ class SloTracker:
         """Generator process: poll the window and integrate violations."""
         started = self.env.now
         while for_s is None or self.env.now - started < for_s:
-            yield self.env.timeout(self.poll_s)
+            yield self.env.timeout(POLL_S)
             self.polls += 1
             p99 = self.p99()
             if p99 is not None and p99 > self.worst_p99_s:
                 self.worst_p99_s = p99
             if p99 is not None and p99 > self.target_p99_s:
                 self.violation_polls += 1
-                self.violation_seconds += self.poll_s
+                self.violation_seconds += POLL_S
 
 
 class HotspotMonitor:
@@ -184,7 +192,7 @@ class ScaleDecision:
 class SloAutoscaler:
     """Holds a p99 latency target by splitting/merging live shards.
 
-    ``cooldown_s`` counts from the *completion* of the previous rebalance
+    ``COOLDOWN_S`` counts from the *completion* of the previous rebalance
     and should exceed the tracker's ``window_s``: the cutover seal parks
     requests for a few hundred milliseconds, and those self-inflicted
     latency spikes must age out of the sliding window before the next
@@ -194,15 +202,11 @@ class SloAutoscaler:
 
     def __init__(self, fabric, router, tracker: SloTracker,
                  coordinator=None, monitor: Optional[HotspotMonitor] = None,
-                 interval_s: float = 2.0, cooldown_s: float = 8.0,
-                 min_shards: int = 1, max_shards: int = 8,
-                 merge_below: float = 0.4):
+                 interval_s: float = 2.0, max_shards: int = 8):
         from repro.services.rebalance import RebalanceCoordinator
-        if not 0.0 < merge_below < 1.0:
-            raise ValueError("merge_below must be in (0, 1) — it is the "
-                             "hysteresis band under the split threshold")
-        if min_shards < 1 or max_shards < min_shards:
-            raise ValueError("need 1 <= min_shards <= max_shards")
+        if max_shards < MIN_SHARDS:
+            raise ValueError(f"max_shards must be at least {MIN_SHARDS}, "
+                             f"got {max_shards!r}")
         self.fabric = fabric
         self.tracker = tracker
         self.coordinator = (coordinator if coordinator is not None
@@ -210,10 +214,7 @@ class SloAutoscaler:
         self.monitor = monitor
         self.env = fabric.env
         self.interval_s = float(interval_s)
-        self.cooldown_s = float(cooldown_s)
-        self.min_shards = int(min_shards)
         self.max_shards = int(max_shards)
-        self.merge_below = float(merge_below)
         self.decisions: List[ScaleDecision] = []
         self.splits = 0
         self.merges = 0
@@ -224,7 +225,7 @@ class SloAutoscaler:
         target = self.tracker.target_p99_s
         in_cooldown = (
             self._last_action_at is not None
-            and self.env.now - self._last_action_at < self.cooldown_s)
+            and self.env.now - self._last_action_at < COOLDOWN_S)
         if self.fabric.migration is not None:
             return "hold", "migration in flight"
         if in_cooldown:
@@ -236,11 +237,11 @@ class SloAutoscaler:
                 return "hold", "p99 above target but at max_shards"
             return "split", (f"p99 {p99 * 1e3:.1f}ms > target "
                              f"{target * 1e3:.1f}ms")
-        if p99 < self.merge_below * target:
-            if self.fabric.shards <= self.min_shards:
+        if p99 < MERGE_BELOW * target:
+            if self.fabric.shards <= MIN_SHARDS:
                 return "hold", "idle but at min_shards"
             return "merge", (f"p99 {p99 * 1e3:.1f}ms < "
-                             f"{self.merge_below:.0%} of target")
+                             f"{MERGE_BELOW:.0%} of target")
         return "hold", "inside hysteresis band"
 
     def run(self, for_s: Optional[float] = None):

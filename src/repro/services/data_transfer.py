@@ -9,10 +9,10 @@ The DT "launches out-of-band transfers and ensures their reliability":
 * reliability is *receiver driven*: the DT periodically probes the receiver,
   which can verify the size and MD5 of what it has received; a transfer is
   declared finished only at the probe following the protocol's completion;
-* faulty transfers are retried (resumed) a configurable number of times
+* faulty transfers are retried (resumed) up to ``MAX_RETRIES`` attempts
   before being reported failed;
 * the monitoring traffic itself consumes bandwidth on the service host.
-  Each supervised transfer adds ``monitor_message_kb`` every
+  Each supervised transfer adds ``MONITOR_MESSAGE_KB`` every
   ``monitor_period_s`` in both directions; this is the BitDew protocol
   overhead that Figures 3b/3c quantify.
 """
@@ -37,6 +37,11 @@ from repro.transfer.oob import (
 from repro.transfer.registry import ProtocolRegistry
 
 __all__ = ["DataTransferService", "SupervisedTransfer"]
+
+#: Size of one monitoring probe (and of its reply).
+MONITOR_MESSAGE_KB = 8.0
+#: Attempts of one transfer before it is reported failed.
+MAX_RETRIES = 3
 
 
 @dataclass
@@ -76,16 +81,15 @@ class DataTransferService:
         network: Network,
         registry: ProtocolRegistry,
         monitor_period_s: float = 0.5,
-        monitor_message_kb: float = 8.0,
-        max_retries: int = 3,
     ):
+        if not monitor_period_s > 0:
+            raise ValueError(
+                f"monitor_period_s must be positive, got {monitor_period_s!r}")
         self.env = env
         self.host = host
         self.network = network
         self.registry = registry
         self.monitor_period_s = float(monitor_period_s)
-        self.monitor_message_kb = float(monitor_message_kb)
-        self.max_retries = int(max_retries)
         self.transfers: Dict[int, SupervisedTransfer] = {}
         #: statistics used for overhead accounting
         self.requests = 0
@@ -98,7 +102,7 @@ class DataTransferService:
     def _monitor_rate_mbps(self) -> float:
         """Control-plane rate of one supervised transfer on the DT's uplink."""
         # request + response every monitor period
-        return 2.0 * (self.monitor_message_kb / 1024.0) / self.monitor_period_s
+        return 2.0 * (MONITOR_MESSAGE_KB / 1024.0) / self.monitor_period_s
 
     def _reserve_monitor_bandwidth(self) -> None:
         self.network.add_background_load(self.host, "up", self._monitor_rate_mbps)
@@ -131,7 +135,7 @@ class DataTransferService:
         self._reserve_monitor_bandwidth()
         try:
             last_error = "unknown error"
-            for attempt in range(1, self.max_retries + 1):
+            for attempt in range(1, MAX_RETRIES + 1):
                 record.attempts = attempt
                 if attempt > 1:
                     self.retries += 1

@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.net.rpc import RpcChannel, RpcError, RpcResponseLostError
+from repro.net.rpc import RpcError, RpcResponseLostError
 from repro.services.router import FabricRouter, HandoffPlan
 
 __all__ = ["MigrationStats", "RebalanceCoordinator", "ShardMigration"]
@@ -234,12 +234,11 @@ class RebalanceCoordinator:
     MAX_DIRTY_ROUNDS = 64
 
     def __init__(self, fabric, router: FabricRouter,
-                 channel: Optional[RpcChannel] = None,
                  on_phase: Optional[Callable] = None):
         self.fabric = fabric
         self.router = router
         self.env = fabric.env
-        self.channel = channel if channel is not None else fabric.channel()
+        self.channel = fabric.channel()
         self.on_phase = on_phase
         #: completed transitions, in order
         self.history: List[MigrationStats] = []

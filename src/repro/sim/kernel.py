@@ -328,8 +328,8 @@ class Environment:
     #: normally-scheduled event at the same timestamp.
     SETTLE_PRIORITY = 2
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._scheduler = HeapScheduler()
         self._counter: Iterator[int] = itertools.count()
         #: Event creation counter, separate from the scheduling counter so

@@ -52,32 +52,37 @@ class DatabaseEngine:
             raise ValueError("costs must be non-negative")
 
 
-def NetworkedSQLEngine(operation_cost_s: float = 525e-6,
-                       connection_cost_s: float = 3475e-6) -> DatabaseEngine:
+#: Opening one connection: MySQL's client/server handshake, HsqlDB in-process.
+MYSQL_CONNECTION_COST_S = 3475e-6
+HSQLDB_CONNECTION_COST_S = 80e-6
+#: One statement on the embedded engine.
+HSQLDB_OPERATION_COST_S = 230e-6
+#: Connections a ``ConnectionPool`` holds.
+POOL_SIZE = 8
+
+
+def NetworkedSQLEngine(operation_cost_s: float = 525e-6) -> DatabaseEngine:
     """MySQL-like engine: client/server protocol, expensive connection setup."""
-    return DatabaseEngine("mysql", operation_cost_s, connection_cost_s)
+    return DatabaseEngine("mysql", operation_cost_s, MYSQL_CONNECTION_COST_S)
 
 
-def EmbeddedSQLEngine(operation_cost_s: float = 230e-6,
-                      connection_cost_s: float = 80e-6) -> DatabaseEngine:
+def EmbeddedSQLEngine() -> DatabaseEngine:
     """HsqlDB-like engine: embedded in the service process, cheap connections."""
-    return DatabaseEngine("hsqldb", operation_cost_s, connection_cost_s)
+    return DatabaseEngine("hsqldb", HSQLDB_OPERATION_COST_S,
+                          HSQLDB_CONNECTION_COST_S)
 
 
 class ConnectionPool:
-    """A DBCP-like pool: connections are opened once and reused.
+    """A DBCP-like pool of ``POOL_SIZE`` connections, opened once and reused.
 
     The pool bounds concurrency as well — callers wanting a connection when
     all are checked out wait in FIFO order.
     """
 
-    def __init__(self, env: Environment, engine: DatabaseEngine, size: int = 8):
-        if size <= 0:
-            raise ValueError("pool size must be positive")
+    def __init__(self, env: Environment, engine: DatabaseEngine):
         self.env = env
         self.engine = engine
-        self.size = size
-        self._slots = Resource(env, capacity=size)
+        self._slots = Resource(env, capacity=POOL_SIZE)
         #: connections established so far (each pays the connection cost once)
         self.connections_opened = 0
 
@@ -185,8 +190,9 @@ class Database:
         self.operations += 1
         return result
 
-    def admin_execute(self, operation: Callable[[], Any], statements: int = 1):
-        """Generator: run *operation* on the dedicated *admin* connection.
+    def admin_execute(self, operation: Callable[[], Any]):
+        """Generator: run *operation*, one statement, on the dedicated *admin*
+        connection.
 
         Maintenance work — the elastic fabric's shard migrations — runs on
         its own database connection, so it pays the engine's full statement
@@ -195,14 +201,12 @@ class Database:
         an overloaded shard; that is exactly when it is needed).  The
         single admin connection is opened lazily, once.
         """
-        if statements <= 0:
-            raise ValueError("statements must be positive")
         with self._admin_executor.request() as req:
             yield req
             if not self._admin_connected:
                 self._admin_connected = True
                 yield self.env.timeout(self.engine.connection_cost_s)
-            yield self.env.timeout(self.engine.operation_cost_s * statements)
+            yield self.env.timeout(self.engine.operation_cost_s)
             result = operation()
         self.operations += 1
         return result

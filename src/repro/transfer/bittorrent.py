@@ -31,7 +31,14 @@ Two swarm models are provided (this is the ablation called out in
     point-to-point transfers still see the contention.
 
 ``auto`` (default) picks ``piece`` when ``nodes x pieces`` is below
-``detail_budget`` and ``fluid`` otherwise.
+``DETAIL_BUDGET`` and ``fluid`` otherwise.
+
+The calibration is module constants: piece size and piece-count bounds
+(``PIECE_SIZE_MB``, ``MIN_PIECES``, ``MAX_PIECES``), the fixed costs
+(``TRACKER_ANNOUNCE_S``, ``HANDSHAKE_S``, ``PER_PIECE_OVERHEAD_S``,
+``PEER_DISCOVERY_S``), the per-peer slot limits (``MAX_UPLOADS_PER_PEER``,
+``MAX_PARALLEL_PIECE_DOWNLOADS``), the per-connection throughput cap
+(``CONNECTION_RATE_CAP_MBPS``) and the fluid model's ``EFFICIENCY``.
 """
 
 from __future__ import annotations
@@ -52,6 +59,30 @@ from repro.transfer.oob import (
 )
 
 __all__ = ["BitTorrentProtocol", "SwarmStats"]
+
+#: A file is cut into pieces of this size, at least ``MIN_PIECES`` and at
+#: most ``MAX_PIECES`` of them.
+PIECE_SIZE_MB = 4.0
+MAX_PIECES = 64
+MIN_PIECES = 4
+#: Joining a swarm: the .torrent fetch and tracker announce, then the first
+#: peer handshakes.
+TRACKER_ANNOUNCE_S = 0.5
+HANDSHAKE_S = 0.2
+#: Protocol chatter (have / request messages) around each piece.
+PER_PIECE_OVERHEAD_S = 0.01
+MAX_UPLOADS_PER_PEER = 4
+MAX_PARALLEL_PIECE_DOWNLOADS = 2
+#: The fluid model's wait for simultaneously arriving peers (one tracker poll).
+PEER_DISCOVERY_S = 1.0
+#: BitTorrent clients (Azureus/BTPD in the paper) do not saturate a GigE
+#: link; this caps each peer connection's application throughput.
+CONNECTION_RATE_CAP_MBPS = 8.0
+#: The share of a peer's upload capacity the fluid model counts as useful.
+EFFICIENCY = 0.85
+#: ``auto`` mode simulates a swarm piece by piece up to this many
+#: ``peers x pieces``.
+DETAIL_BUDGET = 4000
 
 
 @dataclass
@@ -166,42 +197,13 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         env: Environment,
         network: Network,
         mode: str = "auto",
-        piece_size_mb: float = 4.0,
-        max_pieces: int = 64,
-        min_pieces: int = 4,
-        tracker_announce_s: float = 0.5,
-        handshake_s: float = 0.2,
-        per_piece_overhead_s: float = 0.01,
-        max_uploads_per_peer: int = 4,
-        max_parallel_piece_downloads: int = 2,
-        peer_discovery_s: float = 1.0,
-        connection_rate_cap_mbps: float = 8.0,
-        efficiency: float = 0.85,
-        detail_budget: int = 4000,
-        daemon: Optional[DaemonConnector] = None,
         rng: Optional[RandomStreams] = None,
     ):
         super().__init__(env, network)
         if mode not in ("auto", "piece", "fluid"):
             raise ValueError("mode must be 'auto', 'piece' or 'fluid'")
-        if not (0.0 < efficiency <= 1.0):
-            raise ValueError("efficiency must be in (0, 1]")
         self.mode = mode
-        self.piece_size_mb = float(piece_size_mb)
-        self.max_pieces = int(max_pieces)
-        self.min_pieces = int(min_pieces)
-        self.tracker_announce_s = float(tracker_announce_s)
-        self.handshake_s = float(handshake_s)
-        self.per_piece_overhead_s = float(per_piece_overhead_s)
-        self.max_uploads_per_peer = int(max_uploads_per_peer)
-        self.max_parallel_piece_downloads = int(max_parallel_piece_downloads)
-        self.peer_discovery_s = float(peer_discovery_s)
-        #: BitTorrent clients (Azureus/BTPD in the paper) do not saturate a
-        #: GigE link; this caps each peer connection's application throughput.
-        self.connection_rate_cap_mbps = float(connection_rate_cap_mbps)
-        self.efficiency = float(efficiency)
-        self.detail_budget = int(detail_budget)
-        self.daemon = daemon if daemon is not None else DaemonConnector(env)
+        self.daemon = DaemonConnector(env)
         self.rng = rng if rng is not None else RandomStreams(7)
         self._swarms: Dict[str, _Swarm] = {}
 
@@ -209,8 +211,8 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
     def piece_count_for(self, size_mb: float) -> int:
         if size_mb <= 0:
             return 1
-        raw = int(math.ceil(size_mb / self.piece_size_mb))
-        return max(self.min_pieces, min(self.max_pieces, raw))
+        raw = int(math.ceil(size_mb / PIECE_SIZE_MB))
+        return max(MIN_PIECES, min(MAX_PIECES, raw))
 
     def swarm_for(self, handle: TransferHandle) -> _Swarm:
         infohash = handle.content.checksum
@@ -231,7 +233,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         if self.mode != "auto":
             return self.mode
         expected_peers = max(len(swarm.peers) + 1, swarm.stats.peers_joined + 1)
-        if expected_peers * swarm.piece_count > self.detail_budget:
+        if expected_peers * swarm.piece_count > DETAIL_BUDGET:
             return "fluid"
         return "piece"
 
@@ -242,7 +244,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         latency = self.network.latency_between(handle.source.host,
                                                handle.destination.host)
         # .torrent metadata fetch + tracker announce + first peer handshakes.
-        yield self.env.timeout(self.tracker_announce_s + self.handshake_s
+        yield self.env.timeout(TRACKER_ANNOUNCE_S + HANDSHAKE_S
                                + 2.0 * latency)
         return True
 
@@ -297,7 +299,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         source is the minimum of ``(active_uploads, join order)``, the seeds
         ordered before every peer.
         """
-        if peer.active_downloads >= self.max_parallel_piece_downloads:
+        if peer.active_downloads >= MAX_PARALLEL_PIECE_DOWNLOADS:
             return None
         missing = [p for p in range(swarm.piece_count) if p not in peer.pieces]
         if not missing:
@@ -307,7 +309,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         holders = swarm.holders
         missing.sort(key=lambda piece: len(holders[piece]))
         # The seeds hold every piece, so the best of them is the same for all.
-        seed, seed_uploads = None, self.max_uploads_per_peer
+        seed, seed_uploads = None, MAX_UPLOADS_PER_PEER
         for host in swarm.seed_hosts:
             uploads = swarm.seed_active_uploads[host.uid]
             if uploads < seed_uploads and host.online:
@@ -336,11 +338,11 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         else:
             source.active_uploads += 1
         try:
-            yield self.env.timeout(self.per_piece_overhead_s)
+            yield self.env.timeout(PER_PIECE_OVERHEAD_S)
             flow = self.network.transfer(
                 source_host, peer.host, swarm.piece_size_mb,
                 label=f"bt:{swarm.infohash[:8]}:p{piece}->{peer.host.name}",
-                rate_cap_mbps=self.connection_rate_cap_mbps,
+                rate_cap_mbps=CONNECTION_RATE_CAP_MBPS,
             )
             try:
                 yield flow.done
@@ -365,24 +367,24 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         # Upload side: up to max_uploads_per_peer parallel connections, each
         # capped; download side: the piece-level model downloads pieces
         # serially, so one connection cap applies (keeps both models aligned).
-        upload_cap = self.connection_rate_cap_mbps * self.max_uploads_per_peer
+        upload_cap = CONNECTION_RATE_CAP_MBPS * MAX_UPLOADS_PER_PEER
         seed_up = sum(min(h.uplink_mbps, upload_cap)
                       for h in swarm.seed_hosts if h.online)
         seed_up = max(seed_up, 1e-9)
         peer_up = min(handle.destination.host.uplink_mbps, upload_cap)
         peer_down = min(handle.destination.host.downlink_mbps,
-                        self.connection_rate_cap_mbps)
+                        CONNECTION_RATE_CAP_MBPS)
         n = max(1, n_peers)
         # Steady-state bound: total demand over total (efficiency-discounted)
         # upload capacity, the receiver's downlink, and the requirement that
         # the seed push at least one full copy into the swarm.
-        aggregate = (n * size_mb) / (seed_up + (n - 1) * peer_up * self.efficiency)
+        aggregate = (n * size_mb) / (seed_up + (n - 1) * peer_up * EFFICIENCY)
         steady = max(size_mb / peer_down, size_mb / seed_up, aggregate)
         # Piece-granularity propagation: the last piece still has to ripple
         # through ~log2(n) exchange generations.
-        propagation = (swarm.piece_size_mb / (peer_up * self.efficiency)) \
+        propagation = (swarm.piece_size_mb / (peer_up * EFFICIENCY)) \
             * math.ceil(math.log2(n + 1))
-        overhead = swarm.piece_count * self.per_piece_overhead_s
+        overhead = swarm.piece_count * PER_PIECE_OVERHEAD_S
         return steady + propagation + overhead
 
     def _run_fluid(self, handle: TransferHandle, swarm: _Swarm):
@@ -398,7 +400,7 @@ class BitTorrentProtocol(NonBlockingOOBTransfer):
         try:
             # Let the tracker learn about simultaneously-arriving peers before
             # sizing the swarm (one tracker-poll interval).
-            yield self.env.timeout(self.peer_discovery_s)
+            yield self.env.timeout(PEER_DISCOVERY_S)
             # Peers currently known to the tracker (including this one).
             n_peers = swarm.fluid_active + swarm.stats.peers_completed
             makespan = self._fluid_makespan(handle, swarm, n_peers)

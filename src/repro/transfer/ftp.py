@@ -8,23 +8,20 @@ connection.  When many nodes download the same file concurrently the
 server's uplink is shared among them, which is exactly the linear-in-*n*
 scaling that Figures 3a and 5 show for FTP.
 
-Parameters:
+Constants:
 
-``control_setup_s``
+``CONTROL_SETUP_S``
     Cost of opening the control connection and authenticating (a few RTTs).
-``per_file_overhead_s``
+``PER_FILE_OVERHEAD_S``
     Cost of the RETR/226 exchange around the data connection.
-``max_server_connections``
-    ProFTPD-style cap on simultaneous data connections; extra clients queue.
+
+The server accepts every data connection at once: its uplink, shared among
+the concurrent flows, is what limits it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.sim.kernel import Environment
-from repro.sim.resources import Resource
-from repro.net.flows import Network, TransferFailed
+from repro.net.flows import TransferFailed
 from repro.transfer.oob import (
     BlockingOOBTransfer,
     TransferError,
@@ -33,35 +30,21 @@ from repro.transfer.oob import (
 
 __all__ = ["FTPProtocol"]
 
+CONTROL_SETUP_S = 0.05
+PER_FILE_OVERHEAD_S = 0.02
+
 
 class FTPProtocol(BlockingOOBTransfer):
     """FTP: point-to-point client/server pull transfers."""
 
     name = "ftp"
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        control_setup_s: float = 0.05,
-        per_file_overhead_s: float = 0.02,
-        max_server_connections: Optional[int] = None,
-    ):
-        super().__init__(env, network)
-        self.control_setup_s = float(control_setup_s)
-        self.per_file_overhead_s = float(per_file_overhead_s)
-        self._server_slots: Optional[Resource] = None
-        if max_server_connections is not None:
-            if max_server_connections <= 0:
-                raise ValueError("max_server_connections must be positive")
-            self._server_slots = Resource(env, capacity=max_server_connections)
-
     # -- OOBTransfer interface -------------------------------------------------
     def connect(self, handle: TransferHandle):
         """Open the control connection: a couple of RTTs plus authentication."""
         latency = self.network.latency_between(handle.source.host,
                                                handle.destination.host)
-        yield self.env.timeout(self.control_setup_s + 2.0 * latency)
+        yield self.env.timeout(CONTROL_SETUP_S + 2.0 * latency)
         return True
 
     def disconnect(self, handle: TransferHandle):
@@ -77,24 +60,16 @@ class FTPProtocol(BlockingOOBTransfer):
                 f"source file {handle.source.path!r} missing on "
                 f"{handle.source.host.name}"
             )
-        slot = None
-        if self._server_slots is not None:
-            slot = self._server_slots.request()
-            yield slot
+        yield self.env.timeout(PER_FILE_OVERHEAD_S)
+        flow = self.network.transfer(
+            handle.source.host, handle.destination.host,
+            handle.content.size_mb,
+            label=f"ftp:{handle.content.name}->{handle.destination.host.name}",
+        )
         try:
-            yield self.env.timeout(self.per_file_overhead_s)
-            flow = self.network.transfer(
-                handle.source.host, handle.destination.host,
-                handle.content.size_mb,
-                label=f"ftp:{handle.content.name}->{handle.destination.host.name}",
-            )
-            try:
-                yield flow.done
-            except TransferFailed as exc:
-                raise TransferError(str(exc)) from exc
-            handle.transferred_mb = handle.content.size_mb
-            handle.destination.write(handle.source.read())
-        finally:
-            if slot is not None:
-                self._server_slots.release(slot)
+            yield flow.done
+        except TransferFailed as exc:
+            raise TransferError(str(exc)) from exc
+        handle.transferred_mb = handle.content.size_mb
+        handle.destination.write(handle.source.read())
         return handle

@@ -18,20 +18,16 @@ from repro.transfer.oob import (
 
 __all__ = ["HTTPProtocol"]
 
+REQUEST_OVERHEAD_S = 0.005
+
 
 class HTTPProtocol(BlockingOOBTransfer):
     """HTTP: light-weight point-to-point pull transfers."""
 
     name = "http"
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        request_overhead_s: float = 0.005,
-    ):
+    def __init__(self, env: Environment, network: Network):
         super().__init__(env, network)
-        self.request_overhead_s = float(request_overhead_s)
         #: (client uid, server uid) pairs with an established keep-alive connection
         self._connections: set = set()
 
@@ -61,7 +57,7 @@ class HTTPProtocol(BlockingOOBTransfer):
                 f"source file {handle.source.path!r} missing on "
                 f"{handle.source.host.name}"
             )
-        yield self.env.timeout(self.request_overhead_s)
+        yield self.env.timeout(REQUEST_OVERHEAD_S)
         flow = self.network.transfer(
             handle.source.host, handle.destination.host,
             handle.content.size_mb,

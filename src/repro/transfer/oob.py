@@ -264,26 +264,27 @@ class NonBlockingOOBTransfer(OOBTransfer):
     blocking = False
 
 
+#: Starting the daemon on a host, and one local IPC round trip with it.
+DAEMON_STARTUP_COST_S = 0.5
+DAEMON_IPC_LATENCY_S = 0.002
+
+
 class DaemonConnector:
     """Helper for protocols provided as a background daemon (paper Figure 2).
 
     The daemon must be started before any transfer and contacted through a
     small local-IPC latency.  BTPD in the paper is such a daemon; the
-    BitTorrent protocol below uses this connector when configured in daemon
-    mode.
+    BitTorrent protocol uses this connector.
     """
 
-    def __init__(self, env: Environment, startup_cost_s: float = 0.5,
-                 ipc_latency_s: float = 0.002):
+    def __init__(self, env: Environment):
         self.env = env
-        self.startup_cost_s = float(startup_cost_s)
-        self.ipc_latency_s = float(ipc_latency_s)
         self._started_hosts: set = set()
 
     def ensure_started(self, host: Host):
         """Generator: start the daemon on *host* if not already running."""
         if host.uid not in self._started_hosts:
-            yield self.env.timeout(self.startup_cost_s)
+            yield self.env.timeout(DAEMON_STARTUP_COST_S)
             self._started_hosts.add(host.uid)
         return True
 
@@ -295,5 +296,5 @@ class DaemonConnector:
 
     def command(self):
         """Generator: one IPC round trip with the daemon."""
-        yield self.env.timeout(self.ipc_latency_s)
+        yield self.env.timeout(DAEMON_IPC_LATENCY_S)
         return True

@@ -31,7 +31,7 @@ per-host loops would produce for the same visit order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 try:
     import numpy as _np
@@ -143,7 +143,6 @@ def cohort_heartbeat_process(
     cohort: HostCohort,
     period_s: float,
     duration_s: float,
-    beat: Optional[Callable[[HostCohort, int], None]] = None,
 ):
     """One generator multiplexing the cohort's per-host heartbeat timers.
 
@@ -151,23 +150,16 @@ def cohort_heartbeat_process(
     ``period_s`` arrive, evenly interleaved, as one event every
     ``period_s / N`` — so the cohort needs a single generator whose timer
     fires at the aggregate arrival rate, not N timers.  Every tick accounts
-    exactly one host's heartbeat (round-robin over the cohort), preserving
-    the kernel-level event density of per-host timers.
+    exactly one host's heartbeat, preserving the kernel-level event density
+    of per-host timers.
     """
     if period_s <= 0 or duration_s <= 0:
         return
     tick_s = period_s / len(cohort.hosts)
     ticks = int(duration_s / period_s) * len(cohort.hosts)
-    # The no-observer loop is the kernel benchmark's inner loop (one event
-    # per tick, ~10⁶ per run): bind the timeout factory once and skip the
-    # per-tick beat check.
+    # This loop is the kernel benchmark's inner loop (one event per tick,
+    # ~10⁶ per run): bind the timeout factory once.
     timeout = env.timeout
-    if beat is None:
-        for _tick in range(ticks):
-            yield timeout(tick_s)
-            cohort.heartbeats += 1
-    else:
-        for tick in range(ticks):
-            yield timeout(tick_s)
-            cohort.heartbeats += 1
-            beat(cohort, tick % len(cohort.hosts))
+    for _tick in range(ticks):
+        yield timeout(tick_s)
+        cohort.heartbeats += 1

@@ -13,6 +13,9 @@ from typing import List, Optional
 
 __all__ = ["DiurnalProfile", "diurnal_arrivals"]
 
+#: Width of the slices :func:`diurnal_arrivals` integrates the rate over.
+STEP_S = 0.25
+
 
 @dataclass(frozen=True)
 class DiurnalProfile:
@@ -54,11 +57,11 @@ class DiurnalProfile:
         return rate
 
 
-def diurnal_arrivals(profile: DiurnalProfile, horizon_s: float,
-                     step_s: float = 0.25) -> List[float]:
+def diurnal_arrivals(profile: DiurnalProfile,
+                     horizon_s: float) -> List[float]:
     """Deterministic arrival times following *profile* over ``horizon_s``.
 
-    Inverts the rate integral: walking the horizon in ``step_s`` slices
+    Inverts the rate integral: walking the horizon in ``STEP_S`` slices
     (midpoint rule), one arrival is emitted each time the cumulative
     expected count Λ(t) crosses the next integer — the deterministic
     skeleton of an inhomogeneous arrival process.  No RNG: the same
@@ -67,15 +70,13 @@ def diurnal_arrivals(profile: DiurnalProfile, horizon_s: float,
     """
     if horizon_s <= 0:
         raise ValueError("horizon_s must be positive")
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
     arrivals: List[float] = []
     cumulative = 0.0
     next_count = 1.0
-    steps = int(math.ceil(horizon_s / step_s))
+    steps = int(math.ceil(horizon_s / STEP_S))
     for i in range(steps):
-        t0 = i * step_s
-        dt = min(step_s, horizon_s - t0)
+        t0 = i * STEP_S
+        dt = min(STEP_S, horizon_s - t0)
         if dt <= 0:
             break
         rate = profile.rate_at(t0 + dt / 2.0)

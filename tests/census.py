@@ -30,18 +30,23 @@ added this mode were made by reading, not by this pass (see "Its blind
 spot" in ``docs/ARCHITECTURE.md``).
 
 A fifth mode, ``knobs``, is the same kind of AST pass over parameters: it
-lists every parameter of a ``src/repro`` function (``@scenario`` entry
-points aside: their parameters are the CLI's ``--set``) whose default is
-``True``, ``False`` or a string literal and that no call under ``src/
-benchmarks/ examples/ perfbench/`` passes by keyword — a behaviour switch
-only tests set, one value in use.  It exits 1 unless each is on
-``KNOBS_KEPT`` below with its reason (CI ``static-analysis`` runs it)::
+counts every parameter with a default of a ``src/repro`` function (``@scenario``
+entry points, ``analysis/`` and ``__main__.py`` aside: a scenario's parameters
+are the CLI's ``--set``) and lists each that no call under ``src/
+benchmarks/ examples/ perfbench/`` sets — one value in use.  A call sets a
+parameter when it passes it by keyword or by position, as anything but the
+default's own literal.  Calls match by callable: the function's name, or
+the class's for ``__init__`` (``cls(...)`` and ``super().__init__(...)``
+included), and an RPC's method name (``invoke("ds", "synchronize", ...)``
+calls ``synchronize``).  It prints the total of settable values and exits 1
+unless each unset parameter is on ``KNOBS_KEPT`` below with its reason (CI
+``static-analysis`` runs it)::
 
     python tests/census.py knobs
 
-It matches keywords by bare name too, so a keyword of the same name passed
-to any other function counts as set, and a value passed positionally does
-not.
+It cannot follow a callable through a variable (``run = db.execute;
+run(op)``), and two functions of one name share their callers; a call with
+``*args`` or ``**kwargs`` sets every parameter of that name.
 
 A sixth mode compares behaviour instead of reading code: ``outputs REF``
 materialises ``src/`` of a git ref in a temp dir (``git archive``: nothing is
@@ -93,19 +98,101 @@ STATE_KEPT = {
 
 
 #: Parameters ``knobs`` finds that no caller outside ``tests/`` sets and that
-#: stay settable, and why.
+#: stay settable, and why (the table in ``docs/ARCHITECTURE.md`` "Knobs
+#: census" groups them by reason).
+_DATA_ATTRIBUTE = "data attribute (§3.2): what a BitDew user programs"
+_WHICH_HOSTS = "API input: which hosts (None = every attached one)"
+_ATTRIBUTE_NAME = ("names one of the application's attributes (§5), as "
+                   "its caller writes them")
+_CLOSURE = ("binds a value into a callback when it is made; no caller "
+            "passes it")
+_LOOKUP_START = "DHT API input: the node a lookup starts from"
 KNOBS_KEPT = {
+    # paper API
     "BitDew.get(blocking)": "paper API: the non-blocking get (§3.3)",
+    "CheckpointManager.__init__(replica)": _DATA_ATTRIBUTE,
+    "CheckpointManager.__init__(protocol)": _DATA_ATTRIBUTE,
+    "CheckpointManager.__init__(lifetime_s)": _DATA_ATTRIBUTE,
+    "MapReduceJob.__init__(protocol)": _DATA_ATTRIBUTE,
+    "UpdaterApplication.__init__(protocol)": _DATA_ATTRIBUTE,
+    "DataCollectives.broadcast(protocol)": _DATA_ATTRIBUTE,
+    "DataCollectives.broadcast(lifetime_reference)": _DATA_ATTRIBUTE,
+    "DataCollectives.scatter(fault_tolerance)": _DATA_ATTRIBUTE,
+    "build_blast_application(task_replica)": _DATA_ATTRIBUTE,
+    "MapReduceJob.__init__(map_function)":
+        "API input: the user's map code (§3.6 abstractions)",
+    "MapReduceJob.__init__(reduce_function)":
+        "API input: the user's reduce code (§3.6 abstractions)",
+    "MasterWorkerApplication.__init__(task_attribute_name)": _ATTRIBUTE_NAME,
+    "MasterWorkerApplication.__init__(result_attribute_name)": _ATTRIBUTE_NAME,
+    "MasterWorkerApplication.__init__(collector_name)": _ATTRIBUTE_NAME,
+    "UpdaterApplication.__init__(update_attribute_name)": _ATTRIBUTE_NAME,
+    # API inputs: what to act on, not how
+    "MapReduceJob.assign_workers(hosts)": _WHICH_HOSTS,
+    "MasterWorkerApplication.register_workers(hosts)": _WHICH_HOSTS,
+    "UpdaterApplication.register_updatees(hosts)": _WHICH_HOSTS,
+    "BitDewEnvironment.kick_sync(hosts)": _WHICH_HOSTS,
+    "UpdaterApplication.all_updated(expected)":
+        "API input: how many updatees (None = every worker)",
+    "CheckpointManager.restore(sequence)":
+        "API input: which checkpoint (None = the latest)",
+    "DataCollectives.gather_wait(poll_s)":
+        "API input: how often the caller polls while it waits",
+    "DataCollectives.gather_wait(timeout_s)":
+        "API input: how long the caller waits",
+    "BitDewEnvironment.restart_host(auto_sync)":
+        "runtime API: a restart starts the pull loop as attach(auto_sync=) "
+        "does, which callers set",
+    "ChordRing.delete(value)":
+        "DHT API input: the value to drop (None = the whole key)",
+    "ChordRing.delete(start)": _LOOKUP_START,
+    "DistributedDataCatalog.unpublish(origin)": _LOOKUP_START,
+    "FederationDomain.publish(name)":
+        "API input: the datum's name (None = its content's)",
+    "FederationGateway.federated_search(name)":
+        "API input: the name searched for (None = every visible datum)",
+    "FederationGateway.search(name)":
+        "API input: the name searched for (None = every visible datum)",
+    "Network.abort(reason)": "API input: why the flow failed",
+    "Environment.timeout(value)":
+        "kernel API: the value the timeout event succeeds with",
+    "RandomStreams.normal_clipped(maximum)":
+        "API input: the upper clip of the draw (None = unclipped)",
+    "DataSchedulerService.compute_schedule_batch(reservoir)":
+        "API input: synchronize's per-host inputs, batched; the cohort "
+        "harness syncs reservoir hosts at the scheduler's default",
+    "DataSchedulerService.compute_schedule_batch(max_new)":
+        "API input: synchronize's per-host inputs, batched; the cohort "
+        "harness syncs reservoir hosts at the scheduler's default",
+    "execute_sweep(registry)":
+        "API input: the registry scenario names resolve in (None = the "
+        "built-in one)",
+    "grid5000_testbed(nodes_per_cluster)":
+        "testbed data: the workers per Table 1 cluster",
+    "grid5000_testbed(service_cluster)":
+        "testbed data: the Table 1 cluster of the services",
+    # registries
     "ProtocolRegistry.register(replace)":
         "extension API: a user protocol replaces a built-in one on purpose "
         "(§3.4), never by accident",
     "ScenarioRegistry.register(replace)":
         "registry API: a duplicate scenario name is an error unless asked",
-    "grid5000_testbed(service_cluster)":
-        "topology data, not a switch: the Table 1 cluster of the services",
-    "UpdaterApplication.__init__(update_attribute_name)":
-        "names the §5 updater's attribute, as MasterWorkerApplication's "
-        "names are",
+    # test seams
+    "SloAutoscaler.__init__(coordinator)":
+        "test seam: the autoscaler's edge tests drive a stub coordinator",
+    "RebalanceCoordinator.__init__(on_phase)":
+        "test seam: the chaos harness crashes a host in a chosen phase",
+    "FederationDomain.start_replicator(on_phase)":
+        "test seam: the chaos harness crashes a host in a chosen phase",
+    "BitTorrentProtocol.__init__(rng)":
+        "test seam: the swarm oracle draws the same tie shuffles from an "
+        "equally seeded stream",
+    # closure bindings
+    "BitDewEnvironment.attach._delayed_start(agent)": _CLOSURE,
+    "BitDewEnvironment.attach._delayed_start(delay)": _CLOSURE,
+    "TransferManager.track._done(uid)": _CLOSURE,
+    "Network.transfer._finish(flow)": _CLOSURE,
+    "Network.transfer._activate(flow)": _CLOSURE,
 }
 
 
@@ -118,7 +205,8 @@ def _trace(reached: set):
 
 
 def _python_files(root: str):
-    for folder, _dirs, files in os.walk(root):
+    for folder, dirs, files in os.walk(root):
+        dirs.sort()
         for name in sorted(files):
             if name.endswith(".py"):
                 yield os.path.join(folder, name)
@@ -260,53 +348,126 @@ def _is_scenario(node) -> bool:
     return False
 
 
-def _knobs(root: str) -> int:
-    """List *root*'s switch parameters no caller outside tests sets; 1 if
-    any is not kept."""
-    switches = []       # (file, line, "Qual.name(param)", param)
+def _knob_params(tree):
+    """``(line, "Qual.name(param)", callable, param, index, default)`` of each
+    parameter with a default in *tree*; *callable* is the name a call uses
+    (the class for ``__init__``), *index* the positional slot a call fills
+    (``None`` for keyword-only)."""
+    out = []
 
-    def walk(path, node, prefix):
+    def walk(node, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                walk(path, child, prefix + child.name + ".")
+                walk(child, prefix + child.name + ".", child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(path, child, prefix)
+                walk(child, prefix, cls)
                 continue
+            walk(child, prefix + child.name + ".", None)
+            if _is_scenario(child):
+                continue        # a scenario's parameters are ``--set``
             args = child.args
             positional = args.posonlyargs + args.args
-            defaults = list(zip(positional[len(positional)
-                                           - len(args.defaults):],
-                                args.defaults))
-            defaults += zip(args.kwonlyargs, args.kw_defaults)
-            if _is_scenario(child):
-                defaults = []       # a scenario's parameters are ``--set``
-            for arg, default in defaults:
-                if (isinstance(default, ast.Constant)
-                        and isinstance(default.value, (bool, str))):
-                    switches.append((path, child.lineno,
-                                     f"{prefix}{child.name}({arg.arg})",
-                                     arg.arg))
-            walk(path, child, prefix + child.name + ".")
+            # A call's first positional argument fills the slot after self.
+            skip = 1 if cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in child.decorator_list) else 0
+            name = cls if cls and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            slots = [(arg, i - skip, default) for i, (arg, default) in
+                     enumerate(zip(positional[first:], args.defaults), first)]
+            slots += [(arg, None, default) for arg, default
+                      in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+            for arg, index, default in slots:
+                out.append((child.lineno, f"{prefix}{child.name}({arg.arg})",
+                            name, arg.arg, index, default))
+    walk(tree, "", None)
+    return out
 
+
+def _knob_calls(tree, calls):
+    """Add each call in *tree* to *calls*: ``{callable: [(positional
+    values, {keyword: value}, open)]}``, *open* when a ``*`` or ``**``
+    argument could fill any parameter."""
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                names = [getattr(func, "id", getattr(func, "attr", None))]
+                if names[0] == "cls" and cls is not None:
+                    names = [cls.name]
+                elif (names[0] == "__init__" and cls is not None
+                        and isinstance(func.value, ast.Call)):
+                    names = [getattr(b, "id", getattr(b, "attr", None))
+                             for b in cls.bases]      # super().__init__
+                keywords = {k.arg: k.value for k in child.keywords if k.arg}
+                open_ = (any(isinstance(a, ast.Starred) for a in child.args)
+                         or len(keywords) < len(child.keywords))
+                for name in names:
+                    calls.setdefault(name, []).append(
+                        (child.args, keywords, open_))
+                # An RPC names its method: ``invoke("ds", "synchronize",
+                # host, view, reservoir=...)`` calls ``synchronize``.
+                for i, arg in enumerate(child.args):
+                    if (isinstance(arg, ast.Constant)
+                            and isinstance(arg.value, str)
+                            and arg.value.isidentifier()):
+                        calls.setdefault(arg.value, []).append(
+                            (child.args[i + 1:], keywords, open_))
+            walk(child, cls)
+    walk(tree, None)
+
+
+def _literal(node):
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return node         # not a literal: equal to nothing else
+    return type(value), repr(value)
+
+
+def _knobs(root: str) -> int:
+    """List each parameter of *root* with a default that no call outside
+    tests sets to another value; 1 if any is not kept."""
+    params = []     # (file, line, "Qual.name(param)", callable, param, index, default)
+    calls: dict = {}
     for path in _python_files(root):
+        rel = path[len(root):].lstrip(os.sep)
         with open(path) as handle:
-            walk(path, ast.parse(handle.read()), "")
-    passed = set()
+            tree = ast.parse(handle.read())
+        if not (rel == "__main__.py" or rel.startswith("analysis" + os.sep)):
+            params += [(path, *param) for param in _knob_params(tree)]
+        _knob_calls(tree, calls)
     for folder in ("src", "benchmarks", "examples", "perfbench"):
         for path in _python_files(os.path.join(REPO, folder)):
-            with open(path) as handle:
-                passed.update(keyword.arg
-                              for node in ast.walk(ast.parse(handle.read()))
-                              if isinstance(node, ast.Call)
-                              for keyword in node.keywords)
-    unset = [switch for switch in switches if switch[3] not in passed]
-    offending = [name for _, _, name, _ in unset if name not in KNOBS_KEPT]
-    for path, line, name, _ in unset:
+            if not path.startswith(root):
+                with open(path) as handle:
+                    _knob_calls(ast.parse(handle.read()), calls)
+
+    def is_set(callable_, name, index, default):
+        fixed = _literal(default)
+        for args, keywords, open_ in calls.get(callable_, ()):
+            if open_:
+                return True
+            value = keywords.get(name)
+            if value is None and index is not None and index < len(args):
+                value = args[index]
+            if value is not None and _literal(value) != fixed:
+                return True
+        return False
+
+    unset = [p for p in params if not is_set(*p[3:])]
+    offending = [name for _, _, name, *_ in unset if name not in KNOBS_KEPT]
+    for path, line, name, *_ in unset:
         print(f"{'' if name in KNOBS_KEPT else 'NOT KEPT  '}"
               f"{os.path.relpath(path, REPO)}:{line}  {name}")
-    print(f"switches no caller outside tests sets: {len(unset)} "
-          f"({len(offending)} not on the kept list)")
+    print(f"settable values: {len(params)}; no caller outside tests sets "
+          f"{len(unset)} ({len(offending)} not on the kept list)")
     return 1 if offending else 0
 
 

@@ -315,20 +315,25 @@ def test_knobs_census_fails_on_a_switch_no_caller_sets(
     (tmp_path / "fixture.py").write_text(
         "from repro.experiments.registry import scenario\n"
         "class Pump:\n"
-        "    def __init__(self, rate=1.0, never_flipped=True, mode='fast'):\n"
+        "    def __init__(self, depth=3, rate=1.0, never_flipped=True,\n"
+        "                 mode='fast', limit=None, width=2):\n"
         "        pass\n"
         "@scenario('pump')\n"
         "def run_pump(coalesce=True):\n"
-        "    pass\n")
+        "    return Pump(5, mode='slow', width=2)\n")
     assert census.main(["census.py", "knobs", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "NOT KEPT  " in out
-    assert "fixture.py:3  Pump.__init__(never_flipped)" in out
-    # A number is no switch, some call under src/ passes ``mode=``, and a
-    # scenario's parameters are what ``--set`` sets.
-    for name in ("(rate)", "(mode)", "(coalesce)"):
+    # A number, a switch and a None no caller sets, and a value passed only
+    # as its default's own literal, are one value in use.
+    for name in ("(rate)", "(never_flipped)", "(limit)", "(width)"):
+        assert f"fixture.py:3  Pump.__init__{name}" in out
+    # A value passed by position or by keyword is set, and a scenario's
+    # parameters are what ``--set`` sets.
+    for name in ("(depth)", "(mode)", "(coalesce)"):
         assert name not in out
-    # The tree itself has no such switch off the kept list.
+    assert "settable values: 6;" in out
+    # The tree itself has no such parameter off the kept list.
     assert census.main(["census.py", "knobs"]) == 0
 
 

@@ -3,7 +3,7 @@
 Pins two behaviours the fabric-autoscale scenarios never hit head-on:
 
 * the cooldown comparison is *strict* — a control tick landing exactly
-  ``cooldown_s`` after the previous rebalance completes is allowed to
+  ``COOLDOWN_S`` after the previous rebalance completes is allowed to
   act, one landing any earlier holds;
 * a zero-arrival window (idle trace, or every sample aged out) yields
   ``percentile() is None`` and a clean "no samples" hold — no division
@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.services.autoscaler import HotspotMonitor, SloAutoscaler, SloTracker
+from repro.services.autoscaler import (
+    COOLDOWN_S,
+    MIN_SHARDS,
+    HotspotMonitor,
+    SloAutoscaler,
+    SloTracker,
+)
 from repro.sim.kernel import Environment
 
 
@@ -42,7 +48,6 @@ class _StubCoordinator:
 
 
 def _autoscaler(env, tracker, **kwargs):
-    kwargs.setdefault("min_shards", 1)
     kwargs.setdefault("max_shards", 8)
     return SloAutoscaler(_StubFabric(env), None, tracker,
                          coordinator=_StubCoordinator(), **kwargs)
@@ -62,7 +67,8 @@ def _advance(env, until):
 def test_cooldown_expires_exactly_at_the_boundary():
     env = Environment()
     tracker = SloTracker(env, target_p99_s=0.1)
-    autoscaler = _autoscaler(env, tracker, cooldown_s=8.0)
+    autoscaler = _autoscaler(env, tracker)
+    assert COOLDOWN_S == 8.0
     autoscaler._last_action_at = 0.0
     hot_p99 = 0.5  # far above target: only the cooldown can hold it back
 
@@ -96,9 +102,8 @@ def test_shard_count_guards():
     autoscaler.fabric.shards = 2
     assert autoscaler._decide(0.5) == (
         "hold", "p99 above target but at max_shards")
-    autoscaler_min = _autoscaler(env, tracker, min_shards=2)
-    autoscaler_min.fabric.shards = 2
-    assert autoscaler_min._decide(0.001)[0] == "hold"
+    autoscaler.fabric.shards = MIN_SHARDS
+    assert autoscaler._decide(0.001) == ("hold", "idle but at min_shards")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +122,7 @@ def test_empty_window_percentile_is_none_and_decision_holds():
 
 def test_zero_arrival_trace_polls_without_division_by_zero():
     env = Environment()
-    tracker = SloTracker(env, target_p99_s=0.1, window_s=2.0, poll_s=0.5)
+    tracker = SloTracker(env, target_p99_s=0.1, window_s=2.0)
     env.run(env.process(tracker.run(for_s=5.0)))
     assert tracker.polls == 10
     assert tracker.observed == 0

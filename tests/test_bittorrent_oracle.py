@@ -24,12 +24,16 @@ from repro.sim import ids
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 from repro.storage.filesystem import FileContent, LocalFileSystem
-from repro.transfer.bittorrent import BitTorrentProtocol, _Peer, _Swarm
+from repro.transfer.bittorrent import (
+    MAX_PARALLEL_PIECE_DOWNLOADS as MAX_PARALLEL,
+    MAX_UPLOADS_PER_PEER as MAX_UPLOADS,
+    BitTorrentProtocol,
+    _Peer,
+    _Swarm,
+)
 from repro.transfer.oob import TransferEndpoint
 
 PIECES = 4
-MAX_UPLOADS = 2
-MAX_PARALLEL = 2
 N_SEEDS = 2
 N_HOSTS = 5
 MAX_PEERS = 8
@@ -120,9 +124,7 @@ class SwarmMachine(RuleBasedStateMachine):
                       for i in range(N_HOSTS)]
         self.content = FileContent.from_seed("file.bin", 10)
         self.protocol = self.protocol_class(
-            env, network, mode="piece", rng=RandomStreams(11),
-            max_uploads_per_peer=MAX_UPLOADS,
-            max_parallel_piece_downloads=MAX_PARALLEL)
+            env, network, mode="piece", rng=RandomStreams(11))
         self.reference_rng = RandomStreams(11)
         self.swarm = _Swarm(env, self.content.checksum, PIECES, 2.0)
         self.reference = ReferenceSwarm(PIECES)

@@ -459,6 +459,15 @@ class TestCLI:
         assert len(doc["runs"]) == 2
         assert [run["spec"]["params"]["n_nodes"] for run in doc["runs"]] == [2, 4]
 
+    def test_non_positive_period_is_a_clean_error(self, capsys):
+        """It used to end in a ZeroDivisionError traceback."""
+        code = cli_main(["run", "distribution", "--quiet", "--no-cache",
+                         "--set", "protocol=ftp", "--set", "size_mb=1",
+                         "--set", "n_nodes=2", "--set", "monitor_period_s=0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: monitor_period_s must be positive, got 0"]
+
     def test_malformed_set_value_is_a_clean_error(self, capsys):
         assert cli_main(["run", "fig4", "--set", "noequals", "--quiet"]) == 2
         err = capsys.readouterr().err

@@ -146,7 +146,7 @@ class TestSharing:
         dsts = [network.add_host(Host(f"dst{i}", cluster="B",
                                       uplink_mbps=1000, downlink_mbps=1000))
                 for i in range(4)]
-        network.set_cluster_gateway("B", egress_mbps=100, ingress_mbps=100)
+        network.set_cluster_gateway("B", capacity_mbps=100)
         flows = [network.transfer(src, d, 100) for d in dsts]
         env.run(until=env.all_of([f.done for f in flows]))
         # 400 MB total through a 100 MB/s gateway -> 4 s.
@@ -155,7 +155,7 @@ class TestSharing:
     def test_gateway_validation(self, env):
         network = Network(env)
         with pytest.raises(ValueError):
-            network.set_cluster_gateway("x", egress_mbps=0)
+            network.set_cluster_gateway("x", capacity_mbps=0)
 
 
 class TestFailures:
@@ -254,7 +254,7 @@ class TestCoalescing:
 
         def clamp():
             yield env.timeout(0.05)   # flow running at 1000 MB/s: 50 MB done
-            network.set_cluster_gateway("B", egress_mbps=50, ingress_mbps=50)
+            network.set_cluster_gateway("B", capacity_mbps=50)
 
         env.process(clamp())
         env.run(until=flow.done)

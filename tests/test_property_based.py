@@ -180,9 +180,7 @@ def _capacity(key, flow, gateways):
         return flow.src.uplink_mbps
     if kind == "host-down":
         return flow.dst.downlink_mbps
-    if kind == "wan-egress":
-        return gateways[key[1]][0]
-    return gateways[key[1]][1]   # wan-ingress
+    return gateways[key[1]]     # wan-egress, wan-ingress
 
 
 class DenseAllocator:
@@ -268,8 +266,8 @@ host_spec_strategy = st.lists(
 #: One op: (delay before it, kind, pick a, pick b, amount, optional amount).
 #: ``start`` reads a/b as src/dst, the amount as size_mb and the optional one
 #: as the flow's ``rate_cap_mbps``; ``gateway`` reads a as the cluster and the
-#: amounts as egress/ingress (ingress None = egress); ``load`` / ``speed`` read
-#: a as the host, b's parity as the direction and the amount as the rate.
+#: amount as its capacity; ``load`` / ``speed`` read a as the host, b's parity
+#: as the direction and the amount as the rate.
 flow_op_strategy = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=2.0),
@@ -318,7 +316,7 @@ def _replay_schedule(make_network, host_specs, ops, probe_times):
             elif kind == "recover":
                 hosts[1 + a % (len(hosts) - 1)].recover()
             elif kind == "gateway":
-                network.set_cluster_gateway(f"c{a % 2}", amount, extra)
+                network.set_cluster_gateway(f"c{a % 2}", amount)
             elif kind == "load":
                 network.add_background_load(host, direction, amount)
                 loads.append((host, direction, amount))
@@ -360,12 +358,12 @@ def _network(network_class):
 @example(host_specs=[(1.0, 1.0), (1.0, 1.0)],
          ops=[(0.0, "start", 0, 1, 1.0, None), (0.0, "start", 0, 1, 1.0, None),
               (1.0, "abort", 0, 0, 1.0, None), (0.0, "abort", 1, 0, 1.0, None)])
-# Every capacity source binds in turn on h1 -> h2: its cap (3) under the c0
-# gateway's ingress (5; egress 2 holds the two c0 -> c1 flows), then h1's
-# uplink under a 38.5 background load, then h2's downlink cut to 1.
+# Every capacity source binds in turn: the c0 gateway's egress (5) holds the
+# two c0 -> c1 flows; on h1 -> h2 its cap (3) under the gateway's ingress (5),
+# then h1's uplink under a 38.5 background load, then h2's downlink cut to 1.
 @example(host_specs=[(40.0, 40.0), (40.0, 40.0), (40.0, 40.0)],
          ops=[(0.0, "start", 0, 1, 20.0, None), (0.0, "start", 2, 1, 20.0, None),
-              (0.0, "start", 1, 2, 20.0, 3.0), (0.0, "gateway", 0, 0, 2.0, 5.0),
+              (0.0, "start", 1, 2, 20.0, 3.0), (0.0, "gateway", 0, 0, 5.0, None),
               (0.25, "load", 1, 0, 38.5, None), (0.25, "speed", 2, 1, 1.0, None),
               (1.0, "unload", 0, 0, 1.0, None)])
 def test_incremental_allocator_matches_dense_oracle(host_specs, ops):

@@ -32,6 +32,26 @@ class TestDataTransferStats:
         assert stats.bandwidth_mbps is None
 
 
+class TestPeriods:
+    """A period of zero or less stalled the pull loop at one instant (0) or
+    failed deep in a draw (< 0): each is rejected when it is given."""
+
+    @pytest.mark.parametrize("value", [0, -0.5])
+    @pytest.mark.parametrize("name", ["sync_period_s", "monitor_period_s"])
+    def test_runtime_rejects_a_period_of_zero_or_less(self, env, name, value):
+        topo = cluster_topology(env, n_workers=2)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive, got {value}$"):
+            BitDewEnvironment(topo, **{name: value})
+
+    def test_host_override_of_the_sync_period_is_checked(self, env):
+        topo = cluster_topology(env, n_workers=2)
+        runtime = BitDewEnvironment(topo)
+        with pytest.raises(ValueError, match="^sync_period_s must be positive"):
+            runtime.attach(topo.worker_hosts[0], sync_period_s=0)
+        assert runtime.agents == {}
+
+
 class TestHostAgentHelpers:
     @pytest.fixture
     def runtime(self, env):

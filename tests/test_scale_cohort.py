@@ -67,17 +67,18 @@ class TestCohortHeartbeat:
         of heartbeats, same kernel event density, one generator."""
         env = Environment()
         cohort = build_cohorts(_hosts(4), 4)[0]
-        beats = []
         env.process(cohort_heartbeat_process(
-            env, cohort, period_s=1.0, duration_s=3.0,
-            beat=lambda _c, host_idx: beats.append((env.now, host_idx))))
+            env, cohort, period_s=1.0, duration_s=3.0))
+        # One heartbeat per period/N, evenly spaced: read half a tick after
+        # each, the count has just gone up by one.
+        counts = []
+        for k in range(12):
+            env.run(until=0.25 * k + 0.125)
+            counts.append(cohort.heartbeats)
+        assert counts == list(range(12))
         env.run()
         assert cohort.heartbeats == 12           # 4 hosts x 3 periods
         assert env.now == pytest.approx(3.0)
-        # Round-robin over the cohort, evenly spaced at period/N.
-        assert [i for _t, i in beats] == [0, 1, 2, 3] * 3
-        times = [t for t, _i in beats]
-        assert times == pytest.approx([0.25 * (k + 1) for k in range(12)])
 
     def test_zero_duration_is_a_no_op(self):
         env = Environment()
@@ -238,6 +239,23 @@ class TestScaleGrid100k:
         assert code == 2
         assert len(err) == 1
         assert err[0].startswith(f"error: {name} must be ")
+
+
+class TestScaleGrid:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_no_sync_round_fails_before_any_host_is_built(
+            self, monkeypatch, capsys, value):
+        """Zero rounds used to run nothing and report ``placed 0``."""
+        def unbuildable(*_args, **_kwargs):
+            raise AssertionError("hosts were built before sync_rounds was "
+                                 "checked")
+        monkeypatch.setattr(scale, "cluster_topology", unbuildable)
+        code = cli_main(["run", "scale-grid", "--quiet", "--no-cache",
+                         "--set", "n_hosts=20", "--set", "n_data=20",
+                         "--set", f"sync_rounds={value}"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sync_rounds must be positive, got {value}"]
 
 
 class TestScaleGrid300k:

@@ -24,7 +24,7 @@ from repro.services import data_catalog
 from repro.services.data_catalog import DataCatalogService
 from repro.services.data_repository import DataRepositoryService
 from repro.sim.kernel import Environment
-from repro.storage.database import Database, EmbeddedSQLEngine
+from repro.storage.database import Database, DatabaseEngine
 from repro.storage.filesystem import FileContent, LocalFileSystem
 
 from tests.conftest import count_calls, run_process
@@ -98,7 +98,7 @@ class TestDataCatalog:
         assert drive(env, catalog.lookup_pair("unknown")) == set()
 
     def test_operations_cost_database_time(self, env, drive):
-        engine = EmbeddedSQLEngine(operation_cost_s=0.01, connection_cost_s=0.0)
+        engine = DatabaseEngine("hsqldb", 0.01, 0.0)
         catalog = DataCatalogService(Database(env, engine=engine))
         drive(env, catalog.register_data(Data(name="x")))
         assert env.now == pytest.approx(0.01)

@@ -316,9 +316,8 @@ class TestFaultTolerance:
 
 class TestSynchronizeGenerator:
     def test_synchronize_pays_database_cost_and_heartbeats(self, env, detector, drive):
-        from repro.storage.database import EmbeddedSQLEngine
-        db = Database(env, engine=EmbeddedSQLEngine(operation_cost_s=0.05,
-                                                    connection_cost_s=0.0))
+        from repro.storage.database import DatabaseEngine
+        db = Database(env, engine=DatabaseEngine("hsqldb", 0.05, 0.0))
         scheduler = DataSchedulerService(env, database=db, failure_detector=detector)
         data = Data(name="d")
         scheduler.schedule(data, Attribute(name="a", replica=1))

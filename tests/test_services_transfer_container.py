@@ -24,7 +24,7 @@ def dt_platform(env):
     worker = network.add_host(Host("worker", uplink_mbps=100, downlink_mbps=100))
     registry = default_registry(env, network)
     dt = DataTransferService(env, server, network, registry,
-                             monitor_period_s=0.5, max_retries=2)
+                             monitor_period_s=0.5)
     server_fs = LocalFileSystem(owner="server")
     content = FileContent.from_seed("file.bin", 20)
     server_fs.write("file.bin", content)
@@ -62,6 +62,14 @@ class TestDataTransferService:
         assert record in dt.pending_transfers()
         drive(env, dt.start(record))
         assert record.completed_at is not None
+
+    @pytest.mark.parametrize("period", [0, -1.0])
+    def test_monitor_period_must_be_positive(self, env, dt_platform, period):
+        dt, *_ = dt_platform
+        with pytest.raises(ValueError,
+                           match="^monitor_period_s must be positive"):
+            DataTransferService(env, dt.host, dt.network, dt.registry,
+                                monitor_period_s=period)
 
     def test_failure_after_retries_raises(self, env, dt_platform):
         dt, data, source, destination, worker, network = dt_platform

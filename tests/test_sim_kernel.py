@@ -20,9 +20,6 @@ class TestClockAndTimeout:
     def test_initial_time_is_zero(self):
         assert Environment().now == 0.0
 
-    def test_initial_time_can_be_set(self):
-        assert Environment(initial_time=5.0).now == 5.0
-
     def test_timeout_advances_clock(self, env):
         done = []
 

@@ -10,6 +10,7 @@ from repro.sim import ids
 from repro.storage.database import (
     ConnectionPool,
     Database,
+    DatabaseEngine,
     EmbeddedSQLEngine,
     NetworkedSQLEngine,
 )
@@ -68,15 +69,15 @@ class TestDatabaseFunctional:
 
 class TestDatabaseCosts:
     def test_operation_pays_engine_costs_without_pool(self, env, drive):
-        engine = EmbeddedSQLEngine(operation_cost_s=0.1, connection_cost_s=0.05)
+        engine = DatabaseEngine("hsqldb", 0.1, 0.05)
         db = Database(env, engine=engine)
         drive(env, db.execute(lambda: db.raw_upsert("t", "k", 1)))
         assert env.now == pytest.approx(0.15)
         assert db.operations == 1
 
     def test_pool_amortises_connection_cost(self, env, drive):
-        engine = NetworkedSQLEngine(operation_cost_s=0.1, connection_cost_s=1.0)
-        pool = ConnectionPool(env, engine, size=2)
+        engine = DatabaseEngine("mysql", 0.1, 1.0)
+        pool = ConnectionPool(env, engine)
         db = Database(env, engine=engine, pool=pool)
 
         def client():
@@ -89,7 +90,7 @@ class TestDatabaseCosts:
         assert pool.connections_opened == 1
 
     def test_database_serialises_concurrent_statements(self, env):
-        engine = EmbeddedSQLEngine(operation_cost_s=0.1, connection_cost_s=0.0)
+        engine = DatabaseEngine("hsqldb", 0.1, 0.0)
         db = Database(env, engine=engine)
 
         def client(i):
@@ -100,7 +101,7 @@ class TestDatabaseCosts:
         assert env.now == pytest.approx(0.5)
 
     def test_statement_multiplier(self, env, drive):
-        engine = EmbeddedSQLEngine(operation_cost_s=0.1, connection_cost_s=0.0)
+        engine = DatabaseEngine("hsqldb", 0.1, 0.0)
         db = Database(env, engine=engine)
         drive(env, db.execute(lambda: None, statements=4))
         assert env.now == pytest.approx(0.4)
@@ -109,10 +110,6 @@ class TestDatabaseCosts:
         db = Database(env)
         with pytest.raises(ValueError):
             next(db.execute(lambda: None, statements=0))
-
-    def test_pool_validation(self, env):
-        with pytest.raises(ValueError):
-            ConnectionPool(env, EmbeddedSQLEngine(), size=0)
 
 
 class TestPersistence:

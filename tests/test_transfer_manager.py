@@ -23,7 +23,9 @@ class FakeAgent:
 
 @pytest.fixture
 def manager(env):
-    return TransferManager(FakeAgent(env), max_concurrent=2)
+    manager = TransferManager(FakeAgent(env))
+    manager.set_max_concurrent(2)
+    return manager
 
 
 class TestTracking:
@@ -175,7 +177,8 @@ class TestConcurrencyControl:
 
     def test_resize_does_not_strand_queued_transfers(self, env):
         """Raising the limit admits a queued transfer at once."""
-        manager = TransferManager(FakeAgent(env), max_concurrent=1)
+        manager = TransferManager(FakeAgent(env))
+        manager.set_max_concurrent(1)
         log = []
 
         def transfer(name, hold_s):

@@ -5,11 +5,11 @@ import pytest
 from repro.net.flows import Network
 from repro.net.host import Host
 from repro.storage.filesystem import FileContent, LocalFileSystem
+from repro.transfer import bittorrent
 from repro.transfer.bittorrent import BitTorrentProtocol, _Peer
 from repro.transfer.ftp import FTPProtocol
 from repro.transfer.http import HTTPProtocol
 from repro.transfer.oob import (
-    DaemonConnector,
     TransferEndpoint,
     TransferError,
     TransferState,
@@ -41,10 +41,18 @@ def make_handle(protocol, content, source, worker):
         content, source, TransferEndpoint(host, fs, "downloads/file.bin"))
 
 
-def start_swarm(env, network, source, content, n_workers, **bt_kwargs):
+def piece_file(source, pieces):
+    """A file on the server that ``PIECE_SIZE_MB`` cuts into *pieces* full
+    pieces: ``(its endpoint, its content)``."""
+    name = f"pieces{pieces}.bin"
+    content = FileContent.from_seed(name, pieces * bittorrent.PIECE_SIZE_MB)
+    source.filesystem.write(name, content)
+    return TransferEndpoint(source.host, source.filesystem, name), content
+
+
+def start_swarm(env, network, source, content, n_workers):
     """*n_workers* fresh hosts all fetching *content* piece by piece."""
-    bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10,
-                            **bt_kwargs)
+    bt = BitTorrentProtocol(env, network, mode="piece")
     workers = [(network.add_host(Host(f"peer{i}", uplink_mbps=100,
                                       downlink_mbps=100)), LocalFileSystem())
                for i in range(n_workers)]
@@ -128,17 +136,6 @@ class TestFTP:
         assert handle.state is TransferState.FAILED
         assert "missing" in handle.error
 
-    def test_server_connection_limit_serialises(self, env, platform):
-        network, server, source, content, workers = platform
-        protocol = FTPProtocol(env, network, max_server_connections=1)
-        handles = [make_handle(protocol, content, source, w) for w in workers[:2]]
-        for handle in handles:
-            protocol.non_blocking_receive(handle)
-        env.run(until=env.all_of([h.done for h in handles]))
-        ends = sorted(h.end_time for h in handles)
-        # With one server slot the downloads cannot overlap.
-        assert ends[1] - ends[0] > 0.4
-
     def test_concurrent_downloads_share_server_uplink(self, env, platform):
         network, server, source, content, workers = platform
         protocol = FTPProtocol(env, network)
@@ -201,7 +198,7 @@ class TestHTTP:
 class TestBitTorrent:
     def test_piece_level_swarm_completes(self, env, platform):
         network, server, source, content, workers = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10)
+        bt = BitTorrentProtocol(env, network, mode="piece")
         handles = [make_handle(bt, content, source, w) for w in workers]
         for handle in handles:
             bt.non_blocking_receive(handle)
@@ -224,29 +221,35 @@ class TestBitTorrent:
 
     def test_piece_count_bounds(self, env, platform):
         network, *_ = platform
-        bt = BitTorrentProtocol(env, network, piece_size_mb=4, max_pieces=64,
-                                min_pieces=4)
+        bt = BitTorrentProtocol(env, network)
+        assert bittorrent.PIECE_SIZE_MB == 4.0
+        assert (bittorrent.MIN_PIECES, bittorrent.MAX_PIECES) == (4, 64)
         assert bt.piece_count_for(1) == 4
         assert bt.piece_count_for(100) == 25
         assert bt.piece_count_for(10_000) == 64
         assert bt.piece_count_for(0) == 1
 
-    def test_auto_mode_picks_fluid_for_large_swarms(self, env, platform):
-        network, *_ = platform
-        bt = BitTorrentProtocol(env, network, mode="auto", detail_budget=10)
+    def test_auto_mode_picks_fluid_for_large_swarms(self, env, platform,
+                                                    monkeypatch):
+        network, server, source, content, workers = platform
+        bt = BitTorrentProtocol(env, network)
         assert bt.mode == "auto"
+        swarm = bt.swarm_for(make_handle(bt, content, source, workers[0]))
+        assert swarm.piece_count == 13
+        assert bt._effective_mode(swarm) == "piece"
+        # Crossing 4000 units by input takes ~300 joined peers at 13 pieces.
+        monkeypatch.setattr(bittorrent, "DETAIL_BUDGET", 10)
+        assert bt._effective_mode(swarm) == "fluid"
 
     def test_invalid_parameters(self, env, platform):
         network, *_ = platform
         with pytest.raises(ValueError):
             BitTorrentProtocol(env, network, mode="bogus")
-        with pytest.raises(ValueError):
-            BitTorrentProtocol(env, network, efficiency=0.0)
 
     def test_daemon_started_once_per_host(self, env, platform, drive):
         network, server, source, content, workers = platform
-        daemon = DaemonConnector(env, startup_cost_s=1.0)
-        bt = BitTorrentProtocol(env, network, mode="piece", daemon=daemon)
+        bt = BitTorrentProtocol(env, network, mode="piece")
+        daemon = bt.daemon
         handle = make_handle(bt, content, source, workers[0])
         drive(env, bt.blocking_receive(handle))
         assert daemon.is_started(workers[0][0])
@@ -275,7 +278,8 @@ class TestBitTorrent:
 
     # -- the swarm's failure path ------------------------------------------------
     def test_leecher_host_failing_mid_piece_leaves_the_swarm(self, env, platform):
-        network, server, source, content, _ = platform
+        network, server, source, *_ = platform
+        source, content = piece_file(source, 5)
         bt, workers, handles = start_swarm(env, network, source, content, 4)
         offered = []
         select = bt._select_piece_and_source
@@ -285,7 +289,7 @@ class TestBitTorrent:
             offered.append(choice and choice[2])
             return choice
         bt._select_piece_and_source = recording_select
-        env.run(until=3.0)
+        env.run(until=2.0)
         swarm = bt._swarms[content.checksum]
         victim = swarm.peers[0]
         assert victim.active_downloads and victim.pieces  # mid-piece, holds some
@@ -299,16 +303,19 @@ class TestBitTorrent:
         assert all(h.state is TransferState.COMPLETE for h in handles[1:])
         assert offered and victim not in offered
 
-    def test_parked_leechers_wake_when_the_seed_recovers(self, env, platform):
+    def test_parked_leechers_wake_when_the_seed_recovers(self, env, platform,
+                                                         monkeypatch):
         """With one upload slot each, the peers have traded what the seed gave
-        out by t = 9 s and all hold the same two pieces: nothing more can
+        out by t = 5 s and all hold the same two pieces: nothing more can
         land while the seed is away, so only its recovery can wake them."""
-        network, server, source, content, _ = platform
-        bt, workers, handles = start_swarm(env, network, source, content, 6,
-                                           max_uploads_per_peer=1)
-        env.run(until=4.0)
+        network, server, source, *_ = platform
+        source, content = piece_file(source, 5)
+        # No input gives a peer a single upload slot.
+        monkeypatch.setattr(bittorrent, "MAX_UPLOADS_PER_PEER", 1)
+        bt, workers, handles = start_swarm(env, network, source, content, 6)
+        env.run(until=2.5)
         server.fail()
-        env.run(until=10.0)
+        env.run(until=6.0)
         server.recover()
         env.run(until=5000)
         states = [h.state for h in handles]
@@ -316,21 +323,23 @@ class TestBitTorrent:
         # must not still be TRANSFERRING on an empty event queue.
         assert states.count(TransferState.FAILED) == 1
         assert states.count(TransferState.COMPLETE) == 5
-        assert all(10.0 < h.end_time < 30.0 for h in handles
+        assert all(6.0 < h.end_time < 15.0 for h in handles
                    if h.state is TransferState.COMPLETE)
 
-    def test_parked_peer_fails_with_its_own_host(self, env, platform):
-        network, server, source, content, _ = platform
-        bt, workers, handles = start_swarm(env, network, source, content, 6,
-                                           max_uploads_per_peer=1)
-        env.run(until=4.0)
+    def test_parked_peer_fails_with_its_own_host(self, env, platform,
+                                                 monkeypatch):
+        network, server, source, *_ = platform
+        source, content = piece_file(source, 5)
+        monkeypatch.setattr(bittorrent, "MAX_UPLOADS_PER_PEER", 1)
+        bt, workers, handles = start_swarm(env, network, source, content, 6)
+        env.run(until=2.5)
         server.fail()
-        env.run(until=9.5)
+        env.run(until=5.5)
         swarm = bt._swarms[content.checksum]
         assert not any(peer.active_downloads for peer in swarm.peers.values())
-        parked = swarm.peers[1]
+        parked = next(iter(swarm.peers.values()))
         parked.host.fail()
-        env.run(until=9.9)
+        env.run(until=5.9)
         assert parked.handle.state is TransferState.FAILED
         assert "went offline" in parked.handle.error
         assert parked not in swarm.peers.values()
@@ -338,8 +347,9 @@ class TestBitTorrent:
 
     # -- membership is per transfer, not per host ------------------------------
     def test_two_transfers_on_one_host_are_two_peers(self, env, platform):
-        network, server, source, content, workers = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10)
+        network, server, source, _, workers = platform
+        source, content = piece_file(source, 5)
+        bt = BitTorrentProtocol(env, network, mode="piece")
         handles = [bt.create_handle(content, source, TransferEndpoint(
             *workers[i], f"downloads/copy{n}.bin"))
             for n, i in enumerate((0, 0, 1))]
@@ -352,8 +362,9 @@ class TestBitTorrent:
         assert [len(holders) for holders in swarm.holders] == [3] * 5
 
     def test_remove_peer_removes_that_peer(self, env, platform):
-        network, server, source, content, workers = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10)
+        network, server, source, _, workers = platform
+        source, content = piece_file(source, 5)
+        bt = BitTorrentProtocol(env, network, mode="piece")
         host = workers[0][0]
         swarm, (first, second) = join_by_hand(bt, content, source, [host, host])
         swarm.add_piece(first, 0)
@@ -364,14 +375,15 @@ class TestBitTorrent:
         assert swarm.holders[0] == [second] and swarm.holders[3] == [second]
 
     def test_failed_handle_rejoins_on_the_same_host(self, env, platform):
-        network, server, source, content, _ = platform
+        network, server, source, *_ = platform
+        source, content = piece_file(source, 5)
         bt, workers, handles = start_swarm(env, network, source, content, 3)
-        env.run(until=3.0)
+        env.run(until=2.0)
         swarm = bt._swarms[content.checksum]
         first_life = swarm.peers[0]
         assert first_life.pieces
         first_life.host.fail()
-        env.run(until=3.5)
+        env.run(until=2.5)
         assert handles[0].state is TransferState.FAILED
         first_life.host.recover()
         retry = env.process(bt.blocking_receive(handles[0]))
@@ -385,8 +397,9 @@ class TestBitTorrent:
 
     # -- selection ---------------------------------------------------------------
     def test_rarest_piece_is_picked_first(self, env, platform):
-        network, server, source, content, workers = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10)
+        network, server, source, _, workers = platform
+        source, content = piece_file(source, 5)
+        bt = BitTorrentProtocol(env, network, mode="piece")
         swarm, (a, b, c, leecher) = join_by_hand(
             bt, content, source, [host for host, _ in workers])
         for peer, pieces in ((a, (0, 1, 2, 4)), (b, (0, 1, 4)), (c, (0, 2, 4))):
@@ -401,9 +414,10 @@ class TestBitTorrent:
 
     def test_source_is_the_least_busy_then_seed_then_earliest_joiner(
             self, env, platform):
-        network, server, source, content, workers = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=10,
-                                max_uploads_per_peer=2)
+        network, server, source, _, workers = platform
+        source, content = piece_file(source, 5)
+        bt = BitTorrentProtocol(env, network, mode="piece")
+        full = bittorrent.MAX_UPLOADS_PER_PEER
         swarm, (early, late, leecher) = join_by_hand(
             bt, content, source, [host for host, _ in workers[:3]])
         for piece in range(5):          # the later joiner got every piece first
@@ -412,36 +426,37 @@ class TestBitTorrent:
 
         def chosen():
             return bt._select_piece_and_source(swarm, leecher)[2]
-        swarm.seed_active_uploads[server.uid] = 1
-        early.active_uploads = late.active_uploads = 1
+        swarm.seed_active_uploads[server.uid] = full - 1
+        early.active_uploads = late.active_uploads = full - 1
         assert chosen() is server                   # equally busy: the seed
-        late.active_uploads = 0
+        late.active_uploads = full - 2
         assert chosen() is late                     # strictly less busy wins
-        swarm.seed_active_uploads[server.uid] = 2   # no free slot on the seed
-        late.active_uploads = 1
+        swarm.seed_active_uploads[server.uid] = full  # no free slot on the seed
+        late.active_uploads = full - 1
         assert chosen() is early                    # equally busy: join order
         early.host.fail()
         assert chosen() is late
-        late.active_uploads = 2
+        late.active_uploads = full
         assert bt._select_piece_and_source(swarm, leecher) is None
 
     def test_selection_reads_the_candidate_pieces_holders_only(
             self, env, platform):
         """50 peers x 20 pieces: the 19 rarest pieces have two holders each,
         all out of upload slots, and the seed is full too."""
-        network, server, source, content, _ = platform
-        bt = BitTorrentProtocol(env, network, mode="piece", piece_size_mb=2.5)
+        network, server, source, *_ = platform
+        source, content = piece_file(source, 20)
+        bt = BitTorrentProtocol(env, network, mode="piece")
         swarm, peers = join_by_hand(
             bt, content, source, [Host(f"p{i}") for i in range(50)])
         leecher, busy, free = peers[0], peers[1:39], peers[39:49]
         assert swarm.piece_count == 20
         for piece in range(19):
             for peer in busy[2 * piece:2 * piece + 2]:
-                peer.active_uploads = bt.max_uploads_per_peer
+                peer.active_uploads = bittorrent.MAX_UPLOADS_PER_PEER
                 swarm.add_piece(peer, piece)
         for peer in free:
             swarm.add_piece(peer, 19)
-        swarm.seed_active_uploads[server.uid] = bt.max_uploads_per_peer
+        swarm.seed_active_uploads[server.uid] = bittorrent.MAX_UPLOADS_PER_PEER
 
         class NeverScanned(dict):
             def values(self):
@@ -478,9 +493,8 @@ class TestRegistry:
         registry.register("ftp", lambda e, n: FTPProtocol(e, n))
         with pytest.raises(ValueError):
             registry.register("ftp", lambda e, n: FTPProtocol(e, n))
-        registry.register("ftp", lambda e, n: FTPProtocol(e, n, control_setup_s=0.2),
-                          replace=True)
-        assert registry.get("ftp").control_setup_s == pytest.approx(0.2)
+        registry.register("ftp", lambda e, n: HTTPProtocol(e, n), replace=True)
+        assert isinstance(registry.get("ftp"), HTTPProtocol)
 
     def test_register_instance(self, env, platform):
         network, *_ = platform
