@@ -248,18 +248,19 @@ class MasterWorkerApplication:
             agents.append(self.register_worker(agent))
         return agents
 
-    def _shared_ready(self, agent: HostAgent) -> bool:
-        return all(agent.has_content(data.uid)
-                   for data in self.shared_data.values())
-
     def _execute(self, agent: HostAgent, task: TaskSpec, input_data: Data):
         """Generator: one worker executing one task."""
         env = self.runtime.env
         record = TaskRecord(task_id=task.task_id, host_name=agent.host.name,
                             cluster=agent.host.cluster, started_at=env.now)
         # Wait for the shared inputs (they arrive through affinity/replication).
+        # ``deploy`` filled ``shared_data`` before any task was submitted, so
+        # the uids are read once; a poll is then one C-level superset test
+        # (``>=``) against the agent's live content set, with no Python call.
+        shared_uids = frozenset(data.uid for data in self.shared_data.values())
+        present = agent.content_present
         wait_start = env.now
-        while not self._shared_ready(agent):
+        while not present >= shared_uids:
             if not agent.host.online:
                 return None
             yield env.timeout(1.0)

@@ -92,6 +92,8 @@ def run_fabric_rebalance(
     forces a split at ``split_at`` and a merge at ``merge_at``; the ledger
     and the post-run raw audit prove no request was lost or duplicated.
     """
+    if n_hosts < 1:
+        raise ValueError(f"n_hosts must be at least 1, got {n_hosts!r}")
     env = Environment()
     topo = cluster_topology(env, n_workers=n_hosts,
                             n_service_hosts=service_hosts,

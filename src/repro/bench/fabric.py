@@ -149,6 +149,8 @@ def run_fabric_scale(
     catalog-heavy storm is where sharding pays — ``throughput_x`` is the
     centralized/sharded makespan ratio on the identical request stream.
     """
+    if n_hosts < 1:
+        raise ValueError(f"n_hosts must be at least 1, got {n_hosts!r}")
     if shards < 1:
         raise ValueError("shards must be at least 1")
     centralized = _storm_once(
@@ -208,6 +210,8 @@ def run_fabric_failover(
     timeout.  If ``recover_at`` is set the host comes back, its heartbeats
     resume and routing returns to the primary.
     """
+    if n_hosts < 1:
+        raise ValueError(f"n_hosts must be at least 1, got {n_hosts!r}")
     if service_hosts < 2 or replicas < 2:
         raise ValueError("failover needs at least 2 service hosts and "
                          "2 replicas per shard")

@@ -45,6 +45,8 @@ def run_fig4(
     seed: int = 42,
 ) -> Dict[str, object]:
     """Run the Figure 4 scenario and return the per-arrival timeline."""
+    if n_initial < 1:
+        raise ValueError(f"n_initial must be at least 1, got {n_initial!r}")
     if n_initial + n_spare > 12:
         raise ValueError("DSL-Lab has 12 nodes; n_initial + n_spare must fit")
     env = Environment()

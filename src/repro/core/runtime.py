@@ -18,7 +18,8 @@ the Data Scheduler (heartbeat + synchronisation).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple, Union
+from typing import (AbstractSet, Any, Dict, Generator, List, Optional, Set,
+                    Tuple, Union)
 
 from repro.core.active_data import ActiveData
 from repro.core.attributes import Attribute, DEFAULT_ATTRIBUTE
@@ -179,6 +180,12 @@ class HostAgent:
 
     def has_content(self, uid: str) -> bool:
         return uid in self._content_present
+
+    @property
+    def content_present(self) -> AbstractSet[str]:
+        """The live set of uids whose bytes are in the cache (read, never
+        write): a poll tests it without a Python call into the agent."""
+        return self._content_present
 
     def local_content(self, uid: str) -> Optional[FileContent]:
         data = self._local_data.get(uid)

@@ -18,7 +18,7 @@ Units: sizes are megabytes (MB), rates are MB/s, times are seconds.
 """
 
 from repro.net.flows import Flow, Network, TransferFailed
-from repro.net.host import Host, HostState
+from repro.net.host import Host
 from repro.net.rpc import RpcChannel, RpcEndpoint, ChannelKind
 from repro.net.topology import (
     Topology,
@@ -31,7 +31,6 @@ __all__ = [
     "ChannelKind",
     "Flow",
     "Host",
-    "HostState",
     "Network",
     "RpcChannel",
     "RpcEndpoint",

@@ -9,20 +9,12 @@ cores), and the volatility state the scheduler's failure detector observes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.sim import ids
 
-__all__ = ["Host", "HostState", "HostSpec"]
-
-
-class HostState(enum.Enum):
-    """Availability state of a host."""
-
-    ONLINE = "online"
-    OFFLINE = "offline"
+__all__ = ["Host", "HostSpec"]
 
 
 @dataclass
@@ -72,17 +64,16 @@ class Host:
         self.disk_mb = float(disk_mb)
         #: Stable hosts run D* services; volatile hosts are reservoirs/clients.
         self.stable = bool(stable)
-        self.state = HostState.ONLINE
+        #: Liveness, a plain attribute: polls read it on every round, so it
+        #: costs one instance lookup.  Only :meth:`fail` and :meth:`recover`
+        #: write it.
+        self.online = True
         #: Callbacks invoked with (host,) when the host goes offline.
         self._failure_listeners: List[Callable[["Host"], None]] = []
         #: Callbacks invoked with (host,) when the host comes back online.
         self._recovery_listeners: List[Callable[["Host"], None]] = []
 
     # -- state -------------------------------------------------------------
-    @property
-    def online(self) -> bool:
-        return self.state is HostState.ONLINE
-
     def on_failure(self, callback: Callable[["Host"], None]) -> None:
         self._failure_listeners.append(callback)
 
@@ -91,17 +82,17 @@ class Host:
 
     def fail(self) -> None:
         """Mark the host offline and notify listeners (network, services)."""
-        if self.state is HostState.OFFLINE:
+        if not self.online:
             return
-        self.state = HostState.OFFLINE
+        self.online = False
         for callback in list(self._failure_listeners):
             callback(self)
 
     def recover(self) -> None:
         """Bring the host back online (transient-fault model for service nodes)."""
-        if self.state is HostState.ONLINE:
+        if self.online:
             return
-        self.state = HostState.ONLINE
+        self.online = True
         for callback in list(self._recovery_listeners):
             callback(self)
 
@@ -118,7 +109,7 @@ class Host:
         return (
             f"Host({self.name!r}, cluster={self.cluster!r}, {role}, "
             f"up={self.uplink_mbps}MB/s, down={self.downlink_mbps}MB/s, "
-            f"{self.state.value})"
+            f"{'online' if self.online else 'offline'})"
         )
 
     def __hash__(self) -> int:

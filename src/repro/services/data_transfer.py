@@ -43,6 +43,13 @@ MONITOR_MESSAGE_KB = 8.0
 #: Attempts of one transfer before it is reported failed.
 MAX_RETRIES = 3
 
+#: The states a monitoring poll compares against, bound once: a lookup on an
+#: Enum class goes through ``EnumType.__getattr__``, and ``_monitor`` polls
+#: every transfer each ``monitor_period_s``.
+_COMPLETE = TransferState.COMPLETE
+_FAILED = TransferState.FAILED
+_CANCELLED = TransferState.CANCELLED
+
 
 @dataclass
 class SupervisedTransfer:
@@ -208,9 +215,9 @@ class DataTransferService:
             yield self.env.timeout(self.monitor_period_s)
             self.monitor_messages += 2  # request towards the receiver + reply
             state = protocol.probe(handle)
-            if state is TransferState.COMPLETE:
+            if state is _COMPLETE:
                 return True
-            if state in (TransferState.FAILED, TransferState.CANCELLED):
+            if state is _FAILED or state is _CANCELLED:
                 return False
             if not record.destination.host.online:
                 handle.cancel("receiver went offline")

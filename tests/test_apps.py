@@ -1,7 +1,11 @@
 """Integration tests for the applications built on BitDew."""
 
+import inspect
+from collections import Counter
+
 import pytest
 
+from repro.apps import master_worker
 from repro.apps.blast import BlastParameters, build_blast_application
 from repro.apps.master_worker import (
     MasterWorkerApplication,
@@ -9,10 +13,12 @@ from repro.apps.master_worker import (
     TaskSpec,
 )
 from repro.apps.updater import UpdaterApplication
+from repro.core import runtime as core_runtime
 from repro.core.runtime import BitDewEnvironment
 from repro.net.topology import cluster_topology, grid5000_testbed
 from repro.sim.kernel import Environment
 from repro.transfer.registry import default_registry
+from tests.conftest import count_calls
 
 
 def small_runtime(env, n_workers, **kwargs):
@@ -162,6 +168,38 @@ class TestBlastApplication:
         assert report.tasks_executed == 3
         breakdown = report.mean_breakdown()
         assert breakdown["unzip_s"] > 0
+
+    def test_readiness_poll_enters_no_function(self, env):
+        """A worker polls for the shared inputs once per simulated second.
+        Only the waiting ``_execute`` frame itself is resumed per poll; no
+        function of the application or the agent is entered.  (A generator
+        of the runtime is resumed by its own events, not by the poll.)"""
+        topo, runtime = small_runtime(env, n_workers=10, sync_period_s=30.0,
+                                      monitor_period_s=10.0,
+                                      heartbeat_period_s=15.0,
+                                      max_data_schedule=2)
+        params = BlastParameters(genebase_mb=1024, unzip_reference_s=1,
+                                 execution_reference_s=1)
+        app = build_blast_application(runtime, topo.service_host, n_tasks=10,
+                                      transfer_protocol="ftp",
+                                      parameters=params)
+        app.register_workers()
+        files = {master_worker.__file__, core_runtime.__file__}
+        entered = Counter()
+
+        def tally(code):
+            if code.co_filename in files and (
+                    not code.co_flags & inspect.CO_GENERATOR
+                    or code.co_name == "<genexpr>"):
+                entered[code.co_qualname] += 1
+            return True
+
+        report, _ = count_calls(
+            lambda: app.run(deadline_s=3000, poll_s=30.0), tally)
+        assert report.results_collected == 10
+        polls = sum(round(record.shared_wait_s) for record in app.records)
+        assert polls > 500
+        assert {name: n for name, n in entered.items() if n >= polls} == {}
 
     def test_blast_attribute_wiring(self, env):
         """The application's attributes follow Listing 3 of the paper."""

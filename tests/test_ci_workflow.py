@@ -9,6 +9,7 @@ to the tree: it parses, it has the five jobs ``docs/ARCHITECTURE.md``
 
 import os
 import re
+import subprocess
 
 import pytest
 
@@ -117,3 +118,23 @@ def test_determinism_is_one_gate(workflow):
         for command in _commands(job):
             assert not ("cmp " in command and "repro run" in command), (
                 f"job {name!r} byte-compares `repro run` outputs:\n{command}")
+
+
+def test_impossible_inputs_fail_loudly(workflow):
+    """One ``sweep-cli`` step runs the four empty platforms; run here as
+    written, each exits 2 with a single ``error:`` line."""
+    steps = [command for command in _commands(workflow["jobs"]["sweep-cli"])
+             if "n_initial=0" in command]
+    assert len(steps) == 1
+    for run in ("fabric-scale --set n_hosts=0",
+                "fabric-failover --set n_hosts=0",
+                "fabric-rebalance --set n_hosts=0",
+                "fig4 --set n_initial=0"):
+        assert f'"python -m repro run {run}"' in steps[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    done = subprocess.run(["bash", "-e", "-c", steps[0]], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        "error: n_hosts must be at least 1, got 0"] * 3 + [
+        "error: n_initial must be at least 1, got 0"]

@@ -468,6 +468,19 @@ class TestCLI:
         assert capsys.readouterr().err.splitlines() == [
             "error: monitor_period_s must be positive, got 0"]
 
+    @pytest.mark.parametrize("scenario, param", [
+        ("fabric-scale", "n_hosts"),        # was a ZeroDivisionError traceback
+        ("fabric-failover", "n_hosts"),     # was "max() arg is an empty sequence"
+        ("fabric-rebalance", "n_hosts"),    # exited 0 having published nothing
+        ("fig4", "n_initial"),              # exited 0 with no replica alive
+    ])
+    def test_empty_platform_is_a_clean_error(self, scenario, param, capsys):
+        code = cli_main(["run", scenario, "--quiet", "--no-cache",
+                         "--set", f"{param}=0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {param} must be at least 1, got 0"]
+
     def test_malformed_set_value_is_a_clean_error(self, capsys):
         assert cli_main(["run", "fig4", "--set", "noequals", "--quiet"]) == 2
         err = capsys.readouterr().err

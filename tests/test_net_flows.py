@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.flows import Network, TransferFailed
-from repro.net.host import Host, HostState
+from repro.net.host import Host
 
 
 class TestHostModel:
@@ -31,7 +31,7 @@ class TestHostModel:
         host.recover()
         host.recover()   # idempotent
         assert log == [("down", "h"), ("up", "h")]
-        assert host.state is HostState.ONLINE
+        assert host.online is True
 
     def test_hosts_hash_by_identity(self):
         a, b = Host("same"), Host("same")

@@ -10,21 +10,21 @@ from repro.net.rpc import ChannelKind
 from repro.net.topology import cluster_topology
 from repro.services.container import ServiceContainer
 from repro.services.data_transfer import DataTransferService
+from repro.sim.kernel import Environment
 from repro.storage.database import NetworkedSQLEngine
 from repro.storage.filesystem import FileContent, LocalFileSystem
-from repro.transfer.oob import TransferEndpoint
+from repro.transfer.oob import TransferEndpoint, TransferState
 from repro.transfer.registry import default_registry
 
 
-@pytest.fixture
-def dt_platform(env):
+def make_dt_platform(env, monitor_period_s=0.5):
     network = Network(env, default_latency_s=0.001)
     server = network.add_host(Host("server", uplink_mbps=100, downlink_mbps=100,
                                    stable=True))
     worker = network.add_host(Host("worker", uplink_mbps=100, downlink_mbps=100))
     registry = default_registry(env, network)
     dt = DataTransferService(env, server, network, registry,
-                             monitor_period_s=0.5)
+                             monitor_period_s=monitor_period_s)
     server_fs = LocalFileSystem(owner="server")
     content = FileContent.from_seed("file.bin", 20)
     server_fs.write("file.bin", content)
@@ -33,6 +33,11 @@ def dt_platform(env):
     destination = TransferEndpoint(worker, LocalFileSystem(owner="worker"),
                                    "cache/file.bin")
     return dt, data, source, destination, worker, network
+
+
+@pytest.fixture
+def dt_platform(env):
+    return make_dt_platform(env)
 
 
 class TestDataTransferService:
@@ -107,6 +112,34 @@ class TestDataTransferService:
         env.run(until=process)
         # All reservations released after completion.
         assert network._background == {}
+
+    def test_enum_lookups_follow_transfers_not_polls(self, monkeypatch):
+        """A monitoring poll reads liveness and transfer states through
+        plain names: the attribute lookups on Enum classes (each a trip
+        through ``EnumType.__getattr__`` on CPython 3.11) are those of the
+        transfer's life cycle, however often it is polled."""
+        lookups = 0
+
+        def counting(cls, name):
+            nonlocal lookups
+            lookups += 1
+            return type.__getattribute__(cls, name)
+
+        polls_and_lookups = []
+        for period in (0.5, 0.01):
+            env = Environment()
+            dt, data, source, destination, *_ = make_dt_platform(env, period)
+            process = env.process(dt.submit(data, "ftp", source, destination))
+            lookups = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(type(TransferState), "__getattribute__",
+                              counting, raising=False)
+                env.run(until=process)
+            assert process.value.completed_at is not None
+            polls_and_lookups.append((dt.monitor_messages // 2, lookups))
+        (slow_polls, slow), (fast_polls, fast) = polls_and_lookups
+        assert fast_polls >= slow_polls + 20
+        assert 0 < fast == slow
 
 
 class TestServiceContainer:
