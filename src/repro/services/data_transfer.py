@@ -29,10 +29,12 @@ from repro.net.host import Host
 from repro.sim import ids
 from repro.sim.kernel import Environment
 from repro.transfer.oob import (
+    CANCELLED,
+    COMPLETE,
+    FAILED,
     OOBTransfer,
     TransferEndpoint,
     TransferHandle,
-    TransferState,
 )
 from repro.transfer.registry import ProtocolRegistry
 
@@ -42,13 +44,6 @@ __all__ = ["DataTransferService", "SupervisedTransfer"]
 MONITOR_MESSAGE_KB = 8.0
 #: Attempts of one transfer before it is reported failed.
 MAX_RETRIES = 3
-
-#: The states a monitoring poll compares against, bound once: a lookup on an
-#: Enum class goes through ``EnumType.__getattr__``, and ``_monitor`` polls
-#: every transfer each ``monitor_period_s``.
-_COMPLETE = TransferState.COMPLETE
-_FAILED = TransferState.FAILED
-_CANCELLED = TransferState.CANCELLED
 
 
 @dataclass
@@ -215,9 +210,9 @@ class DataTransferService:
             yield self.env.timeout(self.monitor_period_s)
             self.monitor_messages += 2  # request towards the receiver + reply
             state = protocol.probe(handle)
-            if state is _COMPLETE:
+            if state is COMPLETE:
                 return True
-            if state is _FAILED or state is _CANCELLED:
+            if state is FAILED or state is CANCELLED:
                 return False
             if not record.destination.host.online:
                 handle.cancel("receiver went offline")

@@ -191,7 +191,7 @@ class TestBlastApplication:
             if code.co_filename in files and (
                     not code.co_flags & inspect.CO_GENERATOR
                     or code.co_name == "<genexpr>"):
-                entered[code.co_qualname] += 1
+                entered[code.co_name, code.co_firstlineno] += 1
             return True
 
         report, _ = count_calls(
