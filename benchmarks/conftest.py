@@ -1,47 +1,50 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  By default the
-parameter grids are reduced so the whole suite finishes in minutes on a
-laptop; set ``REPRO_PAPER_SCALE=1`` to run the full grids of the paper
-(hundreds of nodes, 2.68 GB Genebase, all size/node combinations), which
-takes considerably longer.
+Every benchmark regenerates one table or figure of the paper, or pins a
+shape beyond it, at the sizes its scenario declares (``sizes=`` on
+``@scenario``).  ``REPRO_SIZES`` picks the tier for the whole run:
+
+* unset — the scenario function defaults;
+* ``quick`` — the smallest sizes at which every shape check holds (CI);
+* ``paper`` — the paper's full grids (hundreds of nodes, Figure 5 up to 275
+  workers), which takes considerably longer.
+
+Any other value fails the session before a benchmark runs.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Dict, Optional
 
 import pytest
 
+from repro.experiments import default_registry
 
-def paper_scale() -> bool:
-    return os.environ.get("REPRO_PAPER_SCALE", "0") not in ("0", "", "false")
+#: The values ``REPRO_SIZES`` may take (unset: the function defaults).
+TIERS = ("quick", "paper")
 
 
-@pytest.fixture(scope="session")
-def scale() -> dict:
-    """Parameter grids for the experiments, at benchmark or paper scale."""
-    if paper_scale():
-        return {
-            "paper_scale": True,
-            "table2_creations": 5000,
-            "table3_nodes": 50,
-            "table3_pairs": 500,
-            "fig3_sizes": (10, 20, 50, 100, 150, 200, 250, 500),
-            "fig3_nodes": (10, 20, 50, 100, 150, 200, 250),
-            "fig5_workers": (10, 20, 50, 100, 150, 200, 250, 275),
-            "fig6_nodes": 400,
-        }
-    return {
-        "paper_scale": False,
-        "table2_creations": 1500,
-        "table3_nodes": 50,
-        "table3_pairs": 100,
-        "fig3_sizes": (10, 100, 500),
-        "fig3_nodes": (10, 50, 150),
-        "fig5_workers": (10, 50, 100),
-        "fig6_nodes": 80,
-    }
+def size_tier() -> Optional[str]:
+    """The ``REPRO_SIZES`` tier, or ``None`` for the function defaults."""
+    tier = os.environ.get("REPRO_SIZES") or None
+    if tier is not None and tier not in TIERS:
+        raise pytest.UsageError(
+            f"REPRO_SIZES={tier!r} is not a size tier: set it to "
+            f"{' or '.join(map(repr, TIERS))}, or leave it unset for the "
+            f"scenario defaults")
+    return tier
+
+
+def pytest_configure(config) -> None:
+    size_tier()
+
+
+def sizes(scenario: str) -> Dict[str, object]:
+    """Every parameter of *scenario* at the ``REPRO_SIZES`` tier."""
+    definition = default_registry().get(scenario)
+    tier = size_tier()
+    return definition.spec(**(definition.sizes(tier) if tier else {})).params
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -13,7 +13,7 @@ from repro.bench.reporting import format_table, shape_check
 from repro.bench.transfer import run_ftp_alone
 
 
-def test_ablation_bandwidth_model(benchmark, scale):
+def test_ablation_bandwidth_model(benchmark):
     # 4 workers behind 125 MB/s NICs, server uplink 1 GB/s: the server is NOT
     # the bottleneck, so ignoring the receiver links matters.
     size_mb, n_nodes = 100.0, 4

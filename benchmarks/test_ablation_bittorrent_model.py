@@ -12,7 +12,7 @@ from repro.bench.reporting import format_table, shape_check
 from repro.bench.transfer import run_distribution
 
 
-def test_ablation_bittorrent_model(benchmark, scale):
+def test_ablation_bittorrent_model(benchmark):
     # 100 MB to 40 nodes: comfortably past the FTP/BitTorrent crossover.
     size_mb, n_nodes = 100.0, 40
 

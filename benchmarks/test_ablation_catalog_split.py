@@ -9,7 +9,7 @@ survives node failures), which is what makes it suitable for the volatile
 replica index.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.micro import run_table3
 from repro.bench.reporting import format_table, shape_check
 from repro.dht.chord import ChordRing
@@ -35,8 +35,9 @@ def _ddc_load_distribution(n_nodes: int, pairs_per_node: int):
     return served
 
 
-def test_ablation_catalog_split(benchmark, scale):
-    n_nodes, pairs = scale["table3_nodes"], max(20, scale["table3_pairs"] // 5)
+def test_ablation_catalog_split(benchmark):
+    grid = sizes("table3")
+    n_nodes, pairs = grid["n_nodes"], max(20, grid["pairs_per_node"] // 5)
 
     def experiment():
         timing = run_table3(n_nodes=n_nodes, pairs_per_node=pairs)

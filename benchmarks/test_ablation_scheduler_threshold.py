@@ -31,7 +31,7 @@ def rounds_to_acquire(n_items: int, max_data_schedule: int) -> int:
     return rounds
 
 
-def test_ablation_scheduler_threshold(benchmark, scale):
+def test_ablation_scheduler_threshold(benchmark):
     n_items = 32
     thresholds = (1, 4, 16, 64)
 

@@ -8,8 +8,9 @@ minimum of keys, and the SLO-driven autoscaler cuts the violation-seconds
 integral of a diurnal day by ≥3× versus a fixed deployment.
 
 Both scenarios are pure simulation, so every asserted number is
-deterministic.  Set ``REPRO_SCALE_QUICK=1`` for the reduced rebalance size
-(the autoscale day is already compressed to 120 s and runs as-is).
+deterministic.  ``REPRO_SIZES`` sizes the rebalance run
+(``benchmarks/conftest.py``); the autoscale day is already compressed to
+120 s and runs as-is.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from repro.bench.elastic import run_fabric_autoscale, run_fabric_rebalance
 from repro.bench.reporting import format_table, shape_check
 
-from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale
+from benchmarks.conftest import emit, sizes
 
 
 class TestFabricRebalance:
@@ -32,12 +32,7 @@ class TestFabricRebalance:
         keep every datum on exactly one shard, and each migration must
         move no more than 1.25× the ``K·1/max(S,S')`` minimum.
         """
-        if quick_scale():
-            metrics = run_fabric_rebalance(n_hosts=6, n_data=24,
-                                           run_for_s=12.0, split_at=3.0,
-                                           merge_at=8.0)
-        else:
-            metrics = run_fabric_rebalance()      # 8 hosts, 2→3→2 shards
+        metrics = run_fabric_rebalance(**sizes("fabric-rebalance"))
         transitions = metrics["transitions"]
         emit("Fabric rebalance (%d hosts, %d→%d→%d shards)"
              % (metrics["n_hosts"], metrics["shards_before"],

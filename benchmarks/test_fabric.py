@@ -10,7 +10,7 @@ Both scenarios are pure simulation, so every asserted number is
 deterministic; the ≥2× throughput gate arms on the sharded configuration
 itself (≥4 shards).
 
-Set ``REPRO_SCALE_QUICK=1`` to run reduced sizes (used by the CI smoke job).
+``REPRO_SIZES`` sizes the throughput storm (``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from repro.bench.fabric import run_fabric_failover, run_fabric_scale
 from repro.bench.reporting import format_table, shape_check
 
-from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale
+from benchmarks.conftest import emit, sizes
 
 
 class TestFabricScale:
@@ -31,11 +30,7 @@ class TestFabricScale:
         catalog+scheduler must sustain at least twice the centralized
         container's throughput — the makespan ratio on the same storm.
         """
-        if quick_scale():
-            metrics = run_fabric_scale(n_hosts=30, n_data=200, rounds=2,
-                                       pairs_per_round=8)
-        else:
-            metrics = run_fabric_scale()          # 100 hosts, 4 shards
+        metrics = run_fabric_scale(**sizes("fabric-scale"))
         central = metrics["centralized"]
         sharded = metrics["sharded"]
         emit("Fabric scale (%d hosts, %d shards)"

@@ -8,7 +8,7 @@ replication phase heals exactly-once; trust + visibility policy places
 copies exactly where it should.
 
 Everything is pure simulation: every asserted number is deterministic.
-Set ``REPRO_SCALE_QUICK=1`` to run reduced sizes (the CI smoke job).
+``REPRO_SIZES`` sizes the flash crowd (``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from repro.bench.federation import (run_federation_flash_crowd,
                                     run_federation_sovereignty)
 from repro.bench.reporting import format_table, shape_check
 
-from benchmarks.conftest import emit
-from benchmarks.test_scale_grid import quick_scale
+from benchmarks.conftest import emit, sizes
 
 
 class TestFederationFlashCrowd:
@@ -32,10 +31,8 @@ class TestFederationFlashCrowd:
         every remote worker fetches through the home gateway, serialising
         on the shared WAN pipes.
         """
-        if quick_scale():
-            metrics = run_federation_flash_crowd(workers_per_domain=6)
-        else:
-            metrics = run_federation_flash_crowd()
+        metrics = run_federation_flash_crowd(
+            **sizes("federation-flash-crowd"))
         federated = metrics["federated"]
         baseline = metrics["baseline"]
         emit("Federation flash crowd (%d domains x %d workers)"

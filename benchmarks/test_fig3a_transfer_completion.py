@@ -7,15 +7,15 @@ downloaders while the swarm's aggregate capacity grows with its size, making
 BitTorrent's completion time nearly flat in the number of nodes.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.reporting import format_table, shape_check
 from repro.bench.transfer import run_fig3a
 
 
-def test_fig3a_transfer_completion(benchmark, scale):
-    sizes = scale["fig3_sizes"]
-    nodes = scale["fig3_nodes"]
-    rows = run_once(benchmark, run_fig3a, sizes_mb=sizes, node_counts=nodes)
+def test_fig3a_transfer_completion(benchmark):
+    grid = sizes("fig3a")
+    sizes_mb, nodes = grid["sizes_mb"], grid["node_counts"]
+    rows = run_once(benchmark, run_fig3a, **grid)
 
     emit("Figure 3a — completion time (s) of BitDew distribution",
          format_table([{k: r[k] for k in
@@ -29,8 +29,8 @@ def test_fig3a_transfer_completion(benchmark, scale):
                 return row["completion_s"]
         raise KeyError((protocol, size, n))
 
-    big_size = max(sizes)
-    small_size = min(sizes)
+    big_size = max(sizes_mb)
+    small_size = min(sizes_mb)
     many = max(nodes)
     few = min(nodes)
 

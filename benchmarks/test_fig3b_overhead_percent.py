@@ -7,15 +7,15 @@ a few percent for large transfers, where only the monitoring traffic's
 bandwidth share remains.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.reporting import format_table, shape_check
 from repro.bench.transfer import run_fig3bc
 
 
-def test_fig3b_overhead_percent(benchmark, scale):
-    sizes = scale["fig3_sizes"]
-    nodes = scale["fig3_nodes"]
-    rows = run_once(benchmark, run_fig3bc, sizes_mb=sizes, node_counts=nodes)
+def test_fig3b_overhead_percent(benchmark):
+    grid = sizes("fig3bc")
+    sizes_mb, nodes = grid["sizes_mb"], grid["node_counts"]
+    rows = run_once(benchmark, run_fig3bc, **grid)
 
     emit("Figure 3b — BitDew overhead over FTP alone (percent)",
          format_table([{k: r[k] for k in
@@ -28,7 +28,7 @@ def test_fig3b_overhead_percent(benchmark, scale):
                 return row["overhead_pct"]
         raise KeyError((size, n))
 
-    small, big = min(sizes), max(sizes)
+    small, big = min(sizes_mb), max(sizes_mb)
     few, many = min(nodes), max(nodes)
 
     checks = shape_check("figure 3b")

@@ -6,15 +6,15 @@ dominant term is the bandwidth consumed by the BitDew monitoring protocol
 while the transfers are in flight.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.reporting import format_table, shape_check
 from repro.bench.transfer import run_fig3bc
 
 
-def test_fig3c_overhead_seconds(benchmark, scale):
-    sizes = scale["fig3_sizes"]
-    nodes = scale["fig3_nodes"]
-    rows = run_once(benchmark, run_fig3bc, sizes_mb=sizes, node_counts=nodes)
+def test_fig3c_overhead_seconds(benchmark):
+    grid = sizes("fig3bc")
+    sizes_mb, nodes = grid["sizes_mb"], grid["node_counts"]
+    rows = run_once(benchmark, run_fig3bc, **grid)
 
     emit("Figure 3c — BitDew overhead over FTP alone (seconds)",
          format_table([{k: r[k] for k in
@@ -27,7 +27,7 @@ def test_fig3c_overhead_seconds(benchmark, scale):
                 return row["overhead_s"]
         raise KeyError((size, n))
 
-    small, big = min(sizes), max(sizes)
+    small, big = min(sizes_mb), max(sizes_mb)
     few, many = min(nodes), max(nodes)
 
     checks = shape_check("figure 3c")

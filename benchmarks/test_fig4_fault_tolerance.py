@@ -13,7 +13,7 @@ from repro.bench.fault import run_fig4
 from repro.bench.reporting import format_table, shape_check
 
 
-def test_fig4_fault_tolerance(benchmark, scale):
+def test_fig4_fault_tolerance(benchmark):
     result = run_once(benchmark, run_fig4, size_mb=5.0, replica=5,
                       n_initial=5, n_spare=5, crash_interval_s=20.0,
                       heartbeat_period_s=1.0, timeout_multiplier=3.0)

@@ -6,15 +6,15 @@ bottleneck), while BitTorrent keeps it nearly flat; FTP is only competitive
 for small worker counts (10-20).
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.blast import run_fig5
 from repro.bench.reporting import format_table, shape_check
 
 
-def test_fig5_blast_scaling(benchmark, scale):
-    workers = scale["fig5_workers"]
-    rows = run_once(benchmark, run_fig5, worker_counts=workers,
-                    protocols=("ftp", "bittorrent"))
+def test_fig5_blast_scaling(benchmark):
+    grid = sizes("fig5")
+    workers = grid["worker_counts"]
+    rows = run_once(benchmark, run_fig5, **grid)
 
     emit("Figure 5 — BLAST total execution time (s)",
          format_table([{k: r[k] for k in

@@ -6,14 +6,14 @@ from FTP to BitTorrent shrinks the transfer component by roughly an order of
 magnitude on every cluster, while unzip and execution times are unchanged.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.blast import run_fig6
 from repro.bench.reporting import format_table, shape_check
 
 
-def test_fig6_blast_breakdown(benchmark, scale):
-    rows = run_once(benchmark, run_fig6, total_nodes=scale["fig6_nodes"],
-                    protocols=("ftp", "bittorrent"))
+def test_fig6_blast_breakdown(benchmark):
+    grid = sizes("fig6")
+    rows = run_once(benchmark, run_fig6, **grid)
 
     emit("Figure 6 — per-cluster breakdown (s): transfer / unzip / execution",
          format_table(rows,
@@ -39,7 +39,7 @@ def test_fig6_blast_breakdown(benchmark, scale):
         "BitTorrent shrinks mean transfer time by a large factor "
         "(paper: ~10x at 400 nodes)",
         ftp_mean["transfer_s"] / max(bt_mean["transfer_s"], 1e-9),
-        4.0 if not scale["paper_scale"] else 7.0)
+        7.0 if grid["total_nodes"] >= 400 else 4.0)
     checks.ratio_at_most(
         "execution time is essentially protocol-independent",
         abs(ftp_mean["execution_s"] - bt_mean["execution_s"])

@@ -6,12 +6,11 @@ benchmark: it pins the asymptotic behaviour of the refactored hot paths
 at a scale the paper never reached.  It asserts shapes and prints tables;
 timing across commits is ``perfbench``'s job (``BENCHMARK.json``).
 
-Set ``REPRO_SCALE_QUICK=1`` to run reduced sizes (used by the CI smoke job).
+Sizes come from each scenario's declaration: ``REPRO_SIZES=quick`` runs the
+reduced ones (CI), unset the function defaults (``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.bench.reporting import format_table, shape_check
 from repro.bench.scale import (
@@ -24,11 +23,7 @@ from repro.bench.scale import (
 from repro.services.heartbeat import FailureDetector
 from repro.sim.kernel import Environment
 
-from benchmarks.conftest import emit
-
-
-def quick_scale() -> bool:
-    return os.environ.get("REPRO_SCALE_QUICK", "0") not in ("0", "", "false")
+from benchmarks.conftest import emit, sizes
 
 
 class TestSyncStormAllocator:
@@ -42,9 +37,9 @@ class TestSyncStormAllocator:
         Coalescing settles each timestamp once: a small, bounded number of
         passes instead of one global recompute per flow event.
         """
-        n_workers = 100 if quick_scale() else 500
-        rounds = 2
-        storm = run_sync_storm(n_workers=n_workers, rounds=rounds)
+        params = sizes("sync-storm")
+        n_workers, rounds = params["n_workers"], params["rounds"]
+        storm = run_sync_storm(**params)
 
         checks = shape_check("sync-storm allocation")
         checks.is_true(
@@ -65,13 +60,9 @@ class TestCompletionCurveAtScale:
         """Fig. 3a's FTP shape extends past the paper's grid: with the server
         uplink as bottleneck, completion time keeps growing linearly in the
         worker count up to 1000 nodes."""
-        if quick_scale():
-            # Keep the server uplink the bottleneck at reduced worker counts.
-            counts, server_link = (50, 100, 200), 100.0
-        else:
-            counts, server_link = (250, 500, 1000), 1000.0
-        rows = run_completion_curve(worker_counts=counts,
-                                    server_link_mbps=server_link)
+        params = sizes("completion-curve")
+        counts = params["worker_counts"]
+        rows = run_completion_curve(**params)
         emit("Completion curve at scale", format_table(rows))
         checks = shape_check("completion curve")
         t = {row["n_workers"]: row["sim_completion_s"] for row in rows}
@@ -92,12 +83,9 @@ class TestScaleGrid:
         must have examined only assignable candidates — not all of Θ for
         each of the thousands of synchronisations.
         """
-        if quick_scale():
-            n_hosts, n_data = 100, 500
-        else:
-            n_hosts, n_data = 1000, 5000
-        metrics = run_scale_grid(n_hosts=n_hosts, n_data=n_data,
-                                 sync_rounds=3)
+        params = sizes("scale-grid")
+        n_data = params["n_data"]
+        metrics = run_scale_grid(**params)
         emit("Scale grid", format_table([
             {k: metrics[k] for k in (
                 "n_hosts", "n_data", "placed", "downloaded",
@@ -130,11 +118,9 @@ class TestScaleGrid100k:
         × replica 4, one multiplexed per-host heartbeat stream — at ≥5×
         the seed's ~10k events/s.
         """
-        if quick_scale():
-            n_hosts, n_data = 10_000, 2_500
-        else:
-            n_hosts, n_data = 100_000, 25_000
-        metrics = run_scale_grid_100k(n_hosts=n_hosts, n_data=n_data)
+        params = sizes("scale-grid-100k")
+        n_data = params["n_data"]
+        metrics = run_scale_grid_100k(**params)
         emit("Scale grid 100k", format_table([
             {k: metrics[k] for k in (
                 "n_hosts", "n_data", "placed", "downloaded",
@@ -161,11 +147,9 @@ class TestScaleGrid100k:
 class TestScaleGrid300k:
     def test_300k_tier_with_fast_defaults(self):
         """The 300k-host tier: the 100k grid at 3× the sizes, ~3M events."""
-        if quick_scale():
-            n_hosts, n_data = 30_000, 7_500
-        else:
-            n_hosts, n_data = 300_000, 75_000
-        metrics = run_scale_grid_300k(n_hosts=n_hosts, n_data=n_data)
+        params = sizes("scale-grid-300k")
+        n_data = params["n_data"]
+        metrics = run_scale_grid_300k(**params)
         emit("Scale grid 300k", format_table([
             {k: metrics[k] for k in (
                 "n_hosts", "n_data", "placed", "downloaded",
@@ -196,7 +180,7 @@ class TestFailureDetectorSweepCost:
         — so total examinations stay well under sweeps × n, while the dead
         hosts are still declared exactly once.
         """
-        n = 300 if quick_scale() else 1000
+        n = 1000
         env = Environment()
         detector = FailureDetector(env, heartbeat_period_s=1.0,
                                    timeout_multiplier=3.0)

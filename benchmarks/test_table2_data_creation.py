@@ -16,13 +16,13 @@ the gap, the RMI hop costs throughput, and a single remote pooled service
 still sustains about two thousand creations per second.
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.micro import run_table2
 from repro.bench.reporting import format_table, shape_check
 
 
-def test_table2_data_creation(benchmark, scale):
-    table = run_once(benchmark, run_table2, n_creations=scale["table2_creations"])
+def test_table2_data_creation(benchmark):
+    table = run_once(benchmark, run_table2, **sizes("table2"))
 
     rows = []
     for channel, cells in table.items():

@@ -7,15 +7,14 @@ of decentralisation (and why the design keeps permanent copies in the DC and
 only replica locations in the DDC, §3.4.1).
 """
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit, run_once, sizes
 from repro.bench.micro import run_table3
 from repro.bench.reporting import format_table, shape_check
 
 
-def test_table3_catalog_publish(benchmark, scale):
-    result = run_once(benchmark, run_table3,
-                      n_nodes=scale["table3_nodes"],
-                      pairs_per_node=scale["table3_pairs"])
+def test_table3_catalog_publish(benchmark):
+    grid = sizes("table3")
+    result = run_once(benchmark, run_table3, **grid)
 
     emit("Table 3 — catalog publish performance", format_table([
         {"catalog": "DDC (DHT)", "total_s": result["ddc_total_s"],
@@ -33,7 +32,7 @@ def test_table3_catalog_publish(benchmark, scale):
                   "(paper: ~15x)", result["slowdown_ratio"], 5.0, 45.0)
     checks.is_true("DC sustains thousands of pairs per second",
                    result["dc_pairs_per_s"] > 1000.0)
-    if scale["paper_scale"]:
+    if (grid["n_nodes"], grid["pairs_per_node"]) == (50, 500):
         checks.within("DDC total time close to the paper's ~109 s",
                       result["ddc_total_s"], 60.0, 180.0)
         checks.within("DC total time close to the paper's ~7 s",

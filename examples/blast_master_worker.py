@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """BLAST master/worker on a Grid'5000-style platform (paper §5, Figures 5-6).
 
-Runs the BLAST application twice on the same 24-worker platform — once with
-the shared files (Application binary + Genebase) distributed over FTP, once
-over BitTorrent — and prints the total time and the transfer/unzip/execution
-breakdown, i.e. a miniature of Figures 5 and 6.
+Runs the BLAST application twice on the same platform of ``--workers`` nodes
+(32 by default) — once with the shared files (Application binary + Genebase)
+distributed over FTP, once over BitTorrent — and prints the total time and
+the transfer/unzip/execution breakdown, i.e. a miniature of Figures 5 and 6.
 
-The Genebase is scaled down (256 MB instead of 2.68 GB) so the example runs
-in seconds; pass ``--paper-scale`` for the full-size Genebase.
+The Genebase is scaled down (512 MB instead of 2.68 GB, with shorter unzip
+and execution references) so the example runs in seconds; pass
+``--paper-scale`` for the full-size Genebase.
 
 Run with::
 

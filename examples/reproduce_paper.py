@@ -2,15 +2,16 @@
 """Regenerate every table and figure of the paper's evaluation section.
 
 Runs the experiment harness behind ``benchmarks/`` (Tables 1-3, Figures 3a-c,
-4, 5, 6) and prints the same rows/series the paper reports.  Use ``--quick``
-for small grids (a couple of minutes) or ``--paper-scale`` for the full
-configuration of the paper (much longer).  Each harness call is a registered
+4, 5, 6) and prints the same rows/series the paper reports.  By default each
+scenario runs at its function defaults (well under a minute); ``--paper-scale``
+runs the ``paper`` sizes each scenario declares, the paper's full grids
+(Figure 5 up to 275 workers; much longer).  Each harness call is a registered
 scenario: the same runs are available one-by-one through ``python -m repro
 run <scenario>`` (see ``docs/EXPERIMENTS.md`` for the catalog).
 
 Run with::
 
-    python examples/reproduce_paper.py --quick
+    python examples/reproduce_paper.py
 """
 
 import argparse
@@ -27,6 +28,7 @@ from repro.bench import (
     table1_testbed,
 )
 from repro.bench.reporting import format_table
+from repro.experiments import default_registry
 
 
 def banner(title: str) -> None:
@@ -35,23 +37,14 @@ def banner(title: str) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true",
-                       help="small grids (default)")
-    group.add_argument("--paper-scale", action="store_true",
-                       help="the paper's full grids (slow)")
+    parser.add_argument("--paper-scale", action="store_true",
+                        help="the paper's full grids (slow)")
     args = parser.parse_args()
 
-    if args.paper_scale:
-        grids = dict(table2_creations=5000, table3=(50, 500),
-                     fig3_sizes=(10, 50, 100, 250, 500),
-                     fig3_nodes=(10, 50, 100, 150, 250),
-                     fig5_workers=(10, 50, 100, 150, 250),
-                     fig6_nodes=400)
-    else:
-        grids = dict(table2_creations=1500, table3=(25, 100),
-                     fig3_sizes=(10, 100, 500), fig3_nodes=(10, 50, 150),
-                     fig5_workers=(10, 50, 100), fig6_nodes=80)
+    def sizes(scenario: str) -> dict:
+        if not args.paper_scale:
+            return {}
+        return default_registry().get(scenario).sizes("paper")
 
     start = time.time()
 
@@ -59,22 +52,21 @@ def main() -> None:
     print(format_table(table1_testbed()))
 
     banner("Table 2 — data creations/sec (thousands)")
-    table2 = run_table2(n_creations=grids["table2_creations"])
+    table2 = run_table2(**sizes("table2"))
     print(format_table([{"channel": channel, **{k: round(v, 2) for k, v in row.items()}}
                         for channel, row in table2.items()]))
 
     banner("Table 3 — catalog publish: DDC (DHT) vs DC")
-    nodes, pairs = grids["table3"]
-    table3 = run_table3(n_nodes=nodes, pairs_per_node=pairs)
+    table3 = run_table3(**sizes("table3"))
     print(format_table([{k: v for k, v in table3.items()}]))
 
     banner("Figure 3a — distribution completion time (s), FTP vs BitTorrent")
-    fig3a = run_fig3a(sizes_mb=grids["fig3_sizes"], node_counts=grids["fig3_nodes"])
+    fig3a = run_fig3a(**sizes("fig3a"))
     print(format_table([{k: r[k] for k in ("protocol", "size_mb", "n_nodes",
                                            "completion_s")} for r in fig3a]))
 
     banner("Figures 3b/3c — BitDew+FTP overhead over FTP alone")
-    fig3bc = run_fig3bc(sizes_mb=grids["fig3_sizes"], node_counts=grids["fig3_nodes"])
+    fig3bc = run_fig3bc(**sizes("fig3bc"))
     print(format_table(fig3bc))
 
     banner("Figure 4 — fault-tolerance scenario (DSL-Lab)")
@@ -86,12 +78,12 @@ def main() -> None:
           f"failure-detection timeout: {fig4['timeout_s']} s")
 
     banner("Figure 5 — BLAST total execution time vs number of workers")
-    fig5 = run_fig5(worker_counts=grids["fig5_workers"])
+    fig5 = run_fig5(**sizes("fig5"))
     print(format_table([{k: r[k] for k in ("protocol", "n_workers", "makespan_s",
                                            "results_collected")} for r in fig5]))
 
     banner("Figure 6 — BLAST breakdown per cluster (transfer / unzip / execution)")
-    fig6 = run_fig6(total_nodes=grids["fig6_nodes"])
+    fig6 = run_fig6(**sizes("fig6"))
     print(format_table(fig6, columns=["protocol", "cluster", "transfer_s",
                                       "unzip_s", "execution_s", "tasks"]))
 

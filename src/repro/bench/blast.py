@@ -35,7 +35,8 @@ __all__ = ["run_blast_once", "run_fig5", "run_fig6"]
     "blast",
     title="One BLAST master/worker run",
     paper_ref="Figures 5-6 building block (§5)",
-    tags=("apps",))
+    tags=("apps",),
+    sizes={"reduced": {"n_workers": 8, "transfer_protocol": "bittorrent"}})
 def run_blast_once(
     n_workers: int,
     transfer_protocol: str,
@@ -95,7 +96,11 @@ def run_blast_once(
     "fig5",
     title="BLAST total execution time vs worker count, per protocol",
     paper_ref="Figure 5 (§5)",
-    tags=("apps",))
+    tags=("apps",),
+    sizes={"reduced": {"worker_counts": [10, 20]},
+           "quick": {"worker_counts": [10, 50, 100]},
+           # §5: 10 to 275 workers.
+           "paper": {"worker_counts": [10, 20, 50, 100, 150, 200, 250, 275]}})
 def run_fig5(
     worker_counts: Sequence[int] = (10, 50, 150),
     protocols: Sequence[str] = ("ftp", "bittorrent"),
@@ -115,7 +120,11 @@ def run_fig5(
     "fig6",
     title="BLAST per-cluster breakdown (transfer/unzip/execution)",
     paper_ref="Figure 6 (§5)",
-    tags=("apps",))
+    tags=("apps",),
+    sizes={"reduced": {"total_nodes": 20},
+           "quick": {"total_nodes": 80},
+           # §5: 400 nodes over the four Grid'5000 clusters of Table 1.
+           "paper": {"total_nodes": 400}})
 def run_fig6(
     total_nodes: int = 100,
     protocols: Sequence[str] = ("ftp", "bittorrent"),

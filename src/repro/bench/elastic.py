@@ -318,7 +318,10 @@ def _diurnal_once(
     "fabric-autoscale",
     title="SLO-driven autoscaler on a diurnal trace: fixed vs elastic shards",
     paper_ref="beyond the paper (service architecture, §3.1/§3.4)",
-    group="scale", tags=("bench", "fabric"))
+    group="scale", tags=("bench", "fabric"),
+    sizes={"reduced": {"horizon_s": 6.0, "period_s": 6.0, "flash_at_s": 3.3,
+                       "flash_duration_s": 0.4, "ring_vnodes": 8,
+                       "n_keys": 40}})
 def run_fabric_autoscale(
     base_rps: float = 15.0,
     peak_rps: float = 220.0,

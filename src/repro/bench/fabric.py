@@ -128,7 +128,9 @@ def _storm_once(
     "fabric-scale",
     title="Flash-crowd sync storm: centralized container vs sharded fabric",
     paper_ref="beyond the paper (distributed services, §3.4; BENCH trajectory)",
-    group="scale", tags=("bench", "fabric"))
+    group="scale", tags=("bench", "fabric"),
+    sizes={"reduced": {"n_hosts": 30, "n_data": 200, "rounds": 2,
+                       "pairs_per_round": 8}})
 def run_fabric_scale(
     n_hosts: int = 100,
     n_data: int = 1000,

@@ -121,7 +121,9 @@ def run_table2_cell(engine: str = "hsqldb", pooled: bool = True,
     "table2",
     title="Data-slot creation rate, all 12 engine/pool/channel cells",
     paper_ref="Table 2 (§4.2)",
-    tags=("micro",))
+    tags=("micro",),
+    sizes={"reduced": {"n_creations": 200},
+           "paper": {"n_creations": 5000}})
 def run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
     """All 12 cells of Table 2, keyed by channel then ``engine/pooling``."""
     table: Dict[str, Dict[str, float]] = {}
@@ -145,7 +147,11 @@ def run_table2(n_creations: int = 2000) -> Dict[str, Dict[str, float]]:
     "table3",
     title="Publish rate: Distributed Data Catalog vs centralized DC",
     paper_ref="Table 3 (§4.2, §3.4.1)",
-    tags=("micro", "dht"))
+    tags=("micro", "dht"),
+    sizes={"reduced": {"n_nodes": 6, "pairs_per_node": 20},
+           "quick": {"n_nodes": 50, "pairs_per_node": 100},
+           # §4.2: 50 nodes publish 500 pairs each.
+           "paper": {"n_nodes": 50, "pairs_per_node": 500}})
 def run_table3(n_nodes: int = 50, pairs_per_node: int = 500,
                engine: str = "hsqldb") -> Dict[str, float]:
     """Publish (dataID, hostID) pairs into the DDC (DHT) and into the DC.

@@ -194,7 +194,8 @@ def run_completion_curve(
     "scale-grid",
     title="Full runtime at ≥1000 hosts × ≥5000 data items",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench",))
+    group="scale", tags=("bench",),
+    sizes={"reduced": {"n_hosts": 40, "n_data": 120}})
 def run_scale_grid(
     n_hosts: int = 1000,
     n_data: int = 5000,
@@ -279,7 +280,8 @@ def run_scale_grid(
     "scale-grid-100k",
     title="Cohort-batched placement storm at ≥100k hosts",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench", "kernel"))
+    group="scale", tags=("bench", "kernel"),
+    sizes={"reduced": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250}})
 def run_scale_grid_100k(
     n_hosts: int = 100_000,
     n_data: int = 25_000,
@@ -395,7 +397,8 @@ def run_scale_grid_100k(
     "scale-grid-300k",
     title="Batched-placement storm at 300k hosts",
     paper_ref="beyond the paper (BENCH trajectory)",
-    group="scale", tags=("bench", "kernel"))
+    group="scale", tags=("bench", "kernel"),
+    sizes={"reduced": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250}})
 def run_scale_grid_300k(
     n_hosts: int = 300_000,
     n_data: int = 75_000,

@@ -34,7 +34,8 @@ __all__ = ["run_distribution", "run_fig3a", "run_fig3bc", "run_ftp_alone"]
     "ftp-alone",
     title="Baseline file distribution with raw FTP, no BitDew runtime",
     paper_ref="Figure 3b/3c baseline (§4.3)",
-    tags=("transfer",))
+    tags=("transfer",),
+    sizes={"reduced": {"size_mb": 2.0, "n_nodes": 4}})
 def run_ftp_alone(size_mb: float, n_nodes: int,
                   server_link_mbps: float = 125.0,
                   node_link_mbps: float = 125.0) -> Dict[str, float]:
@@ -76,7 +77,9 @@ def run_ftp_alone(size_mb: float, n_nodes: int,
     "distribution",
     title="One BitDew-driven file distribution (any protocol)",
     paper_ref="Figure 3 building block (§4.3)",
-    tags=("transfer",))
+    tags=("transfer",),
+    sizes={"reduced": {"protocol": "bittorrent", "size_mb": 5.0,
+                       "n_nodes": 6, "use_scheduler": True}})
 def run_distribution(
     protocol: str,
     size_mb: float,
@@ -172,7 +175,12 @@ def run_distribution(
     "fig3a",
     title="Distribution completion-time grid, FTP vs BitTorrent",
     paper_ref="Figure 3a (§4.3)",
-    tags=("transfer",))
+    tags=("transfer",),
+    sizes={"reduced": {"sizes_mb": [10], "node_counts": [10]},
+           "quick": {},     # the defaults: one cell is too few for the shapes
+           # §4.3: 10 to 500 MB to 10 to 250 nodes.
+           "paper": {"sizes_mb": [10, 20, 50, 100, 150, 200, 250, 500],
+                     "node_counts": [10, 20, 50, 100, 150, 200, 250]}})
 def run_fig3a(
     sizes_mb: Sequence[float] = (10, 100, 500),
     node_counts: Sequence[int] = (10, 50, 150),
@@ -194,7 +202,12 @@ def run_fig3a(
     "fig3bc",
     title="BitDew+FTP vs FTP-alone overhead (percent and seconds)",
     paper_ref="Figures 3b-3c (§4.3)",
-    tags=("transfer",))
+    tags=("transfer",),
+    sizes={"reduced": {"sizes_mb": [10], "node_counts": [10]},
+           "quick": {},     # the defaults: one cell is too few for the shapes
+           # §4.3: 10 to 500 MB to 10 to 250 nodes.
+           "paper": {"sizes_mb": [10, 20, 50, 100, 150, 200, 250, 500],
+                     "node_counts": [10, 20, 50, 100, 150, 200, 250]}})
 def run_fig3bc(
     sizes_mb: Sequence[float] = (10, 100, 500),
     node_counts: Sequence[int] = (10, 50, 150),

@@ -17,7 +17,8 @@ Layers:
 * :mod:`repro.experiments.registry` — the ``scenario`` declaration and the
   ``ScenarioRegistry`` it fills, mapping scenario names to
   :class:`ScenarioDefinition` (runner callable, paper reference, defaults
-  introspected from the runner's signature), in the style of
+  introspected from the runner's signature, the reduced / quick / paper
+  sizes declared with it), in the style of
   :mod:`repro.transfer.registry`.
 * :mod:`repro.experiments.runner` — resolve a spec against the registry, run
   it, and shape the outcome into deterministic, JSON-serialisable results
@@ -42,6 +43,7 @@ command line: ``list``, ``describe``, ``run`` and ``sweep``.
 
 from repro.experiments.spec import ScenarioSpec, expand_grid
 from repro.experiments.registry import (
+    SIZE_TIERS,
     ScenarioDefinition,
     ScenarioRegistry,
     UnknownScenarioError,
@@ -61,6 +63,7 @@ from repro.experiments.executor import (
 )
 
 __all__ = [
+    "SIZE_TIERS",
     "ResultCache",
     "ScenarioDefinition",
     "ScenarioRegistry",

@@ -6,19 +6,23 @@ resolved by name, so new experiments plug into the catalog (and the
 :class:`ScenarioDefinition` couples the runner callable with its provenance
 (the paper section/figure it reproduces, a one-line title, tags) and with the
 parameter schema introspected from the runner's signature — the registry is
-the single source of truth for scenario defaults.
+the single source of truth for scenario defaults, and for the sizes every
+consumer runs a scenario at (:meth:`ScenarioDefinition.sizes`).
 
 A scenario is declared once, on its implementation, with :func:`scenario`::
 
-    @scenario("fig4", title="Fault-tolerant replicated storage under churn",
-              paper_ref="Figure 4 (§4.4)", tags=("churn",))
-    def run_fig4(replica: int = 5, seed: int = 42): ...
+    @scenario("fig5", title="BLAST total execution time vs worker count",
+              paper_ref="Figure 5 (§5)", tags=("apps",),
+              sizes={"reduced": {"worker_counts": [10, 20]},
+                     "paper": {"worker_counts": [10, 20, 50, 100, 150, 200,
+                                                 250, 275]}})
+    def run_fig5(worker_counts=(10, 50, 150), ...): ...
 
 The decorator files the definition in the process-wide catalog (served by
 :func:`repro.experiments.runner.default_registry`) and returns the public
 entry point: same signature and docstring, but a call is validated against
-the parameter schema and run through the catalog, so ``run_fig4(...)`` and
-``python -m repro run fig4`` are one and the same experiment.
+the parameter schema and run through the catalog, so ``run_fig5(...)`` and
+``python -m repro run fig5`` are one and the same experiment.
 """
 
 from __future__ import annotations
@@ -26,13 +30,22 @@ from __future__ import annotations
 import difflib
 import functools
 import inspect
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.experiments.spec import ScenarioSpec
 
-__all__ = ["ScenarioDefinition", "ScenarioRegistry", "UnknownScenarioError",
-           "scenario"]
+__all__ = ["SIZE_TIERS", "ScenarioDefinition", "ScenarioRegistry",
+           "UnknownScenarioError", "scenario"]
+
+#: The size tiers a scenario may declare, each mapped to the tier an
+#: undeclared one falls back to (``None``: the function defaults).
+_FALLBACK: Dict[str, Optional[str]] = {
+    "reduced": None, "quick": "reduced", "paper": None}
+SIZE_TIERS = tuple(_FALLBACK)
+
+#: ``{tier: {parameter: value}}`` as declared on :func:`scenario`.
+SizeTable = Mapping[str, Mapping[str, object]]
 
 
 class UnknownScenarioError(KeyError):
@@ -49,6 +62,7 @@ class ScenarioDefinition:
     paper_ref: str = ""                  # e.g. "Figure 4 (§4.4)" or "beyond the paper"
     group: str = "paper"                 # "paper" | "scale" | "extra"
     tags: Tuple[str, ...] = ()
+    size_table: SizeTable = field(default_factory=dict, compare=False)
 
     @property
     def module(self) -> str:
@@ -90,6 +104,25 @@ class ScenarioDefinition:
     @property
     def seeded(self) -> bool:
         return self.accepts("seed")
+
+    def sizes(self, tier: str) -> Dict[str, object]:
+        """The parameter overrides that run this scenario at size *tier*.
+
+        ``reduced`` is the smallest run that still exercises the scenario
+        (the tier-1 tests, the call census, ``census.py outputs``); ``quick``
+        is the smallest at which its benchmark's shape checks hold (CI's
+        benchmark run); ``paper`` is the paper's full grid.  A tier the
+        scenario does not declare falls back one step: ``quick`` to
+        ``reduced`` to the function defaults (``{}``), and ``paper`` to the
+        function defaults.
+        """
+        if tier not in _FALLBACK:
+            raise ValueError(f"unknown size tier {tier!r}; "
+                             f"tiers: {list(SIZE_TIERS)}")
+        resolved: Optional[str] = tier
+        while resolved is not None and resolved not in self.size_table:
+            resolved = _FALLBACK[resolved]
+        return dict(self.size_table[resolved]) if resolved else {}
 
     # -- spec construction --------------------------------------------------
     def spec(self, **overrides: object) -> ScenarioSpec:
@@ -135,13 +168,24 @@ class ScenarioRegistry:
         paper_ref: str = "",
         group: str = "paper",
         tags: Iterable[str] = (),
+        sizes: Optional[SizeTable] = None,
         replace: bool = False,
     ) -> ScenarioDefinition:
         key = name.lower()
         definition = ScenarioDefinition(
             name=key, runner=runner, title=title, paper_ref=paper_ref,
-            group=group, tags=tuple(tags),
+            group=group, tags=tuple(tags), size_table=dict(sizes or {}),
         )
+        for tier, params in definition.size_table.items():
+            if tier not in _FALLBACK:
+                raise ValueError(
+                    f"scenario {name!r} declares unknown size tier {tier!r}; "
+                    f"tiers: {list(SIZE_TIERS)}")
+            unknown = sorted(set(params) - set(definition.parameters()))
+            if unknown:
+                raise ValueError(
+                    f"scenario {name!r} size tier {tier!r} sets {unknown}, "
+                    f"which are not parameters of its runner")
         existing = self._definitions.get(key)
         if existing is not None and not replace:
             raise ValueError(
@@ -184,8 +228,12 @@ def scenario(
     paper_ref: str = "",
     group: str = "paper",
     tags: Iterable[str] = (),
+    sizes: Optional[SizeTable] = None,
 ) -> Callable[[Callable[..., object]], Callable[..., object]]:
     """Declare the decorated function as scenario *name*.
+
+    *sizes* maps a size tier (:data:`SIZE_TIERS`) to the parameters that
+    run the scenario at that size; see :meth:`ScenarioDefinition.sizes`.
 
     Returns the public entry point in the function's place.  The raw
     implementation stays reachable as ``entry.scenario_impl``: a composite
@@ -194,7 +242,7 @@ def scenario(
     """
     def declare(impl: Callable[..., object]) -> Callable[..., object]:
         _CATALOG.register(name, impl, title=title, paper_ref=paper_ref,
-                          group=group, tags=tags)
+                          group=group, tags=tags, sizes=sizes)
         signature = inspect.signature(impl)
 
         @functools.wraps(impl)

@@ -1,8 +1,8 @@
 """Whole-tree caller census: which functions of ``src/repro`` does anything run?
 
 A function-level ``sys.setprofile`` hook records every ``src/repro``
-function entered while (a) all registered scenarios run at the ``REDUCED``
-sizes of ``tests/test_ids.py`` plus every script under ``examples/``, and
+function entered while (a) all registered scenarios run at their ``reduced``
+sizes (``ScenarioDefinition.sizes``) plus every script under ``examples/``, and
 (b) ``pytest tests`` runs.  The report lists what (a) never entered, split
 into "tests only" and "nothing" — the candidates for deletion, to be read
 against the kept list in ``docs/ARCHITECTURE.md`` ("Surface census").
@@ -51,7 +51,7 @@ run(op)``), and two functions of one name share their callers; a call with
 A sixth mode compares behaviour instead of reading code: ``outputs REF``
 materialises ``src/`` of a git ref in a temp dir (``git archive``: nothing is
 registered under ``.git``, so an interrupted run leaves no worktree to
-prune), runs every registered scenario at the ``REDUCED`` sizes on both
+prune), runs every registered scenario at its ``reduced`` sizes on both
 trees, each run a fresh interpreter, ``cmp``s the two JSONs, prints one line
 per scenario and exits 1 on any difference — the acceptance check of every
 PR that must not change an output::
@@ -239,14 +239,12 @@ def _defined() -> dict:
 
 def _run_scenarios_and_examples() -> None:
     from repro.experiments import ScenarioSpec, default_registry, run_spec
-    from tests.test_ids import REDUCED
     for definition in default_registry().definitions():
-        params = dict(REDUCED.get(definition.name, {}))
+        params = definition.sizes("reduced")
         run_spec(ScenarioSpec(definition.name, params)).to_json()
     examples = os.path.join(REPO, "examples")
     for script in sorted(os.listdir(examples)):
-        quick = ["--quick"] if script == "reproduce_paper.py" else []
-        sys.argv = [script] + quick
+        sys.argv = [script]
         try:
             runpy.run_path(os.path.join(examples, script),
                            run_name="__main__")
@@ -473,9 +471,8 @@ def _knobs(root: str) -> int:
 
 def _outputs(ref: str) -> int:
     """Byte-compare every scenario's JSON on *ref* and on this tree."""
-    sys.path[:0] = [REPO, os.path.join(REPO, "src")]
+    sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.experiments import default_registry
-    from tests.test_ids import REDUCED
     work = tempfile.mkdtemp(prefix="census-outputs-")
     differing = []
     try:
@@ -488,7 +485,7 @@ def _outputs(ref: str) -> int:
             name = definition.name
             argv = [sys.executable, "-m", "repro", "run", name, "--quiet",
                     "--no-cache"]
-            for key, value in REDUCED.get(name, {}).items():
+            for key, value in definition.sizes("reduced").items():
                 text = value if isinstance(value, str) else json.dumps(value)
                 argv += ["--set", f"{key}={text}"]
             outs = []

@@ -70,16 +70,20 @@ def count_calls(action, matches):
     """Run *action* under ``sys.setprofile``; returns its result and how many
     Python calls (and generator resumptions) entered a code object *matches*
     accepts — the count pins' measure: host work by number, never by the
-    clock."""
+    clock.  A profile hook already set (``tests/census.py tests``) still sees
+    every event and is set again afterwards."""
     entered = 0
+    outer = sys.getprofile()
 
-    def on_event(frame, event, _arg):
+    def on_event(frame, event, arg):
         nonlocal entered
         entered += event == "call" and matches(frame.f_code)
+        if outer is not None:
+            outer(frame, event, arg)
 
     sys.setprofile(on_event)
     try:
         result = action()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return result, entered

@@ -1,5 +1,9 @@
 """Tests for the experiment harness and reporting helpers (small scales)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.fault import run_fig4
@@ -47,6 +51,21 @@ class TestReporting:
         failing.is_true("nope", False)
         with pytest.raises(ShapeCheckFailure, match="nope"):
             failing.verify()
+
+
+class TestSizeTier:
+    def test_unknown_repro_sizes_fails_the_benchmark_session(self):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, REPRO_SIZES="huge",
+                   PYTHONPATH=os.path.join(repo, "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q",
+             "-p", "no:cacheprovider", "benchmarks/test_table1_testbed.py"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        message = done.stdout + done.stderr
+        assert "REPRO_SIZES='huge'" in message
+        assert "'quick' or 'paper'" in message
 
 
 class TestMicroHarness:

@@ -15,7 +15,8 @@ import pytest
 
 yaml = pytest.importorskip("yaml")
 
-from repro.experiments import default_registry
+from benchmarks.conftest import TIERS as BENCHMARK_TIERS
+from repro.experiments import SIZE_TIERS, default_registry
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JOBS = ["tier1", "static-analysis", "determinism", "sweep-cli", "examples"]
@@ -36,6 +37,16 @@ def test_workflow_has_exactly_the_five_jobs(workflow):
     assert list(workflow["jobs"]) == JOBS
     # PyYAML reads the bare key ``on`` as boolean True.
     assert set(workflow[True]) == {"push", "pull_request"}
+
+
+def test_tier1_benchmarks_run_at_a_declared_size_tier(workflow):
+    """``REPRO_SIZES`` must name a tier scenarios declare, or the tier-1
+    job fails its benchmark session (``benchmarks/conftest.py``)."""
+    tier1 = workflow["jobs"]["tier1"]["steps"]
+    tiers = [step["env"]["REPRO_SIZES"] for step in tier1
+             if "REPRO_SIZES" in step.get("env", {})]
+    assert len(tiers) == 1
+    assert tiers[0] in SIZE_TIERS and tiers[0] in BENCHMARK_TIERS
 
 
 def test_every_path_the_workflow_names_exists(workflow):
@@ -85,7 +96,7 @@ def test_piece_level_swarm_is_swept_serial_and_parallel(workflow):
 
 
 def test_allocation_pass_is_swept_at_runtime_grid_size(workflow):
-    """The determinism job runs REDUCED sizes; one ``--jobs 1`` /
+    """The determinism job runs reduced sizes; one ``--jobs 1`` /
     ``--jobs 2`` pair runs ``scale-grid`` at the size perfbench's
     ``runtime-grid`` times, over two seeds, uncached."""
     grid = [command for command in _commands(workflow["jobs"]["sweep-cli"])

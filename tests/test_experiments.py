@@ -7,6 +7,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import (
+    SIZE_TIERS,
     ScenarioRegistry,
     ScenarioSpec,
     UnknownScenarioError,
@@ -122,6 +123,41 @@ class TestRegistry:
         spec = definition.spec(protocol="ftp", size_mb=1.0, n_nodes=2)
         assert spec.params["protocol"] == "ftp"
         assert spec.params["sync_period_s"] == 1.0      # default filled in
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"huge": {"x": 2}}, "unknown size tier 'huge'"),
+        ({"paper": {"x": 2, "n_hosts": 9}},
+         r"size tier 'paper' sets \['n_hosts'\]"),
+    ])
+    def test_bad_size_table_is_rejected_at_registration(self, sizes,
+                                                         message):
+        registry = ScenarioRegistry()
+        with pytest.raises(ValueError, match=message):
+            registry.register("toy", _toy_runner, title="toy", sizes=sizes)
+        assert registry.names() == []
+
+    def test_undeclared_size_tier_falls_back_one_step(self):
+        registry = ScenarioRegistry()
+        bare = registry.register("bare", _toy_runner, title="bare")
+        small = registry.register("small", _toy_runner, title="small",
+                                  sizes={"reduced": {"x": 2}})
+        full = registry.register("full", _toy_runner, title="full",
+                                 sizes={"reduced": {"x": 2}, "quick": {},
+                                        "paper": {"x": 9}})
+        assert [bare.sizes(t) for t in SIZE_TIERS] == [{}, {}, {}]
+        assert [small.sizes(t) for t in SIZE_TIERS] == [{"x": 2}, {"x": 2},
+                                                        {}]
+        assert [full.sizes(t) for t in SIZE_TIERS] == [{"x": 2}, {},
+                                                       {"x": 9}]
+        with pytest.raises(ValueError, match="unknown size tier"):
+            full.sizes("huge")
+
+    def test_paper_tier_holds_the_papers_largest_points(self):
+        """§5 runs Figure 5 up to 275 workers and Figure 6 on 400 nodes."""
+        registry = default_registry()
+        assert max(registry.get("fig5").sizes("paper")["worker_counts"]) \
+            == 275
+        assert registry.get("fig6").sizes("paper") == {"total_nodes": 400}
 
     def test_var_kwargs_scenarios_accept_extra(self):
         definition = default_registry().get("fig3a")

@@ -22,38 +22,18 @@ from repro.sim import ids
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-#: Reduced sizes for the scenarios whose defaults are too slow for tier 1
-#: or that have required parameters (perfbench's ``quick`` table where it
-#: has one).  Every other registered scenario runs with all defaults.
-REDUCED = {
-    "blast": {"n_workers": 8, "transfer_protocol": "bittorrent"},
-    "distribution": {"protocol": "bittorrent", "size_mb": 5.0, "n_nodes": 6,
-                     "use_scheduler": True},
-    "ftp-alone": {"size_mb": 2.0, "n_nodes": 4},
-    "fabric-autoscale": {"horizon_s": 6.0, "period_s": 6.0, "flash_at_s": 3.3,
-                         "flash_duration_s": 0.4, "ring_vnodes": 8,
-                         "n_keys": 40},
-    "fabric-scale": {"n_hosts": 30, "n_data": 200, "rounds": 2,
-                     "pairs_per_round": 8},
-    "fig3a": {"sizes_mb": [10], "node_counts": [10]},
-    "fig3bc": {"sizes_mb": [10], "node_counts": [10]},
-    "fig5": {"worker_counts": [10, 20]},
-    "fig6": {"total_nodes": 20},
-    "scale-grid": {"n_hosts": 40, "n_data": 120},
-    "scale-grid-100k": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250},
-    "scale-grid-300k": {"n_hosts": 1000, "n_data": 250, "cohort_size": 250},
-    "table2": {"n_creations": 200},
-    "table3": {"n_nodes": 6, "pairs_per_node": 20},
-}
-
 SCENARIOS = [d.name for d in default_registry().definitions()]
+
+
+def _reduced(name):
+    return default_registry().get(name).sizes("reduced")
 
 HOST_CLOCKS = [clock + suffix for suffix in ("", "_ns") for clock in
                ("time", "monotonic", "perf_counter", "process_time")]
 
 
 def _run(name, **overrides):
-    params = dict(REDUCED.get(name, {}), **overrides)
+    params = dict(_reduced(name), **overrides)
     return run_spec(ScenarioSpec(name, params))
 
 
@@ -75,8 +55,7 @@ def test_table_covers_every_scenario_without_an_all_defaults_form():
     needs_params = {
         d.name for d in default_registry().definitions()
         if inspect.Parameter.empty in d.parameters().values()}
-    assert needs_params <= set(REDUCED)
-    assert set(REDUCED) <= set(SCENARIOS)
+    assert needs_params <= {name for name in SCENARIOS if _reduced(name)}
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -95,7 +74,7 @@ def test_in_process_run_equals_fresh_interpreter_cli(name, tmp_path):
     out = tmp_path / "fresh.json"
     argv = [sys.executable, "-m", "repro", "run", name, "--quiet",
             "--no-cache", "--out", str(out)]
-    for key, value in REDUCED.get(name, {}).items():
+    for key, value in _reduced(name).items():
         argv += ["--set", f"{key}={value}"]
     subprocess.run(argv, env=dict(os.environ, PYTHONPATH=SRC), check=True)
     _json("blast")                      # drift every sequence first
